@@ -86,6 +86,9 @@ def sweep(repo, extra_args: list[str]) -> float:
 
 def run_bench(base: Path) -> dict:
     cpus = os.cpu_count() or 1
+    # The first sweep in an interpreter pays its lazy imports (about a
+    # second); an untimed one keeps that off whichever mode runs first.
+    sweep(build_repo(base / "warm-up"), ["-j", "1"])
     repos = {mode: build_repo(base / mode) for mode, _ in MODES}
     seconds = {
         mode: sweep(repos[mode], extra) for mode, extra in MODES

@@ -35,7 +35,6 @@ from enum import Enum
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.common.errors import CheckError
 from repro.stats.models import fit_best_model, model_integral
@@ -203,6 +202,10 @@ class AverageAmountDetector(_BaseDetector):
         self.alpha = alpha
 
     def detect(self, baseline, current, metric: str = "runtime") -> Degradation:
+        # scipy takes about a second to import; load it only when a
+        # verdict is asked for, not with every ``import repro.check``.
+        from scipy import stats as sps
+
         baseline, current = self._validate(baseline, current)
         from_value = float(np.median(baseline))
         to_value = float(np.median(current))

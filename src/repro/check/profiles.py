@@ -6,11 +6,10 @@ be *versioned alongside the code that produced it*.  A
 :class:`Profile` is the per-commit unit: named sample series (stage
 timings harvested from the run journal / :class:`MetricStore`, result
 columns) plus free-form metadata.  A :class:`ProfileHistory` is the
-degradation-checker's view of the repository: one profile file per
-commit, plus an append-only index journal, both written under the
-durable-write contract of :mod:`repro.common.fsutil` (profile files via
-``atomic_write``, the index via ``journal_append`` with torn-tail
-tolerant readers).
+degradation-checker's view of the repository: one append-only profile
+ledger per commit, plus an append-only index journal, both written with
+durable ``journal_append`` calls and read by torn-tail tolerant readers
+(see :mod:`repro.common.fsutil`).
 
 This replaces the flat sliding window of
 :class:`repro.ci.regression.PerformanceHistory`: baselines are resolved
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.common.errors import CheckError
-from repro.common.fsutil import atomic_write, ensure_dir, journal_append
+from repro.common.fsutil import ensure_dir, journal_append
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.metrics import MetricStore
@@ -95,14 +94,31 @@ class Profile:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "Profile":
+        """Rebuild a profile from :meth:`to_json` output.
+
+        Decoded JSON of the wrong shape — not an object, no commit id, a
+        ``series`` that is not a mapping of sample lists, a non-numeric
+        sample — raises :class:`CheckError`, as undecodable JSON does.
+        """
+        if not isinstance(payload, Mapping):
+            raise CheckError(
+                f"unreadable profile: a JSON {type(payload).__name__}, not an object"
+            )
         version = payload.get("version")
         if version != PROFILE_FORMAT_VERSION:
             raise CheckError(f"unsupported profile format version: {version!r}")
-        return cls(
-            commit=str(payload["commit"]),
-            series={str(k): [float(x) for x in v] for k, v in payload.get("series", {}).items()},
-            meta=dict(payload.get("meta", {})),
-        )
+        commit = payload.get("commit")
+        if not isinstance(commit, str) or not commit:
+            raise CheckError(f"unreadable profile: bad commit id {commit!r}")
+        try:
+            series = {
+                str(k): [float(x) for x in v]
+                for k, v in payload.get("series", {}).items()
+            }
+            meta = dict(payload.get("meta", {}))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CheckError(f"unreadable profile for {commit[:12]}: {exc}") from exc
+        return cls(commit=commit, series=series, meta=meta)
 
 
 def harvest_profile(
@@ -148,10 +164,14 @@ class ProfileHistory:
     """Per-commit profiles under ``<root>/profiles/``.
 
     *root* is the repository's metadata directory (``.pvcs``).  Each
-    commit's profile lives in ``profiles/<commit>.json`` (atomic,
-    durable writes — a crash leaves the old profile or the new one,
-    never a torn file) and ``profiles/index.jsonl`` records attach
-    order (single-line appends; a torn tail is skipped on read).
+    commit's profile is a ledger, ``profiles/<commit>.jsonl``: one
+    compact JSON line per attached run, so attaching costs one durable
+    append however many runs the commit already holds.  A
+    ``profiles/<commit>.json`` left by earlier versions (the whole
+    merged profile as one document) is still read, before the ledger,
+    but never written.  ``profiles/index.jsonl`` records attach order.
+    A crash can tear only the last line of a ledger or the index;
+    readers skip it and ``popper doctor`` truncates it.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -161,14 +181,16 @@ class ProfileHistory:
 
     # -- write -------------------------------------------------------------------
     def attach(self, profile: Profile) -> Path:
-        """Attach *profile* to its commit, merging with any existing one."""
+        """Append *profile* to its commit's ledger; return the ledger path.
+
+        Reads nothing: :meth:`get` folds the ledger lines back into one
+        profile, so re-profiling a commit still merges its samples.
+        """
         ensure_dir(self.dir)
-        existing = self.get(profile.commit)
-        if existing is not None:
-            profile = existing.merged(profile)
-        path = self._path_for(profile.commit)
-        payload = json.dumps(profile.to_json(), sort_keys=True, indent=2) + "\n"
-        atomic_write(path, payload.encode("utf-8"), durable=True)
+        path = self._ledger_for(profile.commit)
+        line = json.dumps(profile.to_json(), sort_keys=True, separators=(",", ":"))
+        with open(path, "a", encoding="utf-8") as handle:
+            journal_append(handle, line, durable=True, crash_label="profiles.attach")
         entry = json.dumps(
             {
                 "commit": profile.commit,
@@ -183,15 +205,38 @@ class ProfileHistory:
 
     # -- read --------------------------------------------------------------------
     def get(self, commit: str) -> Profile | None:
-        """The profile attached to *commit*, or None."""
-        path = self._path_for(commit)
-        if not path.exists():
+        """The profile attached to *commit*, or None.
+
+        Folds the legacy ``<commit>.json``, if any, and then every ledger
+        line, in attach order, into one profile: shared series
+        concatenate and later metadata wins, as :meth:`Profile.merged`
+        would, in one pass.
+        """
+        legacy = self._path_for(commit)
+        ledger = self._ledger_for(commit)
+        payloads = []
+        if legacy.exists():
+            try:
+                payloads.append(json.loads(legacy.read_text(encoding="utf-8")))
+            except (OSError, json.JSONDecodeError) as exc:
+                raise CheckError(f"unreadable profile for {commit[:12]}: {exc}") from exc
+        if ledger.exists():
+            with open(ledger, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    try:
+                        payloads.append(json.loads(line))
+                    except json.JSONDecodeError:
+                        continue  # torn tail (or mid-file corruption): skip
+        if not payloads:
             return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckError(f"unreadable profile for {commit[:12]}: {exc}") from exc
-        return Profile.from_json(payload)
+        series: dict[str, list[float]] = {}
+        meta: dict[str, object] = {}
+        for payload in payloads:
+            run = Profile.from_json(payload)
+            for key, values in run.series.items():
+                series.setdefault(key, []).extend(values)
+            meta.update(run.meta)
+        return Profile(commit=commit, series=series, meta=meta)
 
     def require(self, commit: str) -> Profile:
         profile = self.get(commit)
@@ -206,8 +251,8 @@ class ProfileHistory:
         """Commits with attached profiles, in first-attach order.
 
         Read from the index journal (deduplicated, torn tail skipped);
-        profile files whose index line was lost to a crash are appended
-        at the end, so nothing on disk is invisible.
+        profiles whose index line was lost to a crash are appended at
+        the end, so nothing on disk is invisible.
         """
         seen: list[str] = []
         if self.index_path.exists():
@@ -224,10 +269,13 @@ class ProfileHistory:
                     if commit and commit not in seen:
                         seen.append(commit)
         if self.dir.is_dir():
-            on_disk = sorted(
-                p.stem for p in self.dir.glob("*.json") if p.stem not in seen
-            )
-            seen.extend(on_disk)
+            on_disk = {
+                p.stem
+                for pattern in ("*.json", "*.jsonl")
+                for p in self.dir.glob(pattern)
+                if p != self.index_path
+            }
+            seen.extend(sorted(on_disk.difference(seen)))
         return seen
 
     def baseline_for(
@@ -263,6 +311,15 @@ class ProfileHistory:
         return pooled
 
     def _path_for(self, commit: str) -> Path:
-        if not commit or "/" in commit or commit.startswith("."):
+        """The legacy one-document profile of *commit* (read, never written)."""
+        if (
+            not commit
+            or "/" in commit
+            or commit.startswith(".")
+            or commit == self.index_path.stem
+        ):
             raise CheckError(f"invalid commit id for profile path: {commit!r}")
         return self.dir / f"{commit}.json"
+
+    def _ledger_for(self, commit: str) -> Path:
+        return self._path_for(commit).with_suffix(".jsonl")

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.common.errors import ReproError
 
@@ -152,6 +151,8 @@ def naive_comparison(
     the returned interval is a plain t-based CI on the mean ratio and is
     labeled as such.
     """
+    from scipy import stats as sps  # slow to import; see repro.check.detectors
+
     a = _validate(times_a, "system A", minimum=2)
     b = _validate(times_b, "system B", minimum=2)
     point = float(np.mean(a) / np.mean(b))
@@ -182,6 +183,8 @@ def required_runs(
     planning number an experiment's ``vars.yml`` should justify its
     ``runs:`` with.
     """
+    from scipy import stats as sps  # slow to import; see repro.check.detectors
+
     if cov <= 0 or detectable_effect <= 0:
         raise ComparisonError("cov and detectable_effect must be positive")
     if not (0.5 < confidence < 1.0 and 0.5 <= power < 1.0):

@@ -48,6 +48,26 @@ class TestProfile:
         with pytest.raises(CheckError):
             Profile.from_json({"version": 99, "commit": "c"})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"version": PROFILE_FORMAT_VERSION, "series": {}},
+            {"version": PROFILE_FORMAT_VERSION, "commit": "c", "series": [1.0]},
+            {"version": PROFILE_FORMAT_VERSION, "commit": "c", "series": {"x": ["slow"]}},
+            [{"version": PROFILE_FORMAT_VERSION, "commit": "c"}],
+        ],
+        ids=["no-commit", "series-not-a-mapping", "non-numeric-sample", "top-level-list"],
+    )
+    def test_wrong_shape_is_unreadable(self, tmp_path, payload):
+        with pytest.raises(CheckError, match="unreadable profile"):
+            Profile.from_json(payload)
+        # Read back as a prior commit's profile, it fails the same way.
+        history = ProfileHistory(tmp_path)
+        history.dir.mkdir()
+        history._path_for("c").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckError, match="unreadable profile"):
+            history.baseline_for(["c"])
+
 
 class TestHarvest:
     def test_stage_seconds_become_experiment_scoped_keys(self):
@@ -94,6 +114,48 @@ class TestProfileHistory:
         # the index journal saw both attaches; commits() deduplicates
         assert history.commits() == ["c1"]
 
+    def test_attach_appends_one_line_without_reading(self, tmp_path, monkeypatch):
+        history = ProfileHistory(tmp_path)
+        for value in (1.0, 2.0, 3.0):
+            history.attach(Profile("c1", series={"x": [value]}))
+        ledger = history._ledger_for("c1")
+        before = ledger.read_text(encoding="utf-8").splitlines()
+        assert len(before) == 3
+
+        def no_reads(commit):
+            raise AssertionError("attach must not read the profile")
+
+        monkeypatch.setattr(history, "get", no_reads)
+        assert history.attach(Profile("c1", series={"x": [4.0]})) == ledger
+        after = ledger.read_text(encoding="utf-8").splitlines()
+        assert after[:3] == before
+        assert len(after) == 4
+        monkeypatch.undo()
+        assert history.require("c1").series == {"x": [1.0, 2.0, 3.0, 4.0]}
+
+    def test_legacy_profile_then_ledger_lines_fold_in_attach_order(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.dir.mkdir()
+        legacy = Profile("c1", series={"x": [1.0, 2.0]}, meta={"run": 0, "kept": True})
+        history._path_for("c1").write_text(
+            json.dumps(legacy.to_json(), indent=2), encoding="utf-8"
+        )
+        history.attach(Profile("c1", series={"x": [3.0], "y": [7.0]}, meta={"run": 1}))
+        history.attach(Profile("c1", series={"x": [4.0]}, meta={"run": 2}))
+        profile = history.require("c1")
+        assert profile.series == {"x": [1.0, 2.0, 3.0, 4.0], "y": [7.0]}
+        assert profile.meta == {"run": 2, "kept": True}
+        # The legacy file is read, never rewritten.
+        assert json.loads(history._path_for("c1").read_text()) == legacy.to_json()
+        assert history.commits() == ["c1"]
+
+    def test_torn_ledger_tail_is_skipped(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series={"x": [1.0]}))
+        with open(history._ledger_for("c1"), "a", encoding="utf-8") as handle:
+            handle.write('{"commit": "c1", "ser')  # crash mid-append
+        assert history.require("c1").series == {"x": [1.0]}
+
     def test_commits_in_first_attach_order(self, tmp_path):
         history = ProfileHistory(tmp_path)
         for commit in ("c-new", "c-old", "c-mid"):
@@ -125,7 +187,7 @@ class TestProfileHistory:
 
     def test_path_traversal_rejected(self, tmp_path):
         history = ProfileHistory(tmp_path)
-        for bad in ("", "../escape", ".hidden"):
+        for bad in ("", "../escape", ".hidden", "index"):
             with pytest.raises(CheckError):
                 history._path_for(bad)
 

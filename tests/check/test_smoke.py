@@ -11,5 +11,5 @@ def test_perf_smoke_passes_and_summarizes():
 
 def test_perf_smoke_writes_real_profiles(tmp_path):
     perf_smoke(root=tmp_path)
-    assert (tmp_path / "profiles" / "smoke-base.json").is_file()
-    assert (tmp_path / "profiles" / "smoke-candidate.json").is_file()
+    assert (tmp_path / "profiles" / "smoke-base.jsonl").is_file()
+    assert (tmp_path / "profiles" / "smoke-candidate.jsonl").is_file()

@@ -43,6 +43,9 @@ RUN_CRASH_POINTS = [
     "journal.append.window",
     "fsutil.atomic_write.tmp",
     "fsutil.atomic_write.rename",
+    # The run's profile line, then its index line (journal_append).
+    "profiles.attach.torn",
+    "profiles.index.torn",
 ]
 
 
