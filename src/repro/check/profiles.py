@@ -7,9 +7,9 @@ be *versioned alongside the code that produced it*.  A
 timings harvested from the run journal / :class:`MetricStore`, result
 columns) plus free-form metadata.  A :class:`ProfileHistory` is the
 degradation-checker's view of the repository: one append-only profile
-ledger per commit, plus an append-only index journal, both written with
-durable ``journal_append`` calls and read by torn-tail tolerant readers
-(see :mod:`repro.common.fsutil`).
+ledger per commit, plus an append-only index journal, both appended
+through a durable :class:`~repro.common.groupcommit.GroupCommitWriter`
+and read by :func:`~repro.common.groupcommit.read_jsonl`.
 
 This replaces the flat sliding window of
 :class:`repro.ci.regression.PerformanceHistory`: baselines are resolved
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.common.errors import CheckError
-from repro.common.fsutil import ensure_dir, journal_append
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.metrics import MetricStore
@@ -171,7 +171,8 @@ class ProfileHistory:
     merged profile as one document) is still read, before the ledger,
     but never written.  ``profiles/index.jsonl`` records attach order.
     A crash can tear only the last line of a ledger or the index;
-    readers skip it and ``popper doctor`` truncates it.
+    readers skip it and ``popper doctor`` truncates it.  Any other
+    undecodable line raises :class:`CheckError`.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -186,11 +187,12 @@ class ProfileHistory:
         Reads nothing: :meth:`get` folds the ledger lines back into one
         profile, so re-profiling a commit still merges its samples.
         """
-        ensure_dir(self.dir)
         path = self._ledger_for(profile.commit)
         line = json.dumps(profile.to_json(), sort_keys=True, separators=(",", ":"))
-        with open(path, "a", encoding="utf-8") as handle:
-            journal_append(handle, line, durable=True, crash_label="profiles.attach")
+        with GroupCommitWriter(
+            path, durable=True, crash_label="profiles.attach"
+        ) as writer:
+            writer.append(line)
         entry = json.dumps(
             {
                 "commit": profile.commit,
@@ -199,8 +201,10 @@ class ProfileHistory:
             },
             sort_keys=True,
         )
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            journal_append(handle, entry, durable=True, crash_label="profiles.index")
+        with GroupCommitWriter(
+            self.index_path, durable=True, crash_label="profiles.index"
+        ) as writer:
+            writer.append(entry)
         return path
 
     # -- read --------------------------------------------------------------------
@@ -220,13 +224,7 @@ class ProfileHistory:
                 payloads.append(json.loads(legacy.read_text(encoding="utf-8")))
             except (OSError, json.JSONDecodeError) as exc:
                 raise CheckError(f"unreadable profile for {commit[:12]}: {exc}") from exc
-        if ledger.exists():
-            with open(ledger, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        payloads.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        continue  # torn tail (or mid-file corruption): skip
+        payloads.extend(self._read(ledger))
         if not payloads:
             return None
         series: dict[str, list[float]] = {}
@@ -250,24 +248,16 @@ class ProfileHistory:
     def commits(self) -> list[str]:
         """Commits with attached profiles, in first-attach order.
 
-        Read from the index journal (deduplicated, torn tail skipped);
-        profiles whose index line was lost to a crash are appended at
-        the end, so nothing on disk is invisible.
+        Read from the index journal (deduplicated; lines that are not
+        an object naming a commit are skipped); profiles whose index
+        line was lost to a crash are appended at the end, so nothing on
+        disk is invisible.
         """
         seen: list[str] = []
-        if self.index_path.exists():
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail (or mid-file corruption): skip
-                    commit = entry.get("commit")
-                    if commit and commit not in seen:
-                        seen.append(commit)
+        for entry in self._read(self.index_path):
+            commit = entry.get("commit") if isinstance(entry, dict) else None
+            if commit and commit not in seen:
+                seen.append(commit)
         if self.dir.is_dir():
             on_disk = {
                 p.stem
@@ -309,6 +299,13 @@ class ProfileHistory:
             if taken >= window:
                 break
         return pooled
+
+    @staticmethod
+    def _read(path: Path) -> list:
+        try:
+            return read_jsonl(path)[0]
+        except ValueError as exc:
+            raise CheckError(f"unreadable profile ledger {exc}") from exc
 
     def _path_for(self, commit: str) -> Path:
         """The legacy one-document profile of *commit* (read, never written)."""

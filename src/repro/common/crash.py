@@ -23,9 +23,9 @@ storage stack calls :func:`crashpoint` with a dotted site name::
                             re-runs — idempotent through the cache)
     queue.append.window / queue.append.torn    the serve queue journal's
                             group-commit writer
-    profiles.attach.torn    half a run's profile line flushed to its
+    profiles.attach.window / profiles.attach.torn  a run's line in its
                             commit's ledger (``profiles/<commit>.jsonl``)
-    profiles.index.torn     half a profiles index line flushed
+    profiles.index.window / profiles.index.torn    a profiles index line
     pack.write.tmp          packfile temp durable, rename not yet issued
     pack.publish            pack renamed in, index not yet written
     fsutil.atomic_write.tmp     temp file durable, rename not yet issued

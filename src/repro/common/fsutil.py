@@ -1,12 +1,11 @@
 """Small filesystem helpers shared by the substrates that touch disk.
 
-The crash-consistency contract lives here: :func:`atomic_write` is the
-one way ``.pvcs/`` metadata reaches disk (temp file → fsync → rename →
-parent-directory fsync, so a record is either absent or complete *and
-durable* after a crash), and :func:`journal_append` is the one way JSONL
-journals grow (single flushed write per line, so a crash can tear at
-most the final line — which every reader skips).  Both call
-:func:`~repro.common.crash.crashpoint` at their hazards so the
+Half of the crash-consistency contract lives here: :func:`atomic_write`
+is the one way whole ``.pvcs/`` metadata files reach disk (temp file →
+fsync → rename → parent-directory fsync, so a record is either absent
+or complete *and durable* after a crash).  The other half, the one way
+JSONL ledgers grow, is :class:`~repro.common.groupcommit.GroupCommitWriter`.
+Both call :func:`~repro.common.crash.crashpoint` at their hazards so the
 crash-injection harness can kill the process exactly where a real power
 cut would bite.
 """
@@ -16,9 +15,9 @@ from __future__ import annotations
 import os
 import shutil
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
-from repro.common.crash import SimulatedCrash, active_crash_plan, crashpoint
+from repro.common.crash import SimulatedCrash, crashpoint
 
 __all__ = [
     "ensure_dir",
@@ -26,7 +25,6 @@ __all__ = [
     "read_text",
     "atomic_write",
     "fsync_path",
-    "journal_append",
     "walk_files",
     "rmtree_quiet",
 ]
@@ -113,40 +111,6 @@ def atomic_write(
     except BaseException:
         Path(tmp_name).unlink(missing_ok=True)
         raise
-
-
-def journal_append(
-    handle: IO[str],
-    line: str,
-    durable: bool = False,
-    crash_label: str = "journal.append",
-) -> None:
-    """Append one line to an open JSONL journal, crash-safely.
-
-    The line lands as a single flushed write (append-mode handles make
-    that atomic enough that concurrent appenders never interleave
-    *within* a line), so a crash tears at most the file's tail — the
-    failure readers are required to tolerate.  With ``durable`` the
-    handle is fsynced after the write, upgrading "survives the process"
-    to "survives the machine".
-
-    When a crash plan is installed, the write is deliberately split so
-    ``<crash_label>.torn`` fires with exactly half the line flushed —
-    the torn-tail injection ``popper doctor`` repairs.
-    """
-    if "\n" in line:
-        raise ValueError("journal_append takes a single line")
-    if active_crash_plan() is not None:
-        half = max(1, len(line) // 2)
-        handle.write(line[:half])
-        handle.flush()
-        crashpoint(f"{crash_label}.torn")
-        handle.write(line[half:] + "\n")
-    else:
-        handle.write(line + "\n")
-    handle.flush()
-    if durable:
-        os.fsync(handle.fileno())
 
 
 def walk_files(root: str | os.PathLike) -> Iterator[Path]:

@@ -1,11 +1,11 @@
-"""Group-commit appends: amortizing the durability tax across a window.
+"""The one JSONL append path, :class:`GroupCommitWriter`, and its one
+reader, :func:`read_jsonl`.
 
-``BENCH_durability.json`` prices a durable :func:`~repro.common.fsutil.
-journal_append` at ~110x a buffered one — the entire difference is the
-per-line ``fsync``.  A :class:`GroupCommitWriter` keeps the *write*
-per-append (every line still lands in the file, and in the OS page
-cache, as it happens — a killed process loses nothing it wrote) but
-pays the durability barrier once per bounded *window* of appends:
+A per-line ``fsync`` prices a durable append at ~80x a buffered one
+(``BENCH_durability.json``).  A :class:`GroupCommitWriter` keeps the
+*write* per-append (every line still lands in the file, and in the OS
+page cache, as it happens — a killed process loses nothing it wrote)
+but pays the durability barrier once per bounded *window* of appends:
 size-, byte- and time-triggered, with an explicit :meth:`flush` at
 span/run boundaries.
 
@@ -17,8 +17,13 @@ Durability contract (documented in ``docs/robustness.md``):
 * a **machine** crash (power cut) loses at most the current unsynced
   window — a contiguous suffix of whole lines plus, at worst, one torn
   trailing line.  Never a torn prefix: appends are sequential, so the
-  tear is always at the tail, which every JSONL reader in the toolchain
-  already skips and ``popper doctor`` truncates.
+  tear is always at the tail.
+
+Readers follow one rule: a line that does not decode is crash debris
+only when it ends the file or is followed by a blank line.  The blank
+line is the *seal* a writer adds when it opens a file whose last byte
+is not a newline, so a reopen after a crash, with or without
+``popper doctor``, never glues its first record onto the fragment.
 
 Bulk writers (journal shard merges, fuzz coverage harvests) can opt
 into :meth:`batched` mode, which additionally buffers the *writes*
@@ -27,25 +32,27 @@ used to pay a write+flush (or a whole file open) per event.
 
 Crash injection: with a :class:`~repro.common.crash.CrashPlan`
 installed the writer degrades to one window per append, so the
-existing ``<label>.torn`` crashpoint keeps its exact semantics (half
-the line flushed), and a new ``<label>.window`` crashpoint fires
-*before* the window's bytes reach the file — the "crash inside a
-group-commit window" hazard, which loses the window cleanly.
+``<label>.torn`` crashpoint fires with exactly half the line flushed,
+and the ``<label>.window`` crashpoint fires *before* the window's
+bytes reach the file — the "crash inside a group-commit window"
+hazard, which loses the window cleanly.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from threading import Lock
-from typing import IO, Callable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from repro.common.crash import active_crash_plan, crashpoint
 from repro.common.fsutil import ensure_dir
 
-__all__ = ["GroupCommitWriter"]
+__all__ = ["GroupCommitWriter", "read_jsonl"]
 
 #: Default window bounds: whichever trips first commits the window.
 DEFAULT_MAX_EVENTS = 256
@@ -60,8 +67,7 @@ class GroupCommitWriter:
     run journal) serialize on an internal lock, and every line lands as
     one contiguous write.  ``durable=False`` writers never fsync — for
     them the window only batches write syscalls in :meth:`batched`
-    mode, and plain appends behave exactly like the historical
-    per-line ``journal_append``.
+    mode, and plain appends cost one write and flush per line.
     """
 
     def __init__(
@@ -89,6 +95,8 @@ class GroupCommitWriter:
             # only ever grow the file, never clobber another writer.
             self.path.write_text("", encoding="utf-8")
         self._fh: IO[str] | None = self.path.open("a", encoding="utf-8")
+        if not fresh:
+            self._seal_torn_tail()
         # Buffered lines (batched mode only) and their byte count.
         self._buffer: list[str] = []
         self._buffered_bytes = 0
@@ -101,6 +109,23 @@ class GroupCommitWriter:
         self.appends = 0
         self.commits = 0
         self.syncs = 0
+
+    def _seal_torn_tail(self) -> None:
+        """Follow a crash's trailing fragment with ``"\n\n"``.
+
+        No lock and no truncation: racing another process's append, the
+        worst case is two extra blank lines, which every reader skips.
+        A run with no crash never writes a seal.
+        """
+        size = os.fstat(self._fh.fileno()).st_size
+        if not size:
+            return
+        with self.path.open("rb") as handle:
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+        self._fh.write("\n\n")
+        self._fh.flush()
 
     # -- window bookkeeping -----------------------------------------------------
     def _window_full(self, events: int, nbytes: int) -> bool:
@@ -243,3 +268,37 @@ class GroupCommitWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def read_jsonl(path: str | os.PathLike) -> tuple[list[Any], int]:
+    """Decode a JSONL ledger; returns ``(records, torn-lines-skipped)``.
+
+    A missing file reads as empty and blank lines are skipped.  A line
+    that does not decode is skipped with a warning and counted when it
+    ends the file or precedes a blank line; any other raises
+    :class:`ValueError`, which the ledger's owner re-raises as its own
+    error.  Records come back as decoded: their shape is the owner's
+    business.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return [], 0
+    lines = text.split("\n")
+    records: list[Any] = []
+    torn = 0
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            following = lines[index + 1] if index + 1 < len(lines) else ""
+            if following.strip():
+                raise ValueError(f"{path}:{index + 1}: {exc}") from exc
+            warnings.warn(
+                f"{path}: skipping torn trailing line {index + 1} (crashed append)",
+                stacklevel=3,
+            )
+            torn += 1
+    return records, torn

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from pathlib import Path
 from typing import Any
 
 from repro.common.errors import EngineError
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 from repro.common.hashing import sha256_text
 from repro.common.locking import RepoLock
 
@@ -73,8 +72,8 @@ class RunStateStore:
 
     A torn trailing line is exactly what a killed run leaves behind, so
     the loader skips it with a warning and counts it in :attr:`skipped`;
-    garbage *before* the tail means the file was edited or corrupted and
-    still raises :class:`~repro.common.errors.EngineError`.
+    any other bad line means the file was edited or corrupted and still
+    raises :class:`~repro.common.errors.EngineError`.
     """
 
     def __init__(
@@ -85,29 +84,14 @@ class RunStateStore:
         self.durable = bool(durable)
         self._lock = threading.Lock()
         self._records: dict[str, dict[str, Any]] = {}
-        #: Unparseable trailing lines skipped during load (0 or 1).
+        #: Torn lines skipped during load (one per crash left unrepaired).
         self.skipped = 0
-        if self.resume and self.path.is_file():
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-            last = len(lines)
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if lineno == last:
-                        warnings.warn(
-                            f"{self.path}: skipping torn trailing "
-                            f"run-state line {lineno} (crashed append); "
-                            "the interrupted task will re-run",
-                            stacklevel=2,
-                        )
-                        self.skipped += 1
-                        continue
-                    raise EngineError(
-                        f"{self.path}:{lineno}: bad run-state line: {exc}"
-                    ) from exc
+        if self.resume:
+            try:
+                records, self.skipped = read_jsonl(self.path)
+            except ValueError as exc:
+                raise EngineError(f"bad run-state line at {exc}") from exc
+            for record in records:
                 if isinstance(record, dict) and record.get("fingerprint"):
                     self._records[str(record["fingerprint"])] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)

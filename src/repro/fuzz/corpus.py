@@ -3,7 +3,7 @@
 Layout under the host repository's ``.pvcs/fuzz/``::
 
     corpus.jsonl                durable append-only index (one record
-                                per admitted variant; torn-tail tolerant)
+                                per admitted variant; read by read_jsonl)
     corpus/<variant16>/
         meta.json               scenario + mutation chain + verdict
         experiment/...          the variant's experiment files, ready to
@@ -14,10 +14,11 @@ Every file is content-derived — variant ids are scenario fingerprints
 and no record carries a timestamp — so two campaigns with the same seed
 produce byte-identical corpus trees (the determinism acceptance test
 diffs them).  ``meta.json`` lands via ``atomic_write`` and the index
-through one persistent group-commit writer (admission loops used to
-reopen and fsync the index per entry), the same durable-write contract
-as the rest of the store; ``popper doctor`` knows how to repair a torn
-index and sweep a variant directory whose ``meta.json`` never landed.
+through one persistent group-commit writer, the same two durable-write
+primitives as the rest of the store; the index reader skips a torn
+line a crash left and raises :class:`FuzzError` on any other bad line.
+``popper doctor`` knows how to repair a torn index and sweep a variant
+directory whose ``meta.json`` never landed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from repro.common.errors import FuzzError
 from repro.common.fsutil import atomic_write, ensure_dir
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 from repro.fuzz.mutators import Mutation
 from repro.fuzz.oracle import OracleVerdict
 from repro.fuzz.scenario import Scenario
@@ -155,21 +156,12 @@ class Corpus:
         return [self.load(v) for v in self.variants()]
 
     def index_records(self) -> list[dict]:
-        """Parse the index, skipping a torn trailing line."""
-        if not self.index_path.is_file():
-            return []
-        records: list[dict] = []
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        """Parse the index, skipping a torn line and non-object records."""
+        try:
+            records, _torn = read_jsonl(self.index_path)
+        except ValueError as exc:
+            raise FuzzError(f"bad corpus index line at {exc}") from exc
+        return [record for record in records if isinstance(record, dict)]
 
     def __len__(self) -> int:
         return len(self.variants())

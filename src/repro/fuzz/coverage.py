@@ -8,18 +8,18 @@ degradation verdicts, CI matrix widths, and the outcome class itself.
 A variant that lights up a key no earlier variant produced is *novel*
 and earns a place in the corpus even when the oracle calls it boring.
 
-The map persists as ``.pvcs/fuzz/coverage.jsonl`` under the same
-durable-append / torn-tail-tolerant contract as every other JSONL file
-in the store — but through one persistent
-:class:`~repro.common.groupcommit.GroupCommitWriter` rather than a
-file open + fsync per record: the campaign's harvest loop appends
+The map persists as ``.pvcs/fuzz/coverage.jsonl``, appended through
+one persistent :class:`~repro.common.groupcommit.GroupCommitWriter` and
+read by :func:`~repro.common.groupcommit.read_jsonl`, like every other
+JSONL ledger in the store: the campaign's harvest loop appends
 thousands of records, and group commit amortizes the durability
 barrier across bounded windows (committed on :meth:`CoverageMap.flush`
-/ :meth:`CoverageMap.close`, which the campaign calls at exit).
-Readers skip a torn trailing line and ``popper doctor`` truncates the
-tear.  Records carry no timestamps — two campaigns with the same seed
-write identical maps, which the determinism acceptance test diffs byte
-for byte.
+/ :meth:`CoverageMap.close`, which the campaign calls at exit).  A torn
+line a crash left is skipped (``popper doctor`` truncates it); any
+other bad line raises :class:`~repro.common.errors.FuzzError`.
+Records carry no timestamps — two campaigns with the same seed write
+identical maps, which the determinism acceptance test diffs byte for
+byte.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.errors import FuzzError
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 __all__ = ["CoverageMap", "coverage_keys_from_events"]
 
@@ -70,19 +71,14 @@ class CoverageMap:
         self._load()
 
     def _load(self) -> None:
-        if not self.path.is_file():
-            return
-        raw = self.path.read_text(encoding="utf-8")
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail (or mid-file tear doctor will cut)
-            if isinstance(record, dict):
-                self._keys.update(str(k) for k in record.get("keys", ()))
+        try:
+            records, _torn = read_jsonl(self.path)
+        except ValueError as exc:
+            raise FuzzError(f"bad coverage line at {exc}") from exc
+        for record in records:
+            keys = record.get("keys") if isinstance(record, dict) else None
+            if isinstance(keys, list):
+                self._keys.update(str(k) for k in keys)
 
     def __len__(self) -> int:
         return len(self._keys)

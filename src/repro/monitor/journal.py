@@ -26,12 +26,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.common.errors import MonitorError
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 __all__ = [
     "JOURNAL_FILE",
@@ -202,36 +201,21 @@ class RunJournal:
 def load_journal(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Parse a JSONL journal; returns ``(events, torn-lines-skipped)``.
 
-    A journal's only legitimate damage is a torn *trailing* line — the
-    single write a crash interrupted — so that line is skipped with a
-    warning and counted.  Garbage anywhere else means the file was
-    edited or corrupted and raises :class:`MonitorError` as before.
+    A journal's only legitimate damage is a torn line a crash left at
+    the tail (see :func:`~repro.common.groupcommit.read_jsonl`), which
+    is skipped with a warning and counted.  Garbage anywhere else means
+    the file was edited or corrupted and raises :class:`MonitorError`.
     """
     path = Path(path)
     if not path.is_file():
         raise MonitorError(f"no run journal at {path}")
-    events: list[dict[str, Any]] = []
-    skipped = 0
-    lines = path.read_text(encoding="utf-8").splitlines()
-    last = len(lines)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last:
-                warnings.warn(
-                    f"{path}: skipping torn trailing journal line "
-                    f"{lineno} (crashed append)",
-                    stacklevel=2,
-                )
-                skipped += 1
-                continue
-            raise MonitorError(f"{path}:{lineno}: bad journal line: {exc}") from exc
-        if not isinstance(record, dict) or "event" not in record:
-            raise MonitorError(f"{path}:{lineno}: journal line is not an event")
-        events.append(record)
+    try:
+        events, skipped = read_jsonl(path)
+    except ValueError as exc:
+        raise MonitorError(f"bad journal line at {exc}") from exc
+    for event in events:
+        if not isinstance(event, dict) or "event" not in event:
+            raise MonitorError(f"{path}: journal line is not an event: {event!r:.80}")
     return events, skipped
 
 

@@ -169,6 +169,13 @@ class TestProfileHistory:
             handle.write('{"commit": "c-torn", "ser')  # crash mid-append
         assert history.commits() == ["c1"]
 
+    def test_index_records_of_the_wrong_shape_are_skipped(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series={"x": [1.0]}))
+        with open(history.index_path, "a", encoding="utf-8") as handle:
+            handle.write('["c2"]\n"c3"\n')
+        assert history.commits() == ["c1"]
+
     def test_profile_file_without_index_line_still_listed(self, tmp_path):
         history = ProfileHistory(tmp_path)
         history.attach(Profile("c1", series={"x": [1.0]}))

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.common.crash import CrashPlan, SimulatedCrash, install_crash_plan
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 
 @pytest.fixture
@@ -36,6 +36,14 @@ class TestWriteThrough:
         with GroupCommitWriter(path) as writer:
             writer.append("b")
         assert path.read_text() == "a\nb\n"
+
+    def test_reopen_seals_a_torn_tail_off(self, path):
+        path.write_text('{"n": 1}\n{"n": 2, "to')  # a crash's fragment
+        with GroupCommitWriter(path) as writer:
+            writer.append('{"n": 3}')
+        assert path.read_text() == '{"n": 1}\n{"n": 2, "to\n\n{"n": 3}\n'
+        with pytest.warns(UserWarning, match="torn trailing line 2"):
+            assert read_jsonl(path) == ([{"n": 1}, {"n": 3}], 1)
 
     def test_closed_writer_rejects_appends(self, path):
         writer = GroupCommitWriter(path)

@@ -29,6 +29,15 @@ class TestCampaign:
         with pytest.raises(FuzzError):
             FuzzCampaign(repo, experiments=["nope"])
 
+    def test_coverage_records_of_the_wrong_shape_are_skipped(self, repo):
+        state = repo.vcs.meta / "fuzz"
+        state.mkdir(parents=True)
+        (state / "coverage.jsonl").write_text(
+            '{"keys": 5}\n["event:metric"]\n{"keys": ["event:run_end"]}\n'
+        )
+        campaign = FuzzCampaign(repo, seed=5, iterations=1, do_minimize=False)
+        assert campaign.coverage.keys() == {"event:run_end"}
+
     def test_campaign_executes_scores_and_admits(self, repo):
         campaign = FuzzCampaign(repo, seed=5, iterations=4, do_minimize=False)
         report = campaign.run()

@@ -43,9 +43,11 @@ RUN_CRASH_POINTS = [
     "journal.append.window",
     "fsutil.atomic_write.tmp",
     "fsutil.atomic_write.rename",
-    # The run's profile line, then its index line (journal_append).
+    # The run's profile line, then its index line.
     "profiles.attach.torn",
     "profiles.index.torn",
+    "profiles.attach.window",
+    "profiles.index.window",
 ]
 
 
@@ -111,6 +113,43 @@ class TestCrashDoctorResume:
         assert results.read_bytes() == control_results
         capsys.readouterr()
         assert main([*args, "cache", "verify"]) == 0
+
+
+class TestCrashPointCoverage:
+    def test_a_sweep_consults_exactly_the_run_crash_points(
+        self, repo_dir, monkeypatch
+    ):
+        """A durable write added to the sweep path fails this test until
+        its crash points join the crash -> doctor -> resume matrix."""
+        consulted = set()
+        check = CrashPlan.check
+
+        def recording_check(plan, point):
+            consulted.add(point)
+            check(plan, point)
+
+        monkeypatch.setattr(CrashPlan, "check", recording_check)
+        args = ["-C", str(repo_dir), "run", "--all", "--inject-crash", "rate:*:0"]
+        assert main(args) == 0
+        assert consulted == set(RUN_CRASH_POINTS)
+
+
+class TestTornLedgerWithoutDoctor:
+    def test_torn_sweep_state_resumes_three_times(self, repo_dir, control_results):
+        """Each resume seals the crash's fragment before appending, so
+        no record is glued onto it and no later resume trips over it."""
+        args = ["-C", str(repo_dir)]
+        assert main([*args, "run", "--all"]) == 0
+        # Tear the only record in half, as a crash at
+        # runstate.append.torn would: "one" has no checkpoint and re-runs.
+        state = repo_dir / ".pvcs" / "sweep-state.jsonl"
+        record = state.read_text(encoding="utf-8").rstrip("\n")
+        state.write_text(record[: len(record) // 2], encoding="utf-8")
+        results = repo_dir / "experiments" / "one" / "results.csv"
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="torn trailing"):
+                assert main([*args, "run", "--all", "--resume", "--no-cache"]) == 0
+            assert results.read_bytes() == control_results
 
 
 class TestPackCrashRecovery:

@@ -1,0 +1,171 @@
+"""Every JSONL ledger follows one torn-tail rule.
+
+A crash's fragment at the tail is skipped when the ledger is reopened,
+the next append starts on a fresh line after it (the writer's seal), so
+a second reopen still reads every complete record, and a bad line
+anywhere else raises the owner's own error.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+from repro.check.profiles import Profile, ProfileHistory
+from repro.common.errors import CheckError, EngineError, FuzzError, MonitorError
+from repro.common.groupcommit import read_jsonl
+from repro.engine.runstate import RunStateStore
+from repro.fuzz.corpus import Corpus, CorpusEntry
+from repro.fuzz.coverage import CoverageMap
+from repro.fuzz.oracle import OracleVerdict
+from repro.fuzz.scenario import Scenario
+from repro.monitor.journal import RunJournal, load_journal
+from repro.serve.queue import JobQueue
+
+
+@dataclass(frozen=True)
+class Owner:
+    name: str
+    path: Callable  # tmp -> the ledger file
+    append: Callable  # (tmp, n) -> reopen the owner and append record n
+    read: Callable  # tmp -> reopen the owner and list its records' n
+    error: type
+
+
+def run_journal_append(tmp, n):
+    with RunJournal(tmp / "journal.jsonl", fresh=False) as journal:
+        journal.event("metric", n=n)
+
+
+def runstate_append(tmp, n):
+    with RunStateStore(tmp / "run-state.jsonl", resume=True) as store:
+        store.record(f"task-{n}", f"fp-{n}", "ok")
+
+
+def runstate_read(tmp):
+    with RunStateStore(tmp / "run-state.jsonl", resume=True) as store:
+        return [int(fp.split("-")[1]) for fp in store.states()]
+
+
+def queue_append(tmp, n):
+    with JobQueue(tmp / "queue", durable=False) as queue:
+        queue.submit(f"exp-{n}")
+
+
+def queue_read(tmp):
+    with JobQueue(tmp / "queue", durable=False) as queue:
+        return [int(job.experiment.split("-")[1]) for job in queue.jobs.values()]
+
+
+def coverage_append(tmp, n):
+    coverage = CoverageMap(tmp / "coverage.jsonl")
+    coverage.observe(f"variant-{n}", {f"key:{n}"})
+    coverage.close()
+
+
+def coverage_read(tmp):
+    keys = CoverageMap(tmp / "coverage.jsonl").keys()
+    return sorted(int(key.split(":")[1]) for key in keys)
+
+
+def corpus_append(tmp, n):
+    scenario = Scenario(name="exp", files={"vars.yml": f"runs: {n}\n"})
+    corpus = Corpus(tmp / "fuzz" / "corpus")
+    corpus.add(
+        CorpusEntry(
+            variant=scenario.fingerprint(),
+            scenario=scenario,
+            chain=(),
+            verdict=OracleVerdict(kinds=(), severity="ok"),
+            outcome=f"outcome-{n}",
+        )
+    )
+    corpus.close()
+
+
+def corpus_read(tmp):
+    records = Corpus(tmp / "fuzz" / "corpus").index_records()
+    return [int(r["outcome"].split("-")[1]) for r in records]
+
+
+def profile_append(commit):
+    def append(tmp, n):
+        ProfileHistory(tmp).attach(Profile(commit(n), series={"x": [float(n)]}))
+
+    return append
+
+
+OWNERS = [
+    Owner(
+        "run-journal",
+        lambda tmp: tmp / "journal.jsonl",
+        run_journal_append,
+        lambda tmp: [e["n"] for e in load_journal(tmp / "journal.jsonl")[0]],
+        MonitorError,
+    ),
+    Owner(
+        "run-state",
+        lambda tmp: tmp / "run-state.jsonl",
+        runstate_append,
+        runstate_read,
+        EngineError,
+    ),
+    Owner(
+        "queue-journal",
+        lambda tmp: tmp / "queue" / "journal.jsonl",
+        queue_append,
+        queue_read,
+        MonitorError,
+    ),
+    Owner(
+        "fuzz-coverage",
+        lambda tmp: tmp / "coverage.jsonl",
+        coverage_append,
+        coverage_read,
+        FuzzError,
+    ),
+    Owner(
+        "corpus-index",
+        lambda tmp: tmp / "fuzz" / "corpus.jsonl",
+        corpus_append,
+        corpus_read,
+        FuzzError,
+    ),
+    Owner(
+        "profile-ledger",
+        lambda tmp: tmp / "profiles" / "c1.jsonl",
+        profile_append(lambda n: "c1"),
+        lambda tmp: [int(x) for x in ProfileHistory(tmp).require("c1").series["x"]],
+        CheckError,
+    ),
+    Owner(
+        "profile-index",
+        lambda tmp: tmp / "profiles" / "index.jsonl",
+        profile_append(lambda n: f"c{n}"),
+        lambda tmp: [int(c[1:]) for c in ProfileHistory(tmp).commits()],
+        CheckError,
+    ),
+]
+
+
+@pytest.mark.parametrize("owner", OWNERS, ids=lambda owner: owner.name)
+class TestLedgerOwners:
+    def test_torn_tail_reopen_append_reopen(self, owner, tmp_path):
+        owner.append(tmp_path, 1)
+        owner.append(tmp_path, 2)
+        path = owner.path(tmp_path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"seq": 3, "n": 3, "torn')  # crashed append
+        with pytest.warns(UserWarning, match="torn trailing"):
+            owner.append(tmp_path, 3)
+            assert owner.read(tmp_path) == [1, 2, 3]
+            records, torn = read_jsonl(path)
+        assert len(records) == 3
+        assert torn == 1
+
+    def test_bad_interior_line_raises_the_owners_error(self, owner, tmp_path):
+        owner.append(tmp_path, 1)
+        path = owner.path(tmp_path)
+        path.write_text("not json\n" + path.read_text(encoding="utf-8"))
+        with pytest.raises(owner.error):
+            owner.read(tmp_path)

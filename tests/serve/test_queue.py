@@ -204,6 +204,29 @@ class TestReplay:
         assert torn == 0
         assert requeues and requeues[-1]["reason"] == "recovered"
 
+    def test_torn_journal_tail_survives_two_restarts_without_doctor(
+        self, tmp_path, clock
+    ):
+        q = make_queue(tmp_path, clock)
+        done = q.submit("a")
+        q.claim()
+        q.complete(done.id, meta={"rows": 1})
+        queued = q.submit("b")
+        q.close()
+        path = tmp_path / "queue" / "journal.jsonl"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"seq": 5, "ts": 1000.0, "event": "job_subm')  # crashed append
+        with pytest.warns(UserWarning, match="torn trailing"):
+            restarted = make_queue(tmp_path, clock)
+        late = [restarted.submit("c"), restarted.submit("d")]
+        restarted.close()
+        with pytest.warns(UserWarning, match="torn trailing"):
+            replayed = make_queue(tmp_path, clock)
+        assert replayed.get(done.id).state == "done"
+        assert replayed.get(done.id).meta == {"rows": 1}
+        for job in (queued, *late):
+            assert replayed.get(job.id).state == "queued"
+
     def test_serials_and_seqs_continue_across_restart(self, tmp_path, clock):
         q = make_queue(tmp_path, clock)
         q.submit("a")
