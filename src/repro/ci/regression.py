@@ -148,8 +148,7 @@ class PerformanceHistory:
     Superseded by :class:`repro.check.profiles.ProfileHistory` (which
     attaches profiles to the actual commit graph) but retained for
     gate-only consumers; :meth:`save`/:meth:`load` persist the window
-    under the durable-write contract, with a one-shot fallback for the
-    legacy raw-JSON format.
+    under the durable-write contract.
     """
 
     metric: str = "runtime"
@@ -198,37 +197,23 @@ class PerformanceHistory:
     def load(
         cls, path: str | Path, gate: RegressionGate | None = None
     ) -> "PerformanceHistory":
-        """Load a saved window.
-
-        Reads the versioned format written by :meth:`save`; a payload
-        without a ``version`` field is parsed once through the legacy
-        raw format (a plain ``{commit: [samples, ...]}`` mapping from
-        the pre-durable writer) so existing ``.pvcs`` state keeps
-        loading — the next :meth:`save` rewrites it versioned.
-        """
+        """Load a window in the versioned format :meth:`save` writes."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CIError(f"unreadable performance history at {path}: {exc}") from exc
-        history = cls(gate=gate or RegressionGate())
-        if isinstance(payload, dict) and "version" in payload:
-            if payload["version"] != _HISTORY_FORMAT_VERSION:
-                raise CIError(
-                    f"unsupported performance-history version: {payload['version']!r}"
-                )
-            history.metric = str(payload.get("metric", history.metric))
-            history.window = int(payload.get("window", history.window))
-            entries = [
-                (str(commit), samples) for commit, samples in payload.get("commits", [])
-            ]
-        elif isinstance(payload, dict):
-            # Legacy format: {commit: [samples]} with no envelope.
-            entries = [(str(c), v) for c, v in payload.items()]
-        else:
+        if not isinstance(payload, dict) or "version" not in payload:
             raise CIError(f"malformed performance history at {path}")
-        for commit, samples in entries:
+        if payload["version"] != _HISTORY_FORMAT_VERSION:
+            raise CIError(
+                f"unsupported performance-history version: {payload['version']!r}"
+            )
+        history = cls(gate=gate or RegressionGate())
+        history.metric = str(payload.get("metric", history.metric))
+        history.window = int(payload.get("window", history.window))
+        for commit, samples in payload.get("commits", []):
             try:
-                history.record(commit, [float(v) for v in samples])
+                history.record(str(commit), [float(v) for v in samples])
             except (TypeError, ValueError) as exc:
                 raise CIError(
                     f"malformed samples for commit {commit!r} in {path}"

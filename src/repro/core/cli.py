@@ -566,8 +566,12 @@ def _cmd_run(args) -> int:
         install_crash_plan,
     )
     from repro.common.errors import ValidationFailure
-    from repro.common.hashing import sha256_text
-    from repro.core.sweep import SweepExperimentJob
+    from repro.core.sweep import (
+        SweepExperimentJob,
+        sweep_key,
+        sweep_meta,
+        sweep_outputs,
+    )
     from repro.engine import (
         CancelToken,
         FaultPlan,
@@ -578,7 +582,6 @@ def _cmd_run(args) -> int:
         RunStateStore,
         TaskGraph,
         TaskState,
-        task_fingerprint,
     )
 
     repo = PopperRepository.open(args.repo)
@@ -710,15 +713,6 @@ def _cmd_run(args) -> int:
             workers=workers,
         ).bind(repo=repo, cancel=cancel)
 
-    def sweep_fingerprint(name: str) -> str:
-        # Covers the experiment's parameters: editing vars.yml
-        # invalidates the checkpoint and the experiment re-runs.
-        vars_path = repo.experiment_dir(name) / "vars.yml"
-        text = (
-            vars_path.read_text(encoding="utf-8") if vars_path.is_file() else ""
-        )
-        return task_fingerprint(f"sweep/{name}", {"vars": sha256_text(text)})
-
     def sweep_restore(name: str):
         def restore(detail: dict):
             # Re-validates the stored results.csv without re-executing;
@@ -738,33 +732,12 @@ def _cmd_run(args) -> int:
         payload = experiment_task(name)
         if artifact_store is None:
             return payload
-        exp_dir = repo.experiment_dir(name)
-
-        def outputs(result):
-            files = {
-                "results": exp_dir / "results.csv",
-                "report": exp_dir / "validation_report.txt",
-            }
-            for figure_name, path in result.figures.items():
-                files[f"figure-{figure_name}"] = path
-            for extra in ("figure.svg", "baseline.json"):
-                if (exp_dir / extra).is_file():
-                    files[extra] = exp_dir / extra
-            return files
-
-        def meta(result):
-            # Only validated successes are worth replaying on later
-            # runs; a run with failed validations must re-execute.
-            if not result.validated:
-                return None
-            return {"rows": len(result.results)}
-
         return MemoizedPayload(
             fn=payload,
-            key=sweep_fingerprint(name),
+            key=sweep_key(repo, name),
             root=repo.root,
-            outputs=outputs,
-            meta=meta,
+            outputs=lambda result: sweep_outputs(repo, name, result.figures),
+            meta=lambda result: sweep_meta(len(result.results), result.validated),
             # Re-validate the materialized results: an edited
             # validations.aver yields a fresh verdict even on a hit.
             restore=sweep_restore(name),
@@ -781,7 +754,7 @@ def _cmd_run(args) -> int:
                 graph.add(
                     name,
                     sweep_payload(name),
-                    fingerprint=sweep_fingerprint(name),
+                    fingerprint=sweep_key(repo, name),
                     # Only validated successes are worth caching; a run
                     # that completed with validation failures re-runs on
                     # resume.

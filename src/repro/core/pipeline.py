@@ -242,10 +242,12 @@ class ExperimentPipeline:
             )
 
     def run_validation(self, table: MetricsTable) -> list[ValidationResult]:
-        """Evaluate ``validations.aver``; persist the report.
+        """Evaluate ``validations.aver`` against *table*.
 
-        Statements run with a :class:`~repro.check.context.RegressionContext`
-        bound to the repository's profile history, so ``expect
+        The callers, :meth:`run` and :meth:`validate_existing`, write the
+        verdicts to ``validation_report.txt``.  Statements run with a
+        :class:`~repro.check.context.RegressionContext` bound to the
+        repository's profile history, so ``expect
         no_regression(metric)`` judges the current results against the
         pooled baseline of prior commits (vacuously passing on a history
         with no baseline yet).
@@ -652,6 +654,10 @@ class ExperimentPipeline:
     def validate_existing(self) -> ExperimentResult:
         """Re-validate a stored ``results.csv`` without re-running.
 
+        The fresh verdict replaces ``validation_report.txt``, so a cache
+        hit or ``--validate-only`` after an edit to ``validations.aver``
+        never leaves the old verdict on disk.
+
         A validated result still attaches its result-column series to
         HEAD: cache-restored runs (the common case for commits that do
         not touch ``vars.yml``) are byte-identical replays, so their
@@ -669,6 +675,9 @@ class ExperimentPipeline:
         validations = self.run_validation(table)
         result = ExperimentResult(
             experiment=self.experiment, results=table, validations=validations
+        )
+        (self.directory / "validation_report.txt").write_text(
+            result.report_text(), encoding="utf-8"
         )
         if result.validated:
             self._attach_profile(result, None)

@@ -20,18 +20,65 @@ on the far side:
   in-flight experiments finish and checkpoint; under in-process
   backends :meth:`bind` supplies the shared repo and token and
   cancellation additionally drains at stage granularity.
+
+A whole experiment is also one artifact-store entry, and ``popper run``
+and ``popper serve`` share it: :func:`sweep_key` is its memo key,
+:func:`sweep_outputs` the files it holds and :func:`sweep_meta` its
+record meta.  Both writers file through these three, so a result filed
+either way serves the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping
 
+from repro.common.hashing import sha256_text
 from repro.common.rng import derive_seed
 from repro.core.pipeline import ExperimentPipeline, ExperimentResult
 from repro.core.repo import PopperRepository
-from repro.engine import CancelToken, FaultPlan, RetryPolicy
+from repro.engine import CancelToken, FaultPlan, RetryPolicy, task_fingerprint
 
-__all__ = ["SweepExperimentJob"]
+__all__ = ["SweepExperimentJob", "sweep_key", "sweep_meta", "sweep_outputs"]
+
+
+def sweep_key(repo: PopperRepository, name: str) -> str:
+    """The memo key of experiment *name*'s whole run.
+
+    It covers the experiment's parameters: editing ``vars.yml``
+    invalidates the entry and the sweep checkpoint, and the experiment
+    re-runs.
+    """
+    vars_path = repo.experiment_dir(name) / "vars.yml"
+    text = vars_path.read_text(encoding="utf-8") if vars_path.is_file() else ""
+    return task_fingerprint(f"sweep/{name}", {"vars": sha256_text(text)})
+
+
+def sweep_outputs(
+    repo: PopperRepository, name: str, figures: Mapping[str, str | Path]
+) -> dict[str, Path]:
+    """Logical name -> file, for everything one run of *name* files."""
+    exp_dir = repo.experiment_dir(name)
+    files = {
+        "results": exp_dir / "results.csv",
+        "report": exp_dir / "validation_report.txt",
+    }
+    for figure_name, path in figures.items():
+        files[f"figure-{figure_name}"] = Path(path)
+    for extra in ("figure.svg", "baseline.json"):
+        if (exp_dir / extra).is_file():
+            files[extra] = exp_dir / extra
+    return files
+
+
+def sweep_meta(rows: int, validated: bool) -> dict | None:
+    """The record meta, ``{"rows": N}``; ``None`` vetoes filing.
+
+    Only validated runs are worth replaying, so every hit replays a
+    validated run; a run with failed validations must re-execute.
+    """
+    return {"rows": rows} if validated else None
 
 
 @dataclass

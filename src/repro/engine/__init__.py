@@ -10,7 +10,9 @@ I/O-overlapping parallelism, or
 :class:`~repro.engine.procsched.ProcessScheduler` for true multi-core
 execution of pickle-safe payloads
 (:func:`~repro.engine.scheduler.resolve_backend` picks one from
-``--backend``/``-j``).  See ``docs/engine.md``.
+``--backend``/``-j``).  See ``docs/engine.md``.  The process backend
+and ``popper serve`` run on one supervised
+:class:`~repro.engine.pool.WorkerPool`.
 
 The resilience layer (see ``docs/robustness.md``) rides on top:
 :class:`~repro.engine.resilience.RetryPolicy` and per-task deadlines,

@@ -44,11 +44,13 @@ Design:
 * **Cooperative shutdown and crash containment.** A set
   :class:`~repro.engine.shutdown.CancelToken` stops new dispatch;
   in-flight experiments drain and checkpoint, then
-  :class:`~repro.engine.shutdown.RunCancelled` raises as usual.  A
-  worker that dies without reporting (hard crash, ``kill -9``) fails
-  only its in-flight task with
-  :class:`~repro.common.errors.WorkerCrashError`; a replacement worker
-  is spawned and the rest of the graph keeps running.
+  :class:`~repro.engine.shutdown.RunCancelled` raises as usual.  The
+  workers are the supervised :class:`~repro.engine.pool.WorkerPool`
+  that ``popper serve`` also runs on: a worker that dies without
+  reporting (hard crash, ``kill -9``) fails only its in-flight task
+  with :class:`~repro.common.errors.WorkerCrashError`, and while tasks
+  are in flight and the run is not draining a replacement worker is
+  spawned and the rest of the graph keeps running.
 
 Values and errors returned by workers are round-trip-checked before
 shipping: an unpicklable task value fails the task with
@@ -61,14 +63,14 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as queue_mod
 import shutil
 import tempfile
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import (
     EngineError,
@@ -85,6 +87,7 @@ from repro.engine.graph import (
     TaskOutcome,
     TaskState,
 )
+from repro.engine.pool import WorkerPool
 from repro.engine.resilience import RetryPolicy
 from repro.engine.scheduler import (
     RunOptions,
@@ -135,30 +138,22 @@ class _Job:
     faults: FaultPlan | None
 
 
-class _WorkerRunner(Scheduler):
-    """Runs one task inside a worker process via the shared machinery.
-
-    Reusing :meth:`Scheduler._run_task` gives worker-side execution the
-    exact span / attempt / retry / deadline / fault semantics of the
-    in-process backends.  Cache and run-state stores are absent in the
-    worker (both halves of that protocol run parent-side).
-    """
-
-    backend = "process"
+def _shard(shard_dir: str | Path, index: int) -> Path:
+    """Worker *index*'s private journal shard."""
+    return Path(shard_dir) / f"shard-{index}.jsonl"
 
 
-def _sanitize(record: dict, optional: bool) -> bytes:
-    """Pickle a done-record, degrading unshippable values/errors.
+def _sanitize(record: dict, optional: bool) -> dict:
+    """Round-trip-check a done-record, degrading unshippable values/errors.
 
-    The round trip runs worker-side so a bad record can never poison the
-    result queue (``mp.Queue`` pickles in a background thread whose
-    errors are silently swallowed — a lost message would deadlock the
-    parent).
+    The round trip runs worker-side, so a value or error that cannot
+    cross the process boundary fails (or degrades) its task with the
+    reason, instead of killing the worker when the pool pickles the
+    record.
     """
     try:
-        blob = pickle.dumps(("done", record))
-        pickle.loads(blob)
-        return blob
+        pickle.loads(pickle.dumps(record))
+        return record
     except Exception:
         pass
     try:
@@ -180,82 +175,75 @@ def _sanitize(record: dict, optional: bool) -> bytes:
         record = dict(
             record, error=EngineError(f"{type(error).__name__}: {error}")
         )
-    return pickle.dumps(("done", record))
+    return record
 
 
-def _run_job(
-    runner: _WorkerRunner, job: _Job, tracer: Tracer, worker: int
-) -> dict:
-    """Execute one job; returns the (not yet sanitized) done-record."""
-    task = Task(
-        id=job.task_id,
-        payload=job.payload,
-        dependencies=tuple(job.states),
-        retry=job.retry,
-        timeout_s=job.timeout_s,
-        optional=job.optional,
-    )
-    result = GraphResult()
-    for dep, state in job.states.items():
-        result.outcomes[dep] = TaskOutcome(
-            task_id=dep, state=state, value=job.results.get(dep)
-        )
-    journal = tracer.journal
-    first_seq = len(journal) if journal is not None else 0
-    started = time.perf_counter()
-    try:
-        outcome = runner._run_task(
-            task, result, tracer, None, RunOptions(faults=job.faults)
-        )
-    except BaseException as exc:
-        # _run_task already recorded + journaled the ABORTED outcome.
-        outcome = result.outcomes.get(job.task_id) or TaskOutcome(
-            task_id=job.task_id,
-            state=TaskState.ABORTED,
-            error=exc,
-            seconds=time.perf_counter() - started,
-        )
-    last_seq = len(journal) if journal is not None else 0
-    return {
-        "task": job.task_id,
-        "state": outcome.state.value,
-        "value": outcome.value,
-        "error": outcome.error,
-        "seconds": outcome.seconds,
-        "attempts": outcome.attempts,
-        "worker": worker,
-        "span_range": (first_seq, last_seq) if journal is not None else None,
-    }
+class _WorkerRunner(Scheduler):
+    """One pool worker's task runner, built by ``_WorkerRunner(shard_dir, index)``.
 
-
-def _worker_main(
-    index: int, jobs_q, results_q, shard_path: str | None, marker_path: str
-) -> None:
-    """Worker loop: pull job blobs until the ``None`` sentinel arrives.
-
-    Before each payload runs, the task id is written *synchronously* to
-    this worker's marker file.  A queue message would not survive a hard
-    crash (``os._exit`` kills ``mp.Queue``'s feeder thread before it
-    flushes), but the marker file does — it is how the parent attributes
-    an unreported task to a dead worker.
+    Reusing :meth:`Scheduler._run_task` gives worker-side execution the
+    exact span / attempt / retry / deadline / fault semantics of the
+    in-process backends.  Cache and run-state stores are absent in the
+    worker (both halves of that protocol run parent-side).  With a
+    *shard_dir*, the worker journals its spans into its own shard, which
+    :meth:`close` closes when the worker exits.
     """
-    journal = RunJournal(shard_path) if shard_path else None
-    tracer = Tracer(journal=journal)
-    runner = _WorkerRunner()
-    marker = Path(marker_path)
-    try:
-        while True:
-            blob = jobs_q.get()
-            if blob is None:
-                break
-            job: _Job = pickle.loads(blob)
-            marker.write_text(job.task_id, encoding="utf-8")
-            record = _run_job(runner, job, tracer, index)
-            results_q.put(_sanitize(record, job.optional))
-            marker.write_text("", encoding="utf-8")
-    finally:
-        if journal is not None:
-            journal.close()
+
+    backend = "process"
+
+    def __init__(self, shard_dir: str | None, index: int) -> None:
+        self.index = index
+        self.journal = (
+            RunJournal(_shard(shard_dir, index)) if shard_dir else None
+        )
+        self.tracer = Tracer(journal=self.journal)
+
+    def __call__(self, job: _Job) -> dict:
+        """Execute one job; returns its sanitized done-record."""
+        task = Task(
+            id=job.task_id,
+            payload=job.payload,
+            dependencies=tuple(job.states),
+            retry=job.retry,
+            timeout_s=job.timeout_s,
+            optional=job.optional,
+        )
+        result = GraphResult()
+        for dep, state in job.states.items():
+            result.outcomes[dep] = TaskOutcome(
+                task_id=dep, state=state, value=job.results.get(dep)
+            )
+        journal = self.journal
+        first_seq = len(journal) if journal is not None else 0
+        started = time.perf_counter()
+        try:
+            outcome = self._run_task(
+                task, result, self.tracer, None, RunOptions(faults=job.faults)
+            )
+        except BaseException as exc:
+            # _run_task already recorded + journaled the ABORTED outcome.
+            outcome = result.outcomes.get(job.task_id) or TaskOutcome(
+                task_id=job.task_id,
+                state=TaskState.ABORTED,
+                error=exc,
+                seconds=time.perf_counter() - started,
+            )
+        last_seq = len(journal) if journal is not None else 0
+        record = {
+            "task": job.task_id,
+            "state": outcome.state.value,
+            "value": outcome.value,
+            "error": outcome.error,
+            "seconds": outcome.seconds,
+            "attempts": outcome.attempts,
+            "worker": self.index,
+            "span_range": (first_seq, last_seq) if journal is not None else None,
+        }
+        return _sanitize(record, job.optional)
+
+    def close(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
 
 
 class ProcessScheduler(Scheduler):
@@ -271,7 +259,6 @@ class ProcessScheduler(Scheduler):
         self,
         max_workers: int | None = None,
         fallback: str | None = "threaded",
-        start_method: str | None = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -283,19 +270,8 @@ class ProcessScheduler(Scheduler):
             )
         self.max_workers = max_workers
         self.fallback = fallback
-        self.start_method = start_method
 
     # -- plumbing ----------------------------------------------------------------
-    def _context(self):
-        import multiprocessing as mp
-
-        if self.start_method is not None:
-            return mp.get_context(self.start_method)
-        methods = mp.get_all_start_methods()
-        # fork is cheapest and inherits the installed crash plan; spawn
-        # is the portable fallback.
-        return mp.get_context("fork" if "fork" in methods else "spawn")
-
     def _fallback_scheduler(self) -> Scheduler:
         if self.fallback == "serial":
             return SerialScheduler()
@@ -335,19 +311,19 @@ class ProcessScheduler(Scheduler):
         self._run_pool(graph, result, tracer, parent, options)
 
     def _run_pool(self, graph, result, tracer, parent, options):
-        ctx = self._context()
         journal = tracer.journal
         cancel = options.cancel
         parent_id = parent.span_id if parent is not None else None
         ready = ReadySet(graph)
-        jobs_q = ctx.Queue()
-        results_q = ctx.Queue()
-        workers: list = []
-        reaped: set[int] = set()
-        dead_seen: set[int] = set()
-        shard_paths: dict[int, Path] = {}
-        marker_paths: dict[int, Path] = {}
-        scratch = Path(tempfile.mkdtemp(prefix="popper-procsched-"))
+        shards = (
+            Path(tempfile.mkdtemp(prefix="popper-shards-"))
+            if journal is not None
+            else None
+        )
+        pool = WorkerPool(
+            size=min(self.max_workers, len(graph)),
+            runner=partial(_WorkerRunner, str(shards) if shards else None),
+        )
         inflight: set[str] = set()
         done_records: dict[str, dict] = {}
         abort_error: BaseException | None = None
@@ -356,29 +332,6 @@ class ProcessScheduler(Scheduler):
             return abort_error is not None or (
                 cancel is not None and cancel.cancelled
             )
-
-        def spawn_worker() -> None:
-            index = len(workers)
-            shard = None
-            if journal is not None:
-                shard = scratch / f"shard-{index}.jsonl"
-                shard_paths[index] = shard
-            marker = scratch / f"running-{index}"
-            marker_paths[index] = marker
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    index,
-                    jobs_q,
-                    results_q,
-                    str(shard) if shard else None,
-                    str(marker),
-                ),
-                daemon=True,
-                name=f"popper-worker-{index}",
-            )
-            proc.start()
-            workers.append(proc)
 
         def advance(task_id: str, outcome: TaskOutcome) -> list[str]:
             """Ready-set bookkeeping after one finished outcome."""
@@ -429,7 +382,7 @@ class ProcessScheduler(Scheduler):
                     faults=options.faults,
                 )
                 try:
-                    blob = pickle.dumps(job)
+                    pool.dispatch(job, tid)
                 except Exception as exc:
                     # A dependency value that cannot cross the boundary:
                     # run this one task in the parent instead.
@@ -451,7 +404,6 @@ class ProcessScheduler(Scheduler):
                     result.outcomes[tid] = outcome
                     pending.extend(advance(tid, outcome))
                     continue
-                jobs_q.put(blob)
                 inflight.add(tid)
 
         def on_done(record: dict) -> None:
@@ -504,31 +456,15 @@ class ProcessScheduler(Scheduler):
             dispatch(advance(tid, outcome))
 
         def reap_dead_workers() -> None:
-            for index, proc in enumerate(workers):
-                if index in reaped or proc.exitcode is None:
-                    continue
-                if index not in dead_seen:
-                    # Grace poll: anything the dying worker managed to
-                    # flush into the result pipe gets read first, so a
-                    # task is only written off once its record is
-                    # provably absent.
-                    dead_seen.add(index)
-                    continue
-                reaped.add(index)
-                marker = marker_paths.get(index)
-                tid = ""
-                if marker is not None and marker.is_file():
-                    tid = marker.read_text(encoding="utf-8").strip()
-                if tid and tid in inflight:
+            # Keep the pool at strength only for a graph still running.
+            for lost in pool.reap(respawn=bool(inflight) and not draining()):
+                if lost.key in inflight:
                     fail_inflight(
-                        tid,
-                        f"worker process {index} died "
-                        f"(exit code {proc.exitcode})",
+                        lost.key,
+                        f"worker process {lost.worker} died "
+                        f"(exit code {lost.exitcode})",
                     )
-                if inflight and not draining():
-                    # Keep the pool at strength for the remaining graph.
-                    spawn_worker()
-            if inflight and all(p.exitcode is not None for p in workers):
+            if inflight and pool.alive_count() == 0:
                 # No worker left to ever report these (e.g. a die-off
                 # while draining): fail them rather than spin forever.
                 for tid in sorted(inflight):
@@ -542,10 +478,11 @@ class ProcessScheduler(Scheduler):
             ids are remapped into the parent tracer's id space and shard
             roots are re-parented under the calling span.
             """
-            if journal is None:
+            if shards is None:
                 return
             shard_events: dict[int, list[dict]] = {}
-            for index, path in shard_paths.items():
+            for index in {r["worker"] for r in done_records.values()}:
+                path = _shard(shards, index)
                 if not path.is_file() or path.stat().st_size == 0:
                     continue
                 try:
@@ -593,31 +530,21 @@ class ProcessScheduler(Scheduler):
                     self._graft_spans(tracer, events, local, parent_id)
 
         try:
-            for _ in range(min(self.max_workers, len(graph))):
-                spawn_worker()
+            pool.start()
             dispatch(ready.take_ready())
             while inflight:
-                try:
-                    message = pickle.loads(results_q.get(timeout=self.POLL_S))
-                except queue_mod.Empty:
+                records = pool.poll(timeout_s=self.POLL_S)
+                for record in records:
+                    on_done(record)
+                if not records:
                     reap_dead_workers()
-                    continue
-                on_done(message[1])
         finally:
-            for _ in workers:
-                jobs_q.put(None)
-            for proc in workers:
-                proc.join(timeout=5.0)
-            for proc in workers:
-                if proc.exitcode is None:  # pragma: no cover - wedged worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            jobs_q.cancel_join_thread()
-            results_q.cancel_join_thread()
+            pool.drain()
             try:
                 merge_shards()
             finally:
-                shutil.rmtree(scratch, ignore_errors=True)
+                if shards is not None:
+                    shutil.rmtree(shards, ignore_errors=True)
 
         if abort_error is not None:
             raise abort_error

@@ -6,8 +6,10 @@ without weakening any of its durability contracts:
 * :mod:`repro.serve.queue` — the persistent lease-based job queue
   (journal-as-truth, crash-safe publish orderings, backoff + dead
   letter, tenant fairness, bounded admission);
-* :mod:`repro.serve.workers` — the supervised worker pool (marker-file
-  crash attribution, grace-poll reaping, respawn);
+* :mod:`repro.serve.workers` — the serve job and its runner on the
+  supervised worker pool of :mod:`repro.engine.pool`, shared with the
+  process backend (marker-file crash attribution, grace-poll reaping,
+  respawn);
 * :mod:`repro.serve.daemon` — :class:`PopperServer`, the tick-driven
   scheduler wiring queue, pool, artifact cache and API together;
 * :mod:`repro.serve.api` — the local HTTP/JSON surface with a clean

@@ -5,7 +5,9 @@
 * a :class:`~repro.serve.queue.JobQueue` rooted at ``.pvcs/queue/``
   (crash recovery happens in its constructor — a restarted daemon
   re-admits every job the dead one held leases on),
-* a :class:`~repro.serve.workers.WorkerPool` of supervised processes,
+* a :class:`~repro.engine.pool.WorkerPool` of supervised processes —
+  the pool the process backend runs on — whose workers run
+  :class:`~repro.serve.workers.ServeJob` payloads,
 * a :func:`~repro.serve.api.make_server` HTTP front end.
 
 The scheduler is a single **tick** — poll finished work, reap dead
@@ -14,9 +16,9 @@ daemon's own loop thread (:meth:`start` / :meth:`run_until`, the CLI
 path) or manually by tests and the smoke check, which call
 :meth:`tick` directly for deterministic chaos injection.
 
-Cache interop is the recovery keystone: the daemon computes the *same*
-whole-experiment memoization key the CLI sweep uses
-(``task_fingerprint("sweep/<name>", vars-hash)``), so
+Cache interop is the recovery keystone: the daemon files and looks up
+the *same* whole-experiment cache entry the CLI sweep does — the key,
+output set and record meta of :mod:`repro.core.sweep` — so
 
 * a submission whose result is already pooled — by an earlier job *or*
   by a plain ``popper run`` — is served from cache at admission,
@@ -41,12 +43,11 @@ import time
 from pathlib import Path
 
 from repro.common.errors import BadJobError, DrainingError, ServeError
-from repro.common.hashing import sha256_text
-from repro.engine import task_fingerprint
+from repro.core.sweep import sweep_key, sweep_meta, sweep_outputs
 from repro.engine.resilience import RetryPolicy
 from repro.serve.api import make_server
 from repro.serve.queue import QUEUE_DIR, JobQueue, QueuedJob
-from repro.serve.workers import ServeJob, WorkerPool
+from repro.serve.workers import ServeJob, WorkerPool, serve_runner
 
 __all__ = ["PopperServer"]
 
@@ -78,7 +79,7 @@ class PopperServer:
             clock=clock,
             durable=durable,
         )
-        self.pool = WorkerPool(size=workers)
+        self.pool = WorkerPool(size=workers, runner=serve_runner)
         self.host = host
         self.port = port
         self.httpd = None
@@ -89,27 +90,17 @@ class PopperServer:
         self._threads: list[threading.Thread] = []
 
     # -- cache interop -----------------------------------------------------------
-    def _sweep_key(self, experiment: str) -> str:
-        # Identical to the CLI sweep's memoization key: serve and
-        # ``popper run`` share one cache namespace, which is what makes
-        # re-runs after a publish crash byte-identical.
-        vars_path = self.repo.experiment_dir(experiment) / "vars.yml"
-        text = (
-            vars_path.read_text(encoding="utf-8")
-            if vars_path.is_file()
-            else ""
-        )
-        return task_fingerprint(
-            f"sweep/{experiment}", {"vars": sha256_text(text)}
-        )
-
     def _try_cache(self, experiment: str) -> dict | None:
-        """Materialize a pooled result for *experiment*; ``None`` on miss."""
+        """Materialize a pooled result for *experiment*; ``None`` on miss.
+
+        Returns the record's meta as stored, by this daemon or by
+        ``popper run``.
+        """
         store = self.repo.artifact_store
         if store is None:
             return None
         try:
-            record = store.lookup(self._sweep_key(experiment))
+            record = store.lookup(sweep_key(self.repo, experiment))
             if record is None:
                 return None
             store.materialize(record, self.repo.root)
@@ -125,25 +116,18 @@ class PopperServer:
         (or a re-leased copy of this one) is a cache hit.
         """
         store = self.repo.artifact_store
-        if store is None or not meta.get("validated"):
+        record_meta = sweep_meta(
+            int(meta.get("rows", 0)), bool(meta.get("validated"))
+        )
+        if store is None or record_meta is None:
             return
-        exp_dir = self.repo.experiment_dir(experiment)
-        outputs = {
-            "results": exp_dir / "results.csv",
-            "report": exp_dir / "validation_report.txt",
-        }
-        for name, path in dict(meta.get("figures") or {}).items():
-            outputs[f"figure-{name}"] = Path(path)
-        for extra in ("figure.svg", "baseline.json"):
-            if (exp_dir / extra).is_file():
-                outputs[extra] = exp_dir / extra
         try:
             store.store(
-                self._sweep_key(experiment),
+                sweep_key(self.repo, experiment),
                 f"serve/{experiment}",
-                outputs,
+                sweep_outputs(self.repo, experiment, meta.get("figures") or {}),
                 self.repo.root,
-                meta={"rows": int(meta.get("rows", 0)), "validated": True},
+                meta=record_meta,
             )
         except Exception:
             pass  # cache filing is best-effort; the result file is truth
@@ -179,11 +163,11 @@ class PopperServer:
         settled = 0
         for record in self.pool.poll(timeout_s=poll_s):
             settled += self._settle(record)
-        for job_id in self.pool.reap(respawn=not self.draining):
-            job = self.queue.jobs.get(job_id)
+        for lost in self.pool.reap(respawn=not self.draining):
+            job = self.queue.jobs.get(lost.key)
             if job is not None and job.state == "leased":
-                self.queue.fail(job_id, "worker died mid-job")
-            self._inflight.discard(job_id)
+                self.queue.fail(lost.key, "worker died mid-job")
+            self._inflight.discard(lost.key)
             settled += 1
         for job in self.queue.expire_leases():
             self._inflight.discard(job.id)
@@ -246,7 +230,8 @@ class PopperServer:
                     job_id=job.id,
                     repo_root=str(self.repo.root),
                     experiment=job.experiment,
-                )
+                ),
+                job.id,
             )
 
     # -- introspection (the API's read surface) ----------------------------------

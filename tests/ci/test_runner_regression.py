@@ -226,20 +226,16 @@ class TestPerformanceHistoryPersistence:
         assert text.endswith("\n")
         assert json.loads(text)["version"] == 1
 
-    def test_legacy_raw_mapping_still_loads(self, tmp_path):
-        """The pre-durable writer stored a bare {commit: [samples]} dict;
-        one-shot fallback keeps old .pvcs state loading."""
+    def test_unversioned_mapping_rejected(self, tmp_path):
+        """No writer ever stored a bare {commit: [samples]} mapping."""
         import json
 
-        path = tmp_path / "legacy.json"
+        path = tmp_path / "unversioned.json"
         path.write_text(
             json.dumps({"c1": [10.0, 10.1, 9.9], "c2": [10.2, 9.8, 10.0]})
         )
-        loaded = PerformanceHistory.load(path)
-        assert loaded.baseline.size == 6
-        # the next save rewrites versioned
-        loaded.save(path)
-        assert json.loads(path.read_text())["version"] == 1
+        with pytest.raises(CIError, match="malformed performance history"):
+            PerformanceHistory.load(path)
 
     def test_unreadable_or_malformed_errors(self, tmp_path):
         with pytest.raises(CIError):

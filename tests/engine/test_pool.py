@@ -1,0 +1,170 @@
+"""WorkerPool: the supervised process pool under the process backend and serve.
+
+Runners are module-level so they survive a spawn start method too.
+Each test bounds its waits and drains its pool.
+"""
+
+import os
+import signal
+import time
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+from repro.common.errors import EngineError
+from repro.engine.pool import LostJob, WorkerPool
+
+
+def _echo(job):
+    return {"job": job}
+
+
+def echo_runner(index):
+    return _echo
+
+
+def _exit_13(job):
+    os._exit(13)
+
+
+def dying_runner(index):
+    return _exit_13
+
+
+def _sleep(job):
+    time.sleep(job)
+    return {"slept": job}
+
+
+def sleeping_runner(index):
+    return _sleep
+
+
+class ClosingRunner:
+    """Leaves ``closed-<index>`` behind when its worker exits."""
+
+    def __init__(self, out_dir, index):
+        self.marker = Path(out_dir) / f"closed-{index}"
+
+    def __call__(self, job):
+        return {"job": job}
+
+    def close(self):
+        self.marker.write_text("closed", encoding="utf-8")
+
+
+def wait_for(pred, what, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        value = pred()
+        if value:
+            return value
+        time.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def poll_one(pool):
+    return wait_for(lambda: pool.poll(timeout_s=0.05), "a record")
+
+
+@pytest.fixture
+def pools():
+    started = []
+
+    def make(size, runner):
+        pool = WorkerPool(size=size, runner=runner)
+        pool.start()
+        started.append(pool)
+        return pool
+
+    yield make
+    for pool in started:
+        pool.drain(timeout_s=5.0)
+
+
+def test_hard_crash_is_reported_once_after_its_grace_poll(pools):
+    pool = pools(1, dying_runner)
+    worker = pool.workers[0]
+    pool.dispatch("payload", "job-1")
+    worker.join(30.0)
+    assert not worker.is_alive()
+
+    assert pool.reap() == []  # the grace poll
+    assert pool.reap() == [LostJob("job-1", 0, 13)]
+    assert pool.reap() == []  # reported once
+    assert pool.alive_count() == pool.size == 1
+
+
+def test_death_between_jobs_names_no_job(pools):
+    pool = pools(1, echo_runner)
+    pool.dispatch("ping", "job-1")
+    assert poll_one(pool) == [{"job": "ping"}]
+    # The marker is cleared after the record is queued, not before.
+    wait_for(lambda: pool.current_jobs() == {}, "an empty marker")
+    worker = pool.workers[0]
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(30.0)
+    assert not worker.is_alive()
+
+    assert pool.reap() == []
+    assert pool.reap() == []
+    assert pool.alive_count() == 1
+    # A worker killed while blocked on the job queue can take the
+    # queue's reader lock with it, so its replacement may never see the
+    # drain sentinel: keep the terminate deadline short.
+    pool.drain(timeout_s=0.5)
+
+
+def test_dispatch_before_start_raises():
+    pool = WorkerPool(size=1, runner=echo_runner)
+    with pytest.raises(EngineError, match="not started"):
+        pool.dispatch("job", "job-1")
+
+
+def test_size_must_be_positive():
+    with pytest.raises(EngineError):
+        WorkerPool(size=0, runner=echo_runner)
+
+
+def test_drain_ends_every_idle_worker_by_its_sentinel():
+    # Any idle worker may take any sentinel and exit at once, so a
+    # sentinel per worker must be sent whatever exits meanwhile.
+    for _ in range(10):
+        pool = WorkerPool(size=4, runner=echo_runner)
+        pool.start()
+        workers = list(pool.workers)
+        pool.drain(timeout_s=5.0)
+        assert [w.exitcode for w in workers] == [0, 0, 0, 0]
+
+
+def test_drain_with_a_busy_worker_is_bounded(pools):
+    pool = pools(1, sleeping_runner)
+    worker = pool.workers[0]
+    scratch = pool._scratch
+    pool.dispatch(60.0, "slow")
+    wait_for(lambda: pool.current_jobs() == {0: "slow"}, "the job to start")
+
+    started = time.monotonic()
+    pool.drain(timeout_s=0.5)
+    # The deadline, then terminate() and a short join of the straggler.
+    assert time.monotonic() - started < 0.5 + 1.5
+    assert not worker.is_alive()
+    assert not scratch.exists()
+
+
+def test_runner_close_runs_when_its_worker_exits(pools, tmp_path):
+    pool = pools(2, partial(ClosingRunner, str(tmp_path)))
+    pool.dispatch("a", "job-a")
+    pool.dispatch("b", "job-b")
+    records = poll_one(pool)
+    if len(records) < 2:
+        records += poll_one(pool)
+    assert sorted(r["job"] for r in records) == ["a", "b"]
+    assert not list(tmp_path.glob("closed-*"))
+
+    pool.drain(timeout_s=10.0)
+    assert sorted(p.name for p in tmp_path.glob("closed-*")) == [
+        "closed-0",
+        "closed-1",
+    ]
