@@ -11,16 +11,15 @@ Design:
 * **Pickle-safety audit, then fallback.** Payloads must cross a process
   boundary.  Before spawning anything the scheduler audits every task
   (:func:`audit_pickle_safety`); closures and lambdas fail the audit and
-  the run demotes itself to the configured in-process fallback
-  (threaded by default), journaling a ``scheduler_fallback`` event —
-  or raises :class:`~repro.common.errors.UnpicklablePayloadError` when
+  the run demotes itself to the threaded backend, journaling a
+  ``scheduler_fallback`` event — or raises
+  :class:`~repro.common.errors.UnpicklablePayloadError` when
   ``fallback=None``.  A task whose *dependency values* turn out
   unpicklable at dispatch time runs inline in the parent instead.
-* **Work-stealing over topological levels.** All ready tasks — from
-  whichever topological levels are currently unlocked — share one job
-  queue; an idle worker pulls the next ready task regardless of level,
-  so uneven stage durations never leave cores idle behind a level
-  barrier.
+* **Parent-side assignment across topological levels.** The parent
+  hands the oldest ready task to the next idle worker, whichever
+  topological level it belongs to, so uneven stage durations never
+  leave cores idle behind a level barrier.
 * **Parent-side cache and checkpoint.** The parent performs the
   artifact-store lookup (CACHED short-circuit *before* dispatch), the
   run-state restore, and — when a worker reports success — the cache
@@ -47,10 +46,11 @@ Design:
   :class:`~repro.engine.shutdown.RunCancelled` raises as usual.  The
   workers are the supervised :class:`~repro.engine.pool.WorkerPool`
   that ``popper serve`` also runs on: a worker that dies without
-  reporting (hard crash, ``kill -9``) fails only its in-flight task
-  with :class:`~repro.common.errors.WorkerCrashError`, and while tasks
-  are in flight and the run is not draining a replacement worker is
-  spawned and the rest of the graph keeps running.
+  reporting (hard crash, ``kill -9``) fails only the task it was sent
+  and had not reported, with
+  :class:`~repro.common.errors.WorkerCrashError`, and while tasks are
+  in flight and the run is not draining a replacement worker is spawned
+  and the rest of the graph keeps running.
 
 Values and errors returned by workers are round-trip-checked before
 shipping: an unpicklable task value fails the task with
@@ -89,12 +89,7 @@ from repro.engine.graph import (
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.resilience import RetryPolicy
-from repro.engine.scheduler import (
-    RunOptions,
-    Scheduler,
-    SerialScheduler,
-    ThreadedScheduler,
-)
+from repro.engine.scheduler import RunOptions, Scheduler, ThreadedScheduler
 from repro.monitor.journal import RunJournal, load_journal, replay_events
 from repro.monitor.tracing import SPAN_METRIC, Span, Tracer
 
@@ -251,7 +246,7 @@ class ProcessScheduler(Scheduler):
 
     backend = "process"
 
-    #: How long to wait on the result queue before checking for dead
+    #: How long to wait for a worker's record before checking for dead
     #: workers and cancellation (seconds).
     POLL_S = 0.1
 
@@ -264,18 +259,12 @@ class ProcessScheduler(Scheduler):
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-        if fallback not in (None, "serial", "threaded"):
+        if fallback not in (None, "threaded"):
             raise EngineError(
-                f"fallback must be 'serial', 'threaded' or None, got {fallback!r}"
+                f"fallback must be 'threaded' or None, got {fallback!r}"
             )
         self.max_workers = max_workers
         self.fallback = fallback
-
-    # -- plumbing ----------------------------------------------------------------
-    def _fallback_scheduler(self) -> Scheduler:
-        if self.fallback == "serial":
-            return SerialScheduler()
-        return ThreadedScheduler(max_workers=self.max_workers)
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, graph, result, tracer, parent, options):
@@ -292,7 +281,7 @@ class ProcessScheduler(Scheduler):
                     f"{len(problems)} task payload(s) cannot cross a "
                     f"process boundary: {detail}"
                 )
-            demoted = self._fallback_scheduler()
+            demoted = ThreadedScheduler(max_workers=self.max_workers)
             if journal is not None:
                 journal.event(
                     "scheduler_fallback",

@@ -8,7 +8,7 @@ without weakening any of its durability contracts:
   letter, tenant fairness, bounded admission);
 * :mod:`repro.serve.workers` — the serve job and its runner on the
   supervised worker pool of :mod:`repro.engine.pool`, shared with the
-  process backend (marker-file crash attribution, grace-poll reaping,
+  process backend (one pipe per worker, parent-side crash attribution,
   respawn);
 * :mod:`repro.serve.daemon` — :class:`PopperServer`, the tick-driven
   scheduler wiring queue, pool, artifact cache and API together;

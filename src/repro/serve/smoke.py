@@ -7,13 +7,15 @@ end-to-end in a scratch repository, in seconds:
    HTTP API live; ``/healthz`` must answer;
 2. adversarial requests — garbage JSON, a bogus tenant, an unknown
    experiment, an unknown job — must each get a clean 4xx, never a 500;
-3. a cold submission must run to ``done`` validated; resubmitting the
-   same experiment must be served from the artifact cache (HTTP 200,
-   no worker involved);
-4. ``kill -9`` the worker while it is mid-job on a second experiment:
-   the supervisor must attribute the loss via the marker file, requeue
-   under the backoff budget, respawn, and the job must still complete
-   (attempts >= 2) with validations passing;
+3. ``kill -9`` the idle worker: the supervisor must respawn it, and a
+   cold submission must still run to ``done`` validated; resubmitting
+   the same experiment must be served from the artifact cache (HTTP
+   200, no worker involved);
+4. ``kill -9`` the worker while it holds a second experiment's job:
+   the supervisor knows which job it sent that worker, so it must
+   attribute the loss, requeue under the backoff budget, respawn, and
+   the job must still complete (attempts >= 2) with validations
+   passing;
 5. a graceful drain must leave no leased jobs behind and a queue
    journal that replays to the same terminal states, and ``popper
    doctor`` must find nothing it cannot repair.
@@ -72,30 +74,20 @@ def _tick_until(daemon: PopperServer, pred, what: str, timeout_s: float = 30.0):
     raise ServeError(f"serve smoke: timed out waiting for {what}")
 
 
-def _wait_running(daemon: PopperServer, job_id: str, timeout_s: float = 30.0):
-    """Block until a worker's marker file names *job_id*; return its pid.
+def _wait_running(daemon: PopperServer, job_id: str) -> int:
+    """Tick until a worker holds *job_id*; return that worker's pid.
 
-    Ticking while waiting would race the observation: a tick both
-    dispatches and settles, so a fast job can start *and* finish inside
-    one ``poll_s`` window and the marker is never seen.  Instead tick
-    only until the job is leased (a parent-side state change that cannot
-    be missed), then spin on the marker without ticking — nothing can
-    settle the job while the scheduler is not being driven, so the
-    marker stays up for the whole run.
+    A tick settles records before it dispatches, so once the job is
+    named it stays named until the next tick.
     """
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if daemon.queue.get(job_id).state == "leased":
-            break
-        daemon.tick(poll_s=0.05)
-    while time.monotonic() < deadline:
+
+    def holder() -> int | None:
         for index, running in daemon.pool.current_jobs().items():
             if running == job_id:
                 return daemon.pool.workers[index].pid
-        time.sleep(0.001)
-    raise ServeError(
-        f"serve smoke: timed out waiting for a worker to start {job_id}"
-    )
+        return None
+
+    return _tick_until(daemon, holder, f"a worker to start {job_id}")
 
 
 def serve_smoke(root: str | Path | None = None) -> str:
@@ -148,6 +140,12 @@ def serve_smoke(root: str | Path | None = None) -> str:
                     f"serve smoke: unknown job answered {status}, wanted 404"
                 )
 
+            # Chaos, idle: SIGKILL the worker before it has any job;
+            # its replacement must run the cold job below.
+            idle = daemon.pool.workers[0]
+            os.kill(idle.pid, signal.SIGKILL)
+            idle.join(10.0)
+
             # Cold run: accepted, executed by the worker, validated.
             status, doc = _http(
                 "POST", f"{api}/v1/jobs", b'{"experiment":"alpha"}'
@@ -183,7 +181,7 @@ def serve_smoke(root: str | Path | None = None) -> str:
                     f"(status {status}, cached={doc.get('cached')})"
                 )
 
-            # Chaos: SIGKILL the worker mid-job; the job must survive.
+            # Chaos, busy: SIGKILL the worker mid-job; the job must survive.
             victim = daemon.submit("beta")
             pid = _wait_running(daemon, victim.id)
             os.kill(pid, signal.SIGKILL)
@@ -235,6 +233,7 @@ def serve_smoke(root: str | Path | None = None) -> str:
     return (
         f"serve smoke ok: {len(states)} job(s) all done "
         f"({stats['cache_served']} cache-served), adversarial input "
-        "cleanly rejected, worker kill -9 recovered "
-        f"(attempts={recovered.attempts}), drain + doctor clean"
+        "cleanly rejected, idle worker kill -9 survived, busy worker "
+        f"kill -9 recovered (attempts={recovered.attempts}), drain + "
+        "doctor clean"
     )

@@ -2,9 +2,10 @@
 
 The daemon's workers are the supervised
 :class:`~repro.engine.pool.WorkerPool` the process backend also runs
-on (re-exported here), so the ``kill -9`` attribution protocol —
-marker files, grace-poll reaping, respawn — exists once.  This module
-supplies the serve side of that pool:
+on (re-exported here), so the ``kill -9`` attribution protocol — one
+pipe per worker, the job each was sent known in the parent, exact
+reaping, respawn — exists once.  This module supplies the serve side
+of that pool:
 
 * :class:`ServeJob`, the payload, is plain picklable data mirroring
   :class:`~repro.core.sweep.SweepExperimentJob`: the worker reopens the
@@ -14,7 +15,7 @@ supplies the serve side of that pool:
   the store's own locking, proven by the process backend);
 * :func:`serve_runner` is the pool runner: it runs one job and reports
   ``{job, ok, meta | error, seconds}``.  Records are plain dicts of
-  JSON scalars, so the result queue can never be poisoned by an
+  JSON scalars, so a worker's pipe can never be poisoned by an
   unpicklable value.
 """
 
@@ -36,7 +37,6 @@ class ServeJob:
     job_id: str
     repo_root: str
     experiment: str
-    use_cache: bool = True
 
     def __call__(self) -> dict:
         # Imported here so a forked worker never re-imports at module
@@ -48,7 +48,7 @@ class ServeJob:
         pipeline = ExperimentPipeline(
             repo,
             self.experiment,
-            artifact_store=repo.artifact_store if self.use_cache else None,
+            artifact_store=repo.artifact_store,
             run_meta={"backend": "serve", "job": self.job_id},
         )
         result = pipeline.run(strict=False, resume=False)

@@ -4,6 +4,7 @@ Runners are module-level so they survive a spawn start method too.
 Each test bounds its waits and drains its pool.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -30,6 +31,16 @@ def _exit_13(job):
 
 def dying_runner(index):
     return _exit_13
+
+
+def _echo_or_exit_13(job):
+    if job == "die":
+        os._exit(13)
+    return {"job": job}
+
+
+def echo_or_dying_runner(index):
+    return _echo_or_exit_13
 
 
 def _sleep(job):
@@ -68,6 +79,15 @@ def poll_one(pool):
     return wait_for(lambda: pool.poll(timeout_s=0.05), "a record")
 
 
+def poll_n(pool, n, what, timeout_s=30.0):
+    records = []
+    deadline = time.monotonic() + timeout_s
+    while len(records) < n and time.monotonic() < deadline:
+        records += pool.poll(timeout_s=0.05)
+    assert len(records) == n, f"timed out waiting for {what}"
+    return records
+
+
 @pytest.fixture
 def pools():
     started = []
@@ -83,14 +103,13 @@ def pools():
         pool.drain(timeout_s=5.0)
 
 
-def test_hard_crash_is_reported_once_after_its_grace_poll(pools):
+def test_hard_crash_is_reported_once(pools):
     pool = pools(1, dying_runner)
     worker = pool.workers[0]
     pool.dispatch("payload", "job-1")
     worker.join(30.0)
     assert not worker.is_alive()
 
-    assert pool.reap() == []  # the grace poll
     assert pool.reap() == [LostJob("job-1", 0, 13)]
     assert pool.reap() == []  # reported once
     assert pool.alive_count() == pool.size == 1
@@ -100,8 +119,8 @@ def test_death_between_jobs_names_no_job(pools):
     pool = pools(1, echo_runner)
     pool.dispatch("ping", "job-1")
     assert poll_one(pool) == [{"job": "ping"}]
-    # The marker is cleared after the record is queued, not before.
-    wait_for(lambda: pool.current_jobs() == {}, "an empty marker")
+    # A reported job is no longer the worker's.
+    wait_for(lambda: pool.current_jobs() == {}, "an idle worker")
     worker = pool.workers[0]
     os.kill(worker.pid, signal.SIGKILL)
     worker.join(30.0)
@@ -110,10 +129,73 @@ def test_death_between_jobs_names_no_job(pools):
     assert pool.reap() == []
     assert pool.reap() == []
     assert pool.alive_count() == 1
-    # A worker killed while blocked on the job queue can take the
-    # queue's reader lock with it, so its replacement may never see the
-    # drain sentinel: keep the terminate deadline short.
     pool.drain(timeout_s=0.5)
+
+
+def test_idle_worker_killed_does_not_wedge_the_pool():
+    # The kill lands in the worker's blocking read for its next job; no
+    # lock or queue is shared, so its siblings and replacement go on.
+    pool = WorkerPool(size=2, runner=echo_runner)
+    pool.start()
+    try:
+        time.sleep(0.5)  # let worker 0 reach its idle wait
+        victim = pool.workers[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(30.0)
+        assert not victim.is_alive()
+        wait_for(
+            lambda: pool.reap() == [] and pool.alive_count() == 2,
+            "the pool to respawn to two workers",
+        )
+        for i in range(6):
+            pool.dispatch(i, f"job-{i}")
+        records = poll_n(pool, 6, "six records", timeout_s=10.0)
+        assert sorted(r["job"] for r in records) == list(range(6))
+        live = [w for w in pool.workers if w.is_alive()]
+    finally:
+        pool.drain(timeout_s=5.0)
+    assert [w.exitcode for w in live] == [0, 0]
+
+
+def test_record_sent_before_death_is_delivered_not_lost(pools):
+    pool = pools(1, echo_runner)
+    pool.dispatch("ping", "job-1")
+    assert pool._conns[0].poll(30.0)  # the record is in the pipe
+    worker = pool.workers[0]
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(30.0)
+    assert not worker.is_alive()
+
+    assert pool.reap() == []
+    assert pool.poll(timeout_s=0.0) == [{"job": "ping"}]
+    assert pool.alive_count() == 1
+
+
+def test_spawn_start_method_runs_attributes_and_drains(monkeypatch):
+    real_get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    pool = WorkerPool(size=2, runner=echo_or_dying_runner)
+    pool.start()
+    try:
+        assert pool._ctx.get_start_method() == "spawn"
+        for i in range(4):
+            pool.dispatch(i, f"job-{i}")
+        records = poll_n(pool, 4, "four records", timeout_s=60.0)
+        assert sorted(r["job"] for r in records) == [0, 1, 2, 3]
+
+        pool.dispatch("die", "job-die")
+        lost = wait_for(lambda: pool.reap(respawn=False), "the lost job", 60.0)
+        assert [(job.key, job.exitcode) for job in lost] == [("job-die", 13)]
+        survivor = pool.workers[1 - lost[0].worker]
+    finally:
+        pool.drain(timeout_s=10.0)
+    assert survivor.exitcode == 0
 
 
 def test_dispatch_before_start_raises():
@@ -141,7 +223,6 @@ def test_drain_ends_every_idle_worker_by_its_sentinel():
 def test_drain_with_a_busy_worker_is_bounded(pools):
     pool = pools(1, sleeping_runner)
     worker = pool.workers[0]
-    scratch = pool._scratch
     pool.dispatch(60.0, "slow")
     wait_for(lambda: pool.current_jobs() == {0: "slow"}, "the job to start")
 
@@ -150,7 +231,6 @@ def test_drain_with_a_busy_worker_is_bounded(pools):
     # The deadline, then terminate() and a short join of the straggler.
     assert time.monotonic() - started < 0.5 + 1.5
     assert not worker.is_alive()
-    assert not scratch.exists()
 
 
 def test_runner_close_runs_when_its_worker_exits(pools, tmp_path):

@@ -9,8 +9,10 @@ merging, dead-worker containment, and cooperative cancellation.
 """
 
 import os
+import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,19 @@ class Sleep:
     def __call__(self, ctx):
         time.sleep(self.seconds)
         return self.value
+
+
+class WritePid:
+    """Reports its worker's pid through a file, then returns."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, ctx):
+        tmp = Path(f"{self.path}.tmp")
+        tmp.write_text(str(os.getpid()), encoding="utf-8")
+        tmp.replace(self.path)
+        return "fast"
 
 
 def diamond():
@@ -215,6 +230,38 @@ def test_worker_crash_fails_only_its_task():
     assert "exit code 13" in str(recap.outcome("boom").error)
     for i in range(3):
         assert recap.outcome(f"ok-{i}").state is TaskState.OK
+
+
+def test_idle_worker_killed_does_not_hang_the_run(tmp_path):
+    pid_file = tmp_path / "fast.pid"
+    graph = TaskGraph()
+    graph.add("slow", Sleep(2.0, 5))
+    graph.add("fast", WritePid(str(pid_file)))
+    graph.add("after", Square(5), dependencies=("slow",))
+
+    def kill_fast_worker():
+        deadline = time.monotonic() + 20.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)  # fast has reported: its worker is idle
+        os.kill(int(pid_file.read_text(encoding="utf-8")), signal.SIGKILL)
+
+    recaps = []
+    threading.Thread(target=kill_fast_worker, daemon=True).start()
+    run = threading.Thread(
+        target=lambda: recaps.append(ProcessScheduler(max_workers=2).run(graph)),
+        daemon=True,
+    )
+    run.start()
+    run.join(20.0)
+    assert recaps, "the run hung after an idle worker was killed"
+    recap = recaps[0]
+    assert {t: o.state for t, o in recap.outcomes.items()} == {
+        "slow": TaskState.OK,
+        "fast": TaskState.OK,
+        "after": TaskState.OK,
+    }
+    assert recap.outcome("after").value == 25
 
 
 def test_abort_propagates_and_drains():

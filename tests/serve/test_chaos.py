@@ -6,6 +6,8 @@ under the injected failures this file throws at a real daemon:
 
 * ``kill -9`` on the worker process mid-job: the supervisor must
   attribute the loss, respawn, and the job must still complete;
+* ``kill -9`` on an idle worker: its replacement must take the next
+  job, which completes on its first lease;
 * a simulated crash between the durable result write and the
   ``job_done`` journal record (``queue.publish``): a restarted daemon
   must re-admit the job and finish it as a cache hit, byte-identical
@@ -98,6 +100,25 @@ class TestWorkerKill:
             assert done.meta.get("validated")
             assert done.attempts >= 2  # the first lease died with the worker
             assert daemon.pool.alive_count() == 1  # supervisor respawned
+        finally:
+            daemon.drain()
+
+    def test_sigkill_idle_worker_does_not_wedge_the_daemon(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        daemon = PopperServer(repo, workers=1, max_queue=8, lease_s=30.0)
+        try:
+            daemon.start(api=False, loop=False)
+            time.sleep(0.5)  # let the worker reach its idle wait
+            idle = daemon.pool.workers[0]
+            os.kill(idle.pid, signal.SIGKILL)
+            idle.join(30.0)
+            assert not idle.is_alive()
+            job = daemon.submit("exp")
+            done = settle(daemon, job.id, timeout_s=20.0)
+            assert done.state == "done", done.error
+            assert done.meta.get("validated")
+            assert done.attempts == 1  # no job was lost with the idle worker
+            assert daemon.pool.alive_count() == 1
         finally:
             daemon.drain()
 
