@@ -5,9 +5,9 @@ Perun's ``perun/check``: :mod:`~repro.check.profiles` attaches per-stage
 timing profiles to VCS commits under ``.pvcs/profiles/``;
 :mod:`~repro.check.detectors` grades baseline-vs-candidate series with
 four statistical methods; :mod:`~repro.check.suite` batteries them for
-the three consumers (the CI :class:`~repro.ci.regression.RegressionGate`,
-Aver's ``no_regression`` via :mod:`~repro.check.context`, and the
-``popper perf`` subcommand).
+the three consumers (the advisory verdicts of a passed ``popper ci``
+build, Aver's ``no_regression`` via :mod:`~repro.check.context`, and
+the ``popper perf`` subcommand).
 """
 
 from repro.check.detectors import (

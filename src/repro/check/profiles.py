@@ -11,10 +11,9 @@ ledger per commit, plus an append-only index journal, both appended
 through a durable :class:`~repro.common.groupcommit.GroupCommitWriter`
 and read by :func:`~repro.common.groupcommit.read_jsonl`.
 
-This replaces the flat sliding window of
-:class:`repro.ci.regression.PerformanceHistory`: baselines are resolved
-from the actual commit graph, so "compare against the last five
-commits" means five *commits*, not five undated gate invocations.
+Baselines are resolved from the actual commit graph, so "compare
+against the last five commits" means five *commits*, not five undated
+gate invocations.
 """
 
 from __future__ import annotations

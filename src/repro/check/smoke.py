@@ -1,13 +1,13 @@
-"""The ``--perf-smoke`` self-check: prove the detector plumbing works.
+"""The perf self-check: prove the detector plumbing works.
 
-CI jobs run ``popper run --all --perf-smoke`` to exercise the whole
-degradation path end-to-end in seconds: synthesize a two-commit history
+``popper selftest`` runs it to exercise the whole degradation path
+end-to-end in seconds: synthesize a two-commit history
 (a stable baseline and a candidate with one injected slowdown and one
 untouched metric) through a *real* :class:`ProfileHistory` on disk, run
 the default detector suite across the pair, and demand that the
 injected slowdown is caught while the clean metric passes.  Like the
-other smoke modes (``--chaos-smoke``, ``--crash-smoke``), it turns "the
-subsystem imports" into "the subsystem detects".
+other self-checks, it turns "the subsystem imports" into "the
+subsystem detects".
 """
 
 from __future__ import annotations

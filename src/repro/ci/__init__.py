@@ -1,11 +1,10 @@
 """Continuous-integration substrate (the TravisCI substitution):
 ``.travis.yml`` parsing, env-matrix expansion, containerized job
-execution, build history/badges, and statistical performance-regression
-gating.
+execution, and build history/badges.  A passed build's advisory
+degradation verdicts come from :mod:`repro.check`.
 """
 
 from repro.ci.config import CIConfig, parse_env_line
-from repro.ci.regression import PerformanceHistory, RegressionGate, RegressionReport
 from repro.ci.runner import (
     BuildRecord,
     BuildStatus,
@@ -24,7 +23,4 @@ __all__ = [
     "BuildStatus",
     "JobResult",
     "StepResult",
-    "RegressionGate",
-    "RegressionReport",
-    "PerformanceHistory",
 ]

@@ -10,6 +10,7 @@ that can be built".
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -20,9 +21,17 @@ __all__ = ["CIConfig", "parse_env_line"]
 
 
 def parse_env_line(line: str) -> dict[str, str]:
-    """Parse ``"A=1 B=two"`` into an env mapping."""
+    """Parse ``'A=1 B="two words"'`` into an env mapping.
+
+    The line is split as a shell would split assignments, so a quoted
+    value may hold spaces; an unbalanced quote raises :class:`CIError`.
+    """
+    try:
+        chunks = shlex.split(str(line))
+    except ValueError as exc:
+        raise CIError(f"bad env line {line!r}: {exc}") from None
     env: dict[str, str] = {}
-    for chunk in str(line).split():
+    for chunk in chunks:
         key, sep, value = chunk.partition("=")
         if not sep or not key:
             raise CIError(f"bad env entry: {chunk!r}")

@@ -19,11 +19,12 @@ Durability contract (documented in ``docs/robustness.md``):
   trailing line.  Never a torn prefix: appends are sequential, so the
   tear is always at the tail.
 
-Readers follow one rule: a line that does not decode is crash debris
-only when it ends the file or is followed by a blank line.  The blank
-line is the *seal* a writer adds when it opens a file whose last byte
-is not a newline, so a reopen after a crash, with or without
-``popper doctor``, never glues its first record onto the fragment.
+Readers and ``popper doctor`` follow one rule, :func:`decode_jsonl`:
+a line that does not decode is crash debris only when it ends the
+file or is followed by a blank line.  The blank line is the *seal* a
+writer adds when it opens a file whose last byte is not a newline, so
+a reopen after a crash, with or without ``popper doctor``, never glues
+its first record onto the fragment.
 
 Bulk writers (journal shard merges, fuzz coverage harvests) can opt
 into :meth:`batched` mode, which additionally buffers the *writes*
@@ -47,12 +48,12 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from threading import Lock
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, AnyStr, Callable, Iterator, Sequence
 
 from repro.common.crash import active_crash_plan, crashpoint
 from repro.common.fsutil import ensure_dir
 
-__all__ = ["GroupCommitWriter", "read_jsonl"]
+__all__ = ["GroupCommitWriter", "decode_jsonl", "read_jsonl"]
 
 #: Default window bounds: whichever trips first commits the window.
 DEFAULT_MAX_EVENTS = 256
@@ -270,35 +271,50 @@ class GroupCommitWriter:
         self.close()
 
 
-def read_jsonl(path: str | os.PathLike) -> tuple[list[Any], int]:
-    """Decode a JSONL ledger; returns ``(records, torn-lines-skipped)``.
+def decode_jsonl(
+    lines: Sequence[AnyStr], source: object = ""
+) -> tuple[list[Any], list[int]]:
+    """Decode JSONL *lines* under the one debris rule.
 
-    A missing file reads as empty and blank lines are skipped.  A line
-    that does not decode is skipped with a warning and counted when it
-    ends the file or precedes a blank line; any other raises
-    :class:`ValueError`, which the ledger's owner re-raises as its own
-    error.  Records come back as decoded: their shape is the owner's
-    business.
+    Returns ``(records, debris)``.  Blank lines are skipped.  A line
+    that does not decode is crash debris when it ends the file or
+    precedes a blank line, and its index goes into ``debris``; any
+    other raises :class:`ValueError` naming *source* and the line.
+    Takes ``str`` or ``bytes`` lines, so ``popper doctor`` can apply
+    the readers' rule to bytes that may not even be valid UTF-8.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return [], 0
-    lines = text.split("\n")
     records: list[Any] = []
-    torn = 0
+    debris: list[int] = []
     for index, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             following = lines[index + 1] if index + 1 < len(lines) else ""
             if following.strip():
-                raise ValueError(f"{path}:{index + 1}: {exc}") from exc
-            warnings.warn(
-                f"{path}: skipping torn trailing line {index + 1} (crashed append)",
-                stacklevel=3,
-            )
-            torn += 1
-    return records, torn
+                raise ValueError(f"{source}:{index + 1}: {exc}") from exc
+            debris.append(index)
+    return records, debris
+
+
+def read_jsonl(path: str | os.PathLike) -> tuple[list[Any], int]:
+    """Decode a JSONL ledger; returns ``(records, torn-lines-skipped)``.
+
+    A missing file reads as empty.  Debris lines (see
+    :func:`decode_jsonl`) are skipped with a warning and counted; any
+    other undecodable line raises :class:`ValueError`, which the
+    ledger's owner re-raises as its own error.  Records come back as
+    decoded: their shape is the owner's business.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return [], 0
+    records, debris = decode_jsonl(text.split("\n"), source=path)
+    for index in debris:
+        warnings.warn(
+            f"{path}: skipping torn trailing line {index + 1} (crashed append)",
+            stacklevel=3,
+        )
+    return records, len(debris)

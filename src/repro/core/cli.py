@@ -13,7 +13,8 @@
 
     $ popper add torpor myexp
 
-Additional verbs: ``check`` (compliance), ``run`` (pipeline),
+Additional verbs: ``check`` (compliance), ``selftest`` (the
+toolchain's own scratch-repository checks), ``run`` (pipeline),
 ``trace`` / ``log`` (render or dump a run's journal), ``cache
 stats|verify|gc`` (the artifact store), ``doctor`` (crash-debris scan
 and repair), ``paper list|add|build``, ``status``.
@@ -63,6 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("name")
 
     sub.add_parser("check", help="check convention compliance")
+    sub.add_parser(
+        "selftest",
+        help="check the toolchain itself in scratch repositories: the "
+        "degradation detectors, the fuzz loop, the packed store and "
+        "the serve daemon",
+    )
 
     run = sub.add_parser("run", help="run experiment pipeline(s)")
     run.add_argument("names", nargs="*", help="experiments to run")
@@ -94,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--process-smoke",
         action="store_true",
-        help="shorthand for --backend process -j 2 (single-token "
-        "process-backend job for CI env matrices)",
+        help="shorthand for --backend process -j 2",
     )
     run.add_argument(
         "--resume",
@@ -144,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--chaos-smoke",
         action="store_true",
-        help="shorthand for --retries 3 --inject-faults flaky:run:2 "
-        "(single-token chaos job for CI env matrices)",
+        help="shorthand for --retries 3 --inject-faults flaky:run:2",
     )
     run.add_argument(
         "--inject-crash",
@@ -163,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--crash-smoke",
         action="store_true",
-        help="single-token CI job: seeded crash-injection run, popper "
-        "doctor repair, then a clean --resume re-run",
+        help="seeded crash-injection run, popper doctor repair, then "
+        "a clean --resume re-run",
     )
     run.add_argument(
         "--no-cache",
@@ -177,42 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the sweep twice against one artifact store and fail "
         "unless the warm pass is >=90%% cache hits with identical "
-        "results (single-token warm-cache job for CI env matrices)",
-    )
-    run.add_argument(
-        "--perf-smoke",
-        action="store_true",
-        help="run the degradation-detector suite over a synthetic "
-        "two-commit profile history before the sweep and fail unless "
-        "the injected slowdown is caught (single-token perf job for "
-        "CI env matrices)",
-    )
-    run.add_argument(
-        "--fuzz-smoke",
-        action="store_true",
-        help="run a seeded end-to-end scenario-fuzz check in a scratch "
-        "repository before the sweep: at least one variant must be "
-        "generated, executed and scored, and a planted known-bad "
-        "variant must be caught by the oracle and minimized to a "
-        "runnable reproducer (single-token fuzz job for CI env "
-        "matrices)",
-    )
-    run.add_argument(
-        "--store-smoke",
-        action="store_true",
-        help="run a scratch-pool packed-store check before the sweep: "
-        "ingest, repack, byte-identical reads, then an injected "
-        "pack-publish crash repaired by popper doctor (single-token "
-        "storage job for CI env matrices)",
-    )
-    run.add_argument(
-        "--serve-smoke",
-        action="store_true",
-        help="run a scratch-daemon service check before the sweep: "
-        "bring up popper serve, reject adversarial requests cleanly, "
-        "run a job cold then cache-served, kill -9 a worker mid-job "
-        "and require recovery, then drain and doctor clean "
-        "(single-token service job for CI env matrices)",
+        "results",
     )
 
     serve = sub.add_parser(
@@ -386,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED",
         help="export POPPER_SEED to every matrix job so in-process "
-        "popper runs (fault/crash plans, fuzz smoke) share one seed",
+        "popper runs (fault and crash plans) share one seed",
     )
 
     cache = sub.add_parser(
@@ -509,6 +479,37 @@ def _cmd_check(args) -> int:
     return 0 if report.compliant else 1
 
 
+#: The toolchain's self-checks as ``(module, function)``.  Each builds
+#: its own scratch repository or pool and returns a summary line.  The
+#: lookup happens when ``popper selftest`` runs, so no other command
+#: imports the fuzz, store or serve code.
+_SELF_CHECKS = (
+    ("repro.check.smoke", "perf_smoke"),
+    ("repro.fuzz", "fuzz_smoke"),
+    ("repro.store.smoke", "store_smoke"),
+    ("repro.serve", "serve_smoke"),
+)
+
+
+def _cmd_selftest(args) -> int:
+    """``popper selftest``: run every self-check; exit 1 if any failed.
+
+    A failed check is reported and the next one still runs, so one CI
+    job gives all four verdicts.  The repository is never opened.
+    """
+    import importlib
+
+    failed = False
+    for module, function in _SELF_CHECKS:
+        check = getattr(importlib.import_module(module), function)
+        try:
+            print("-- " + check())
+        except ReproError as exc:
+            print(f"-- {function} FAILED: {exc}")
+            failed = True
+    return 1 if failed else 0
+
+
 def _scheduler_for(backend: str, jobs: int):
     """Resolve ``--backend``/``-j`` into a scheduler; print any warning.
 
@@ -586,62 +587,7 @@ def _cmd_run(args) -> int:
 
     repo = PopperRepository.open(args.repo)
 
-    if args.perf_smoke:
-        # The synthetic detector check runs first (and even with no
-        # experiments registered): it validates the degradation
-        # subsystem itself, independent of this repository's content.
-        from repro.check.smoke import perf_smoke
-        from repro.common.errors import CheckError
-
-        try:
-            print("-- " + perf_smoke())
-        except CheckError as exc:
-            print(f"-- perf smoke FAILED: {exc}")
-            return 1
-
     seed = _effective_seed(args)
-    if args.fuzz_smoke:
-        # Like --perf-smoke: a scratch-repository self-check that runs
-        # before (and even without) this repository's experiments.  It
-        # proves the fuzz loop generates, executes, scores, catches a
-        # planted known-bad variant and minimizes it to a reproducer.
-        from repro.common.errors import FuzzError
-        from repro.fuzz import fuzz_smoke
-
-        try:
-            print("-- " + fuzz_smoke())
-        except FuzzError as exc:
-            print(f"-- fuzz smoke FAILED: {exc}")
-            return 1
-
-    if args.store_smoke:
-        # A scratch-pool self-check of the packed store: ingest, repack,
-        # byte-identical reads, then an injected pack-publish crash that
-        # popper doctor must repair.  Runs before (and even without)
-        # this repository's experiments.
-        from repro.common.errors import StoreError
-        from repro.store.smoke import store_smoke
-
-        try:
-            print("-- " + store_smoke())
-        except StoreError as exc:
-            print(f"-- store smoke FAILED: {exc}")
-            return 1
-
-    if args.serve_smoke:
-        # A scratch-daemon self-check of the service core: adversarial
-        # requests rejected cleanly, cold + cache-served runs, a worker
-        # killed -9 mid-job recovered, drain + doctor clean.  Runs
-        # before (and even without) this repository's experiments.
-        from repro.common.errors import ServeError
-        from repro.serve import serve_smoke
-
-        try:
-            print("-- " + serve_smoke())
-        except ServeError as exc:
-            print(f"-- serve smoke FAILED: {exc}")
-            return 1
-
     names = list(args.names)
     if args.all:
         names = repo.experiments()
@@ -867,7 +813,7 @@ def _cmd_run(args) -> int:
             install_crash_plan(previous)
 
     def crash_smoke() -> int:
-        """crash -> doctor -> resume, the single-token CI robustness job."""
+        """crash -> doctor -> resume, the CI robustness job."""
         from repro.store.doctor import diagnose, repair
 
         code = drive_with_crashes()
@@ -1376,6 +1322,7 @@ def main(argv: list[str] | None = None) -> int:
         "add": _cmd_add,
         "rm": _cmd_rm,
         "check": _cmd_check,
+        "selftest": _cmd_selftest,
         "run": _cmd_run,
         "serve": _cmd_serve,
         "fuzz": _cmd_fuzz,

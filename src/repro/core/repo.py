@@ -62,49 +62,25 @@ PAPER_TEMPLATES: dict[str, dict[str, str]] = {
 
 DEFAULT_TRAVIS = """\
 # Integrity checks for this Popper repository (category-1 validation).
-# The matrix runs nine jobs: a re-validation of stored results, a
-# chaos smoke job that re-executes every pipeline under injected
-# transient faults with retries enabled (the resilience layer's own
-# integrity check), a warm-cache job that runs the sweep twice against
-# one artifact store and fails unless the second pass is served
-# (almost) entirely from cache with identical results, a crash smoke
-# job that kills a seeded sweep mid-write, repairs the debris with
-# popper doctor and requires a clean --resume (the crash-consistency
-# layer's own integrity check), a process-backend job that runs
-# the sweep on worker processes (--backend process -j 2) so the
-# multi-core execution path is exercised on every build, and a perf
-# smoke job that drives the degradation-detector suite over a
-# synthetic two-commit profile history and fails unless the injected
-# slowdown is caught (the regression layer's own integrity check),
-# and a fuzz smoke job that runs a fixed-seed scenario-fuzz campaign
-# in a scratch repository and fails unless a planted known-bad
-# variant is caught by the oracle and minimized to a runnable
-# reproducer (the fuzzing layer's own integrity check), and a store
-# smoke job that packs a scratch object pool, demands byte-identical
-# reads, and repairs an injected pack-publish crash with popper doctor
-# (the storage layer's own integrity check), and a serve smoke job
-# that brings up the popper serve daemon against a scratch repository,
-# rejects adversarial requests cleanly, runs a job cold then from
-# cache, kills a worker -9 mid-job and requires the job to recover,
-# then drains gracefully (the service layer's own integrity check).
-# Env values must be single tokens (the CI env parser splits on
-# whitespace), hence the --chaos-smoke / --cache-check /
-# --crash-smoke / --process-smoke / --perf-smoke / --fuzz-smoke /
-# --store-smoke / --serve-smoke shorthands.
+# Five jobs run the experiment sweep in one mode each: re-validate the
+# stored results; re-execute under injected transient faults with
+# retries; run twice against one artifact store and require a warm,
+# identical second pass; crash mid-write, repair with popper doctor
+# and resume clean; run on worker processes.  The sixth job, popper
+# selftest, checks the toolchain itself in scratch repositories: the
+# degradation detectors, the fuzz loop, the packed store and the
+# serve daemon.
 language: generic
 env:
-  - POPPER_RUN_MODE=--validate-only
-  - POPPER_RUN_MODE=--chaos-smoke
-  - POPPER_RUN_MODE=--cache-check
-  - POPPER_RUN_MODE=--crash-smoke
-  - POPPER_RUN_MODE=--process-smoke
-  - POPPER_RUN_MODE=--perf-smoke
-  - POPPER_RUN_MODE=--fuzz-smoke
-  - POPPER_RUN_MODE=--store-smoke
-  - POPPER_RUN_MODE=--serve-smoke
+  - POPPER_JOB="run --all --validate-only"
+  - POPPER_JOB="run --all --chaos-smoke"
+  - POPPER_JOB="run --all --cache-check"
+  - POPPER_JOB="run --all --crash-smoke"
+  - POPPER_JOB="run --all --process-smoke"
+  - POPPER_JOB=selftest
 script:
   - popper check
-  - popper run --all ${POPPER_RUN_MODE}
+  - popper ${POPPER_JOB}
 """
 
 

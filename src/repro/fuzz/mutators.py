@@ -107,11 +107,13 @@ _GARBLED_SPECS = (
     "fail:run:1", "delay:run:-1", "rate:run:inf", ":::", "at",
 )
 
-#: Travis env lines: well-formed single tokens and deliberately odd ones.
+#: Travis env lines: well-formed ones, quoted values included, and
+#: deliberately odd ones (an empty value, no ``=``, an unbalanced quote).
 _TRAVIS_ENV_LINES = (
-    "POPPER_RUN_MODE=--chaos-smoke", "POPPER_RUN_MODE=--cache-check",
-    "POPPER_RUN_MODE=", "EXTRA=1 POPPER_RUN_MODE=--chaos-smoke",
-    "NOVALUE",
+    "POPPER_JOB=selftest", 'POPPER_JOB="run --all --chaos-smoke"',
+    'POPPER_JOB="run --all --cache-check"', "POPPER_JOB=",
+    'EXTRA=1 POPPER_JOB="run --all --chaos-smoke"', "NOVALUE",
+    'POPPER_JOB="run --all',
 )
 
 _HOST_COUNTS = (0, 1, 2, 3, 5, 8)

@@ -1,7 +1,7 @@
-"""The ``--fuzz-smoke`` self-check: prove the fuzz loop finds and shrinks.
+"""The fuzz self-check: prove the fuzz loop finds and shrinks.
 
-CI jobs run ``popper run --all --fuzz-smoke`` to exercise the whole
-fuzzing path end-to-end in seconds, in a scratch repository:
+``popper selftest`` runs it to exercise the whole fuzzing path
+end-to-end in seconds, in a scratch repository:
 
 1. a tiny seeded campaign (fixed seed, a few iterations) must generate,
    execute and score at least one variant and grow the coverage map;
@@ -12,8 +12,8 @@ fuzzing path end-to-end in seconds, in a scratch repository:
    exactly the guilty mutation, and the stored reproducer must re-run
    from its corpus directory and fail the same way.
 
-Like ``--chaos-smoke`` / ``--crash-smoke`` / ``--perf-smoke``, this
-turns "the fuzzer imports" into "the fuzzer catches a planted bug".
+Like the other self-checks, this turns "the fuzzer imports" into
+"the fuzzer catches a planted bug".
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ without weakening any of its durability contracts:
   scheduler wiring queue, pool, artifact cache and API together;
 * :mod:`repro.serve.api` — the local HTTP/JSON surface with a clean
   4xx contract for everything the fuzz grammar throws at it;
-* :mod:`repro.serve.smoke` — the ``--serve-smoke`` CI self-check:
+* :mod:`repro.serve.smoke` — the ``popper selftest`` serve check:
   submit, cache-serve, ``kill -9`` a worker mid-job, recover, drain.
 
 Design notes and the recovery walk-throughs live in ``docs/serve.md``.

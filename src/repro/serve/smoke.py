@@ -1,7 +1,7 @@
-"""The ``--serve-smoke`` self-check: prove the service core recovers.
+"""The serve self-check: prove the service core recovers.
 
-CI jobs run ``popper run --all --serve-smoke`` to exercise the daemon
-end-to-end in a scratch repository, in seconds:
+``popper selftest`` runs it to exercise the daemon end-to-end in a
+scratch repository, in seconds:
 
 1. bring up a one-worker :class:`~repro.serve.PopperServer` with its
    HTTP API live; ``/healthz`` must answer;

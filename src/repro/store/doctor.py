@@ -10,9 +10,9 @@ debris                    produced by                               repair
 stale lock metadata       holder died while holding a RepoLock      truncate the lock file
 orphan temp file          crash between mkstemp and os.replace      unlink (content is elsewhere
                                                                     or will be re-produced)
-torn JSONL tail           crash mid-append to a journal/run-state   truncate to the last complete
-                                                                    line (the interrupted task has
-                                                                    no record and simply re-runs)
+torn JSONL line           crash mid-append to a journal/run-state   drop each line readers skip as
+                          (a resumed writer seals it off and        debris (the interrupted task
+                          appends after it)                         has no record and re-runs)
 partial index record      crash mid-publish of an artifact record   unlink (equivalent to a miss)
 dangling index record     record published, objects swept/lost      unlink (lookup treats it as a
                                                                     miss anyway; doctor tidies)
@@ -62,6 +62,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.groupcommit import decode_jsonl
 from repro.common.locking import LockInfo
 from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
 
@@ -130,33 +131,25 @@ def _in_opaque_dir(path: Path, root: Path) -> bool:
     return bool(_OPAQUE_DIRS & set(path.relative_to(root).parts[:-1]))
 
 
-def _jsonl_repaired(raw: bytes) -> bytes | None:
-    """The content a torn JSONL file should be truncated to, or ``None``
-    when the tail is healthy.
+def _ledger_repaired(raw: bytes) -> bytes | None:
+    """*raw* without its debris lines, or ``None`` when it has none.
 
-    A crashed append leaves dangling bytes after the last newline (a
-    single flushed write can only be cut short, never split across
-    lines); a newline-terminated final line that fails to parse is also
-    treated as torn for robustness.
+    Debris is what :func:`~repro.common.groupcommit.decode_jsonl` says
+    it is, so doctor finds exactly the lines every reader skips.  A
+    whole last record that lost only its newline is completed, not
+    dropped.  Damage that is not debris raises in readers, which name
+    the ledger; doctor leaves it alone.
     """
-    cut = raw.rfind(b"\n")
-    tail = raw[cut + 1 :]
-    if tail.strip():
-        try:
-            json.loads(tail)
-        except (json.JSONDecodeError, ValueError):
-            return raw[: cut + 1]
-        # The record landed whole, only its terminator is missing (the
-        # write was cut exactly before the newline): keep it.
-        return raw + b"\n"
-    if cut >= 0:
-        head, _, last = raw[:cut].rpartition(b"\n")
-        if last.strip():
-            try:
-                json.loads(last)
-            except (json.JSONDecodeError, ValueError):
-                return raw[: len(head) + 1] if head else b""
-    return None
+    lines = raw.split(b"\n")
+    try:
+        _, debris = decode_jsonl(lines)
+    except ValueError:
+        return None
+    if not debris:
+        return raw + b"\n" if lines[-1].strip() else None
+    dropped = set(debris)
+    kept = b"\n".join(line for i, line in enumerate(lines) if i not in dropped)
+    return kept + b"\n" if kept and not kept.endswith(b"\n") else kept
 
 
 def _iter_meta_files(root: Path):
@@ -238,7 +231,7 @@ def _scan_temps(root: Path, findings: list[Finding], tmp_age_s: float) -> None:
 
 
 def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
-    """Journals / run-state files with a torn trailing line."""
+    """Journals / run-state files holding crash debris."""
     for path in sorted(root.rglob("*.jsonl")):
         if not path.is_file() or _in_opaque_dir(path, root):
             continue
@@ -248,14 +241,14 @@ def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
             continue
         if not raw:
             continue
-        repaired = _jsonl_repaired(raw)
+        repaired = _ledger_repaired(raw)
         if repaired is not None:
             findings.append(
                 Finding(
                     kind="torn-jsonl",
                     path=path,
-                    detail=f"torn tail: {len(raw)} -> {len(repaired)} bytes",
-                    action="rewrite tail",
+                    detail=f"crash debris: {len(raw)} -> {len(repaired)} bytes",
+                    action="rewrite without debris",
                 )
             )
 
@@ -552,7 +545,7 @@ def repair(report: DoctorReport) -> DoctorReport:
                 finding.path.unlink(missing_ok=True)
             elif finding.kind == "torn-jsonl":
                 raw = finding.path.read_bytes()
-                repaired_bytes = _jsonl_repaired(raw)
+                repaired_bytes = _ledger_repaired(raw)
                 if repaired_bytes is not None:
                     finding.path.write_bytes(repaired_bytes)
             elif finding.kind in ("stale-fuzz-sandbox", "partial-corpus-entry"):

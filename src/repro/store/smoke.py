@@ -1,7 +1,7 @@
-"""The ``--store-smoke`` self-check: prove the storage hot path works.
+"""The store self-check: prove the storage hot path works.
 
-CI jobs run ``popper run --all --store-smoke`` to exercise the packed
-content-addressed store end-to-end in a scratch pool, in seconds:
+``popper selftest`` runs it to exercise the packed content-addressed
+store end-to-end in a scratch pool, in seconds:
 
 1. ingest a spread of small objects — exact duplicates (dedup), near
    duplicates (delta fodder) and unique blobs;
@@ -11,7 +11,7 @@ content-addressed store end-to-end in a scratch pool, in seconds:
    index never written), run the doctor, and demand the rebuilt pool
    still serves every object byte for byte.
 
-Like the other smoke modes it turns "the subsystem imports" into "the
+Like the other self-checks it turns "the subsystem imports" into "the
 subsystem survives the failure it was designed for".
 """
 

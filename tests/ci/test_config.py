@@ -17,6 +17,13 @@ class TestParseEnvLine:
         with pytest.raises(CIError):
             parse_env_line("JUSTAKEY")
 
+    def test_quoted_value_keeps_its_spaces(self):
+        assert parse_env_line('A="x y" B=1') == {"A": "x y", "B": "1"}
+
+    def test_unbalanced_quote_is_a_ci_error(self):
+        with pytest.raises(CIError):
+            parse_env_line('A="x')
+
 
 class TestCIConfig:
     def test_minimal(self):

@@ -5,7 +5,7 @@ two campaigns from identical seeds produce the same corpus, the same
 coverage map and byte-identical minimized reproducers.  Also covered:
 the CLI verb itself, ``--seed`` unification across ``run``/``ci``/
 ``fuzz``, ``popper trace --fuzz``, and the default CI matrix carrying
-the ``--fuzz-smoke`` job.
+the ``selftest`` job that runs the fuzz smoke.
 """
 
 import filecmp
@@ -122,6 +122,6 @@ class TestCLI:
 
 def test_default_matrix_includes_fuzz_smoke():
     config = CIConfig.from_yaml(DEFAULT_TRAVIS)
-    modes = [env.get("POPPER_RUN_MODE") for env in config.expand_matrix()]
-    assert "--fuzz-smoke" in modes
-    assert len(modes) == 9
+    jobs = [env.get("POPPER_JOB") for env in config.expand_matrix()]
+    assert "selftest" in jobs
+    assert len(jobs) == 6

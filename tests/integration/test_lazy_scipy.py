@@ -4,7 +4,9 @@ scipy costs about a second per fresh process and only the detectors'
 verdicts and the statistical comparisons use it, so it is imported at
 those call sites.  ``multiprocessing`` is imported only when a worker
 pool starts (``repro.engine.pool``), though every ``popper`` start
-imports the pool module.  A warm sweep asks for neither.
+imports the pool module.  A warm sweep asks for neither, nor for the
+fuzz, serve or store self-check code that only ``popper selftest``
+runs.
 """
 
 import os
@@ -24,6 +26,8 @@ WARM_SWEEP = (
     "lazy = ('scipy', 'multiprocessing')\n"
     "loaded = sorted(m for m in sys.modules if m.split('.')[0] in lazy)\n"
     "print('lazy modules:', loaded)\n"
+    "checks = ('repro.fuzz', 'repro.serve', 'repro.store.smoke')\n"
+    "print('self-check modules:', [m for m in checks if m in sys.modules])\n"
     "sys.exit(code)\n"
 )
 
@@ -48,3 +52,4 @@ def test_warm_sweep_in_a_fresh_interpreter_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "(cached)" in proc.stdout
     assert "lazy modules: []" in proc.stdout, proc.stdout
+    assert "self-check modules: []" in proc.stdout, proc.stdout

@@ -153,10 +153,10 @@ def test_process_smoke_is_process_backend_with_two_jobs(tmp_path, capsys):
 
 def test_default_ci_matrix_includes_a_process_backend_job():
     config = CIConfig.from_yaml(DEFAULT_TRAVIS)
-    modes = [env.get("POPPER_RUN_MODE") for env in config.expand_matrix()]
-    assert "--process-smoke" in modes
-    assert "--perf-smoke" in modes
-    assert len(modes) == 9
+    jobs = [env.get("POPPER_JOB") for env in config.expand_matrix()]
+    assert "run --all --process-smoke" in jobs
+    assert "selftest" in jobs
+    assert len(jobs) == 6
 
 
 #: Child harness: slow down one torpor run *inside a worker process* so

@@ -3,15 +3,15 @@
 The paper argues experiments should be continuously re-executed and
 their performance gated statistically.  Here a GassyFS configuration
 change (shrinking the block size 16x, multiplying per-block message
-overhead) plays the role of a bad commit; the regression gate must flag
+overhead) plays the role of a bad commit; the detector suite must flag
 it while waving identical-config commits through.
 """
 
 import pytest
 
+from repro.check import DetectorSuite, Profile, ProfileHistory, default_suite
 from repro.common.fsutil import write_text
 from repro.common.rng import SeedSequenceFactory
-from repro.ci.regression import PerformanceHistory, RegressionGate
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.repo import PopperRepository
 from repro.gassyfs.experiment import ScalabilityConfig, run_point
@@ -41,25 +41,19 @@ def _samples(block_size: int, seeds: list[int], nodes: int = 4) -> list[float]:
 
 
 class TestRegressionOverCommits:
-    def test_config_regression_flagged(self):
-        history = PerformanceHistory(
-            metric="gassyfs.git-compile.4nodes",
-            gate=RegressionGate(threshold=0.05, alpha=0.05),
-        )
+    def test_config_regression_flagged(self, tmp_path):
+        metric = "gassyfs.git-compile.4nodes"
+        history = ProfileHistory(tmp_path)
         for i, seed in enumerate(((11, 12, 13, 14), (21, 22, 23, 24))):
-            history.record(f"good-{i}", _samples(1 << 20, list(seed)))
-        same = history.judge("same-config", _samples(1 << 20, [31, 32, 33, 34]))
-        assert not same.regressed
-        bad = history.judge("tiny-blocks", _samples(1 << 12, [41, 42, 43, 44]))
-        assert bad.regressed
-        assert bad.ratio > 1.05
-
-    def test_healthy_commit_joins_baseline(self):
-        history = PerformanceHistory(window=2)
-        history.record("c0", _samples(1 << 20, [1, 2, 3]))
-        before = history.baseline.size
-        history.judge("c1", _samples(1 << 20, [4, 5, 6]))
-        assert history.baseline.size > before
+            history.attach(
+                Profile(f"good-{i}", {metric: _samples(1 << 20, list(seed))})
+            )
+        baseline = history.baseline_for(["good-0", "good-1"]).series[metric]
+        suite = default_suite()
+        same = suite.compare_samples(baseline, _samples(1 << 20, [31, 32, 33, 34]))
+        assert not DetectorSuite.regressed(same)
+        bad = suite.compare_samples(baseline, _samples(1 << 12, [41, 42, 43, 44]))
+        assert DetectorSuite.regressed(bad)
 
 
 class TestPipelineDeterminismAcrossRuns:

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.check.smoke
+import repro.fuzz
+import repro.store.smoke
 from repro.core.cli import main
 from repro.serve import QUEUE_DIR, JobQueue
 
@@ -25,8 +28,12 @@ def repo_dir(tmp_path):
 
 
 class TestServeSmoke:
-    def test_serve_smoke_cli(self, repo_dir, capsys):
-        assert main(["-C", str(repo_dir), "run", "--all", "--serve-smoke"]) == 0
+    def test_serve_smoke_cli(self, monkeypatch, capsys):
+        # The other self-checks are stubbed so only the serve one runs.
+        monkeypatch.setattr(repro.check.smoke, "perf_smoke", lambda: "perf stub")
+        monkeypatch.setattr(repro.fuzz, "fuzz_smoke", lambda: "fuzz stub")
+        monkeypatch.setattr(repro.store.smoke, "store_smoke", lambda: "store stub")
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "serve smoke ok" in out
         assert "kill -9 recovered" in out
@@ -36,8 +43,8 @@ class TestServeSmoke:
         from repro.core.repo import DEFAULT_TRAVIS
 
         config = CIConfig.from_yaml(DEFAULT_TRAVIS)
-        modes = [env.get("POPPER_RUN_MODE") for env in config.expand_matrix()]
-        assert "--serve-smoke" in modes
+        jobs = [env.get("POPPER_JOB") for env in config.expand_matrix()]
+        assert "selftest" in jobs
 
 
 class TestTraceServe:

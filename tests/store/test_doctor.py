@@ -153,6 +153,21 @@ class TestTornJsonl:
         repair(diagnose(root))
         assert path.read_bytes() == b""
 
+    def test_sealed_fragment_found_and_dropped(self, root):
+        """A resume without doctor seals the fragment off and appends
+        after it: doctor must find what every reader skips."""
+        from repro.common.groupcommit import GroupCommitWriter, read_jsonl
+
+        path = root / ".pvcs" / "sweep-state.jsonl"
+        path.write_text('{"a": 1}\n{"b": ')
+        with GroupCommitWriter(path) as writer:
+            writer.append('{"c": 3}')
+        report = diagnose(root, tmp_age_s=0)
+        assert kinds(report) == ["torn-jsonl"]
+        repair(report)
+        assert read_jsonl(path) == ([{"a": 1}, {"c": 3}], 0)
+        assert diagnose(root, tmp_age_s=0).clean
+
     def test_object_pool_contents_never_parsed(self, root):
         """Payloads under objects/ are opaque; a stored .jsonl artifact
         must never be 'repaired' by the doctor."""

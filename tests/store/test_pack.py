@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+import repro.check.smoke
+import repro.fuzz
+import repro.serve
 from repro.common.crash import CrashPlan, SimulatedCrash, install_crash_plan
 from repro.common.hashing import sha256_bytes
 from repro.core.cli import main
@@ -281,8 +284,12 @@ class TestCliSurface:
         assert "dedup ratio incl. pack deltas" in out
         assert main(["-C", str(repo_dir), "cache", "verify"]) == 0
 
-    def test_store_smoke_cli(self, repo_dir, capsys):
-        assert main(["-C", str(repo_dir), "run", "--all", "--store-smoke"]) == 0
+    def test_store_smoke_cli(self, monkeypatch, capsys):
+        # The other self-checks are stubbed so only the store one runs.
+        monkeypatch.setattr(repro.check.smoke, "perf_smoke", lambda: "perf stub")
+        monkeypatch.setattr(repro.fuzz, "fuzz_smoke", lambda: "fuzz stub")
+        monkeypatch.setattr(repro.serve, "serve_smoke", lambda: "serve stub")
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "store smoke:" in out
         assert "publish crash repaired" in out
@@ -292,6 +299,6 @@ class TestCliSurface:
         from repro.core.repo import DEFAULT_TRAVIS
 
         config = CIConfig.from_yaml(DEFAULT_TRAVIS)
-        modes = [env.get("POPPER_RUN_MODE") for env in config.expand_matrix()]
-        assert "--store-smoke" in modes
-        assert len(modes) == 9
+        jobs = [env.get("POPPER_JOB") for env in config.expand_matrix()]
+        assert "selftest" in jobs
+        assert len(jobs) == 6
