@@ -178,7 +178,6 @@ class CIServer:
         workspace_root: Path | None = None,
         journal_root: Path | None = None,
         jobs: int = 1,
-        backend: str = "auto",
     ) -> None:
         self.repo = repo
         self.executor = executor if executor is not None else ContainerExecutor()
@@ -186,11 +185,6 @@ class CIServer:
         self.workspace_root = workspace_root or (repo.root / ".pvcs" / "ci-workspaces")
         self.journal_root = journal_root or (repo.root / ".pvcs" / "ci-journals")
         self.jobs = max(1, int(jobs))
-        # Scheduler backend for the job graph.  The matrix-job payloads
-        # close over the live server, so ``process`` audits them as
-        # unpicklable and demotes itself to threaded — the option exists
-        # so experiments *inside* a job can still be told to use it.
-        self.backend = backend
         self.history: list[BuildRecord] = []
 
     def journal_path(self, number: int) -> Path:
@@ -286,7 +280,7 @@ class CIServer:
                 ),
                 restore=job_restore(env),
             )
-        scheduler, _, _ = resolve_backend(self.backend, self.jobs)
+        scheduler, _, _ = resolve_backend("auto", self.jobs)
         try:
             with RunStateStore(self.state_path, resume=resume) as store:
                 options = RunOptions(run_state=store)

@@ -16,11 +16,6 @@ storage stack calls :func:`crashpoint` with a dotted site name::
     journal.append.window   same, for the run journal's writer
     fuzz.coverage.window / fuzz.coverage.torn  the coverage map's writer
     fuzz.corpus.window / fuzz.corpus.torn      the corpus index's writer
-    queue.claim             job lease marker durable, journal record
-                            not yet appended (the job stays claimable)
-    queue.publish           job result file durable, journal record not
-                            yet appended (the lease expires and the job
-                            re-runs — idempotent through the cache)
     queue.append.window / queue.append.torn    the serve queue journal's
                             group-commit writer
     profiles.attach.window / profiles.attach.torn  a run's line in its

@@ -85,15 +85,12 @@ class PopperExecutor:
         )
 
 
-def make_ci_server(popper_repo, jobs: int = 1, backend: str = "auto") -> "CIServer":
+def make_ci_server(popper_repo, jobs: int = 1) -> "CIServer":
     """A CI server for a Popper repository with the integrated executor.
 
     *jobs* bounds how many matrix jobs run concurrently (``popper ci
-    -j``); *backend* picks the scheduler for the job graph (``popper ci
-    --backend``).
+    -j``).
     """
     from repro.ci.runner import CIServer
 
-    return CIServer(
-        popper_repo.vcs, executor=PopperExecutor(), jobs=jobs, backend=backend
-    )
+    return CIServer(popper_repo.vcs, executor=PopperExecutor(), jobs=jobs)

@@ -338,14 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run up to N matrix jobs concurrently (default 1)",
     )
     ci.add_argument(
-        "--backend",
-        choices=("auto", "serial", "threaded", "process"),
-        default="auto",
-        help="scheduler backend for the matrix jobs (the CI executor "
-        "runs popper in-process, so process demotes itself to threaded "
-        "for the job graph; experiments inside a job may still use it)",
-    )
-    ci.add_argument(
         "--resume",
         action="store_true",
         help="skip matrix jobs already green for the same commit and env",
@@ -1092,7 +1084,7 @@ def _cmd_ci(args) -> int:
     from repro.core.ci_integration import make_ci_server
 
     repo = PopperRepository.open(args.repo)
-    server = make_ci_server(repo, jobs=args.jobs, backend=args.backend)
+    server = make_ci_server(repo, jobs=args.jobs)
     # Matrix jobs run `popper run ...` in-process; exporting POPPER_SEED
     # is how one `--seed` reaches every job's fault/crash/fuzz surfaces.
     previous = os.environ.get("POPPER_SEED")

@@ -90,12 +90,15 @@ _FAULT_CLAUSES = (
     "rate:{t}:1", "rate:{t}:0",
 )
 
-#: The wired crashpoints plus globs over them.
+#: The crash points one variant's pipeline run consults (the run crash
+#: points of the crash -> doctor -> resume matrix) plus globs over them.
 _CRASH_TARGETS = (
-    "cas.ingest.tmp", "cas.ingest.publish", "index.record", "refs.update",
-    "runstate.append.torn", "journal.append.torn", "fsutil.atomic_write.tmp",
-    "fsutil.atomic_write.rename", "queue.claim", "queue.publish",
-    "cas.*", "queue.*", "*.torn", "fsutil.*", "*",
+    "cas.ingest.tmp", "cas.ingest.publish", "index.record",
+    "runstate.append.torn", "journal.append.torn", "runstate.append.window",
+    "journal.append.window", "fsutil.atomic_write.tmp",
+    "fsutil.atomic_write.rename", "profiles.attach.torn",
+    "profiles.index.torn", "profiles.attach.window", "profiles.index.window",
+    "cas.*", "profiles.*", "*.torn", "*.window", "fsutil.*", "*",
 )
 _CRASH_CLAUSES = ("at:{t}:1", "at:{t}:2", "at:{t}:3", "rate:{t}:0.5",
                   "rate:{t}:1")

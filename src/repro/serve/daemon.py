@@ -24,9 +24,9 @@ output set and record meta of :mod:`repro.core.sweep` — so
   by a plain ``popper run`` — is served from cache at admission,
   bypassing the queue bound entirely (saturation degrades to
   cache-only service, not an outage);
-* a job re-leased after a crash between result-publish steps
-  (``queue.publish``) short-circuits at dispatch, making the re-run
-  idempotent and byte-identical;
+* a job whose ``job_done`` record a crash lost is re-leased and
+  short-circuits at dispatch, making the re-run idempotent and
+  byte-identical;
 * results produced under ``popper serve`` are visible to later
   ``popper run`` invocations, and vice versa.
 
@@ -130,7 +130,7 @@ class PopperServer:
                 meta=record_meta,
             )
         except Exception:
-            pass  # cache filing is best-effort; the result file is truth
+            pass  # cache filing is best-effort; the queue journal is truth
 
     # -- admission ---------------------------------------------------------------
     def submit(self, experiment: str, tenant: str = "default") -> QueuedJob:
@@ -184,8 +184,8 @@ class PopperServer:
             return 0  # duplicate delivery after a re-lease; already settled
         if record.get("ok"):
             meta = dict(record.get("meta") or {})
-            # File into the pool *before* journalling done: a crash at
-            # queue.publish then re-runs this job as a cache hit.
+            # File into the pool *before* journalling done: a job whose
+            # job_done record a crash lost then re-runs as a cache hit.
             self._file_into_cache(job.experiment, meta)
             self.queue.complete(
                 job_id,
@@ -218,8 +218,8 @@ class PopperServer:
             job = self.queue.claim()
             if job is None:
                 return
-            # Dispatch-time cache short-circuit: a job re-leased after a
-            # queue.publish crash finds the outputs its first run pooled.
+            # Dispatch-time cache short-circuit: a job whose job_done
+            # record a crash lost finds the outputs its first run pooled.
             cached_meta = self._try_cache(job.experiment)
             if cached_meta is not None:
                 self.queue.complete(job.id, meta=cached_meta, cached=True)

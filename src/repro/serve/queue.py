@@ -14,24 +14,15 @@ a :class:`JobQueue` replays that journal to rebuild the state machine::
                                 │    bounded attempt budget)
                                 └──> dead   (budget exhausted)
 
-Crash-safe publish ordering (the two ``queue.*`` crashpoints):
-
-* **claim** — the lease marker (``leases/<job>.json``, fsynced atomic
-  write naming the holder pid and deadline) lands *before* the
-  ``job_leased`` journal record.  A crash between the two
-  (``queue.claim``) leaves a marker for a job the journal still calls
-  queued: recovery trusts the journal and re-leases; the orphan marker
-  is stale debris ``popper doctor`` unlinks (dead holder pid).
-* **complete** — the result file (``results/<job>.json``) lands durably
-  *before* the ``job_done`` record.  A crash between (``queue.publish``)
-  leaves a result for a job the journal still calls leased: the lease
-  expires, the job re-runs — idempotently, because the worker's outputs
-  were already filed in the artifact cache — and the atomic result
-  rewrite is byte-identical.
-
-In both orderings the journal is the single source of truth and every
-side file is reconstructible, which is what makes the recovery story a
-table lookup instead of a heuristic.
+The journal is the queue's only state on disk: a lease, a heartbeat, a
+result and a dead letter are each one journal record, and nothing else
+under ``.pvcs/queue/`` is written or read.  The one ordering that
+matters lives in the daemon, which files a job's outputs into the
+artifact cache *before* :meth:`JobQueue.complete` journals ``job_done``
+— a job whose ``job_done`` record a crash lost then re-runs as a cache
+hit, idempotently and byte-identically.  The journal's own append is
+covered by the ``queue.append.window`` / ``queue.append.torn`` crash
+points.
 
 Admission control: ``submit`` raises
 :class:`~repro.common.errors.QueueFullError` once ``queued + leased``
@@ -47,22 +38,18 @@ share a directory).
 
 from __future__ import annotations
 
-import json
-import os
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.common.crash import crashpoint
 from repro.common.errors import (
     QueueFullError,
     ServeError,
     UnknownJobError,
 )
-from repro.common.fsutil import atomic_write, ensure_dir
+from repro.common.fsutil import ensure_dir
 from repro.engine.resilience import RetryPolicy
 from repro.monitor.journal import RunJournal, load_journal
 
@@ -125,7 +112,7 @@ class QueuedJob:
 
 
 class JobQueue:
-    """Durable job queue: journal-backed state, lease files, backoff.
+    """Durable job queue: journal-backed state, leases, backoff.
 
     Thread-safe: the HTTP handler threads submit and query while the
     daemon's scheduler thread claims, heartbeats and completes.
@@ -145,8 +132,6 @@ class JobQueue:
         if lease_s <= 0:
             raise ServeError(f"lease_s must be positive, got {lease_s}")
         self.root = ensure_dir(root)
-        self.leases_dir = ensure_dir(self.root / "leases")
-        self.results_dir = ensure_dir(self.root / "results")
         self.max_depth = int(max_depth)
         self.lease_s = float(lease_s)
         self.retry = retry or REQUEUE_POLICY
@@ -166,13 +151,11 @@ class JobQueue:
         )
         # Jobs the previous daemon held leases on are re-admitted under
         # the normal requeue budget (journalled, so the recovery itself
-        # is crash-safe), and their now-meaningless lease markers drop.
+        # is crash-safe).
         with self._lock:
             for job in sorted(self.jobs.values(), key=lambda j: j.id):
                 if job.state == "leased":
                     self._requeue_locked(job, reason="recovered")
-                elif job.state in ("done", "dead"):
-                    self._lease_path(job.id).unlink(missing_ok=True)
 
     # -- recovery ----------------------------------------------------------------
     def _recover_state(self) -> int:
@@ -238,13 +221,6 @@ class JobQueue:
             job.deadline = None
             job.error = str(event.get("error", job.error))
 
-    # -- paths -------------------------------------------------------------------
-    def _lease_path(self, job_id: str) -> Path:
-        return self.leases_dir / f"{job_id}.json"
-
-    def _result_path(self, job_id: str) -> Path:
-        return self.results_dir / f"{job_id}.json"
-
     # -- admission ---------------------------------------------------------------
     def depth(self) -> int:
         """Jobs occupying the queue: queued + leased."""
@@ -262,7 +238,7 @@ class JobQueue:
         """Admit one job (or shed it when the queue is at its bound).
 
         With ``cached_meta`` the submission is cache-served: the job is
-        journalled straight to ``done`` (result file included) without
+        journalled straight to ``done`` without
         consuming a queue slot — the saturation-degradation path.
         """
         with self._lock:
@@ -327,25 +303,6 @@ class JobQueue:
             job.state = "leased"
             job.attempts += 1
             job.deadline = now + self.lease_s
-            # Publish ordering: lease marker first (durable), then the
-            # journal record.  See the module docstring for why a crash
-            # between the two (queue.claim) is recoverable.
-            atomic_write(
-                self._lease_path(job.id),
-                json.dumps(
-                    {
-                        "job": job.id,
-                        "experiment": job.experiment,
-                        "pid": os.getpid(),
-                        "host": socket.gethostname(),
-                        "attempt": job.attempts,
-                        "deadline": job.deadline,
-                    },
-                    sort_keys=True,
-                ).encode("utf-8"),
-                durable=True,
-            )
-            crashpoint("queue.claim")
             self._journal.event(
                 "job_leased",
                 job=job.id,
@@ -361,21 +318,6 @@ class JobQueue:
             if job.state != "leased":
                 return
             job.deadline = self._clock() + self.lease_s
-            atomic_write(
-                self._lease_path(job.id),
-                json.dumps(
-                    {
-                        "job": job.id,
-                        "experiment": job.experiment,
-                        "pid": os.getpid(),
-                        "host": socket.gethostname(),
-                        "attempt": job.attempts,
-                        "deadline": job.deadline,
-                    },
-                    sort_keys=True,
-                ).encode("utf-8"),
-                durable=False,
-            )
             self._journal.event(
                 "job_heartbeat", job=job.id, deadline=job.deadline
             )
@@ -418,24 +360,6 @@ class JobQueue:
     def _publish_locked(
         self, job: QueuedJob, meta: dict, seconds: float, cached: bool
     ) -> None:
-        # Publish ordering: result file first (durable), then the
-        # journal record.  A crash between the two (queue.publish)
-        # re-runs the job idempotently; see the module docstring.
-        atomic_write(
-            self._result_path(job.id),
-            json.dumps(
-                {
-                    "job": job.id,
-                    "experiment": job.experiment,
-                    "cached": cached,
-                    "seconds": seconds,
-                    "meta": meta,
-                },
-                sort_keys=True,
-            ).encode("utf-8"),
-            durable=True,
-        )
-        crashpoint("queue.publish")
         self._journal.event(
             "job_done", job=job.id, cached=cached, seconds=seconds, **meta
         )
@@ -444,7 +368,6 @@ class JobQueue:
         job.cached = cached
         job.seconds = seconds
         job.meta = meta
-        self._lease_path(job.id).unlink(missing_ok=True)
 
     def fail(self, job_id: str, error: str) -> QueuedJob:
         """Report a leased job's attempt failed; requeue or dead-letter."""
@@ -460,7 +383,6 @@ class JobQueue:
             return job
 
     def _requeue_locked(self, job: QueuedJob, reason: str) -> None:
-        self._lease_path(job.id).unlink(missing_ok=True)
         if job.attempts >= self.retry.max_attempts:
             job.state = "dead"
             job.deadline = None

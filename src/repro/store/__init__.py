@@ -14,9 +14,10 @@ memoization cache:
 * :mod:`~repro.store.pack` — packfiles: many small cold objects folded
   into one indexed, checksummed, optionally delta-compressed file
   (``objects/pack/``; see ``popper cache repack``);
-* :mod:`~repro.store.doctor` — the crash-recovery scanner behind
-  ``popper doctor`` (stale locks, orphan temps, torn JSONL tails,
-  partial index records, crashed repacks).
+* :mod:`~repro.store.doctor` — the crash-recovery walk behind
+  ``popper doctor``: one rule per write primitive (ledger, temp file,
+  lock, pack, record, scratch tree).  Not re-exported here, so only
+  the commands that repair pay for importing it.
 
 See ``docs/caching.md`` for the on-disk layout, the gc policy and the
 pack format, and ``docs/robustness.md`` for the crash-consistency
@@ -30,7 +31,6 @@ from repro.store.artifacts import (
     VerifyReport,
 )
 from repro.store.cas import ContentStore, IngestResult, RepackReport
-from repro.store.doctor import DoctorReport, Finding, diagnose, repair
 from repro.store.index import ArtifactIndex, ArtifactOutput, ArtifactRecord
 from repro.store.pack import PackError, PackReader, rebuild_index, write_pack
 
@@ -40,8 +40,6 @@ __all__ = [
     "ArtifactRecord",
     "ArtifactStore",
     "ContentStore",
-    "DoctorReport",
-    "Finding",
     "GcReport",
     "IngestResult",
     "PackError",
@@ -49,8 +47,6 @@ __all__ = [
     "RepackReport",
     "StoreOutcome",
     "VerifyReport",
-    "diagnose",
     "rebuild_index",
-    "repair",
     "write_pack",
 ]

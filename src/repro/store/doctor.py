@@ -1,54 +1,56 @@
-"""``popper doctor``: scan ``.pvcs/`` for crash debris and repair it.
+"""``popper doctor``: scan a repository for crash debris and repair it.
 
-Every write path in the toolchain is designed so that a crash — a kill
-signal, a power cut, an injected :class:`~repro.common.crash.CrashPlan`
-— leaves one of a small, known set of artifacts:
+Every durable write in the toolchain goes through one of six write
+primitives, and a crash — a kill signal, a power cut, an injected
+:class:`~repro.common.crash.CrashPlan` — can only leave the debris its
+primitive leaves.  Doctor therefore classifies each entry by the
+primitive that made it, not by the feature that owns it:
 
-========================  ========================================  ==============================
-debris                    produced by                               repair
-========================  ========================================  ==============================
-stale lock metadata       holder died while holding a RepoLock      truncate the lock file
-orphan temp file          crash between mkstemp and os.replace      unlink (content is elsewhere
-                                                                    or will be re-produced)
-torn JSONL line           crash mid-append to a journal/run-state   drop each line readers skip as
-                          (a resumed writer seals it off and        debris (the interrupted task
-                          appends after it)                         has no record and re-runs)
-partial index record      crash mid-publish of an artifact record   unlink (equivalent to a miss)
-dangling index record     record published, objects swept/lost      unlink (lookup treats it as a
-                                                                    miss anyway; doctor tidies)
-quarantined object        read-time integrity check failed          report only (a re-run heals
-                                                                    the pool; see cache verify)
-stale fuzz sandbox        fuzz campaign killed mid-variant          remove the tree (sandboxes
-                          (``.pvcs/fuzz/work/``)                    are disposable scratch repos)
-partial corpus entry      crash between a fuzz corpus entry's       remove the tree (meta.json is
-                          files and its ``meta.json``               published last; nothing
-                                                                    admitted is lost)
-unindexed pack            crash between pack publish and index      rebuild the index from the
-                          write (``pack.publish``)                  self-describing pack (unlink
-                                                                    if its checksum fails — the
-                                                                    loose copies still exist)
-dangling pack index       pack swept, index unlink crashed          unlink (nothing references a
-                                                                    pack that is gone)
-truncated pack            pack body fails its trailer checksum      quarantine pack + index (the
-                                                                    referenced records then show
-                                                                    up dangling and re-run)
-stale queue lease         serve daemon (or its host) died while     unlink (the queue journal is
-                          holding a job lease                       the truth; recovery re-leases
-                          (``.pvcs/queue/leases/``)                 from the journal alone)
-partial queue result      crash mid-write of a job result file      unlink (the completed journal
-                          (``.pvcs/queue/results/``)                record keeps the job done; an
-                                                                    incomplete one re-runs it)
-========================  ========================================  ==============================
+============  ======================  ==============================  ==============================
+primitive     debris                  produced by                     repair
+============  ======================  ==============================  ==============================
+ledger        torn JSONL line         crash mid-append to a journal   drop each line readers skip as
+                                      or run-state (a resumed writer  debris (the interrupted task
+                                      seals it off, appends after it) has no record and re-runs)
+temp file     orphan temp file        crash between mkstemp and       unlink (content is elsewhere
+                                      os.replace                      or will be re-produced)
+lock          stale lock metadata     holder died while holding a     truncate the lock file
+                                      RepoLock
+pack          unindexed pack          crash between pack publish and  rebuild the index from the
+                                      index write (``pack.publish``)  self-describing pack (unlink
+                                                                      if its checksum fails — the
+                                                                      loose copies still exist)
+              dangling pack index     pack swept, index unlink        unlink (nothing references a
+                                      crashed                         pack that is gone)
+              truncated pack          pack body fails its trailer     quarantine pack + index (the
+                                      checksum                        referenced records then show
+                                                                      up dangling and re-run)
+record        partial index record    crash mid-publish of an         unlink (equivalent to a miss)
+                                      artifact record
+              dangling index record   record published, objects       unlink (lookup treats it as a
+                                      swept/lost                      miss anyway; doctor tidies)
+              partial corpus entry    crash between a fuzz corpus     remove the tree (meta.json is
+                                      entry's files and its           published last; nothing
+                                      ``meta.json``                   admitted is lost)
+scratch tree  stale fuzz sandbox      fuzz campaign killed            remove the tree (sandboxes
+                                      mid-variant                     are disposable scratch repos)
+—             quarantined object      read-time integrity check       report only (a re-run heals
+                                      failed                          the pool; see cache verify)
+============  ======================  ==============================  ==============================
 
 Everything else on disk is either atomic (refs, config) or disposable
 (workspace checkouts), so this table is the complete recovery story:
 ``popper doctor`` after *any* crash returns the repository to a state
 where ``popper run --resume`` completes correctly.
 
-``diagnose()`` only reports; ``repair()`` applies the table.  Both are
-deliberately independent of the higher-level stores — doctor must work
-precisely when the repository is too damaged for them to open.  (The
-one exception is :mod:`repro.store.pack`, whose parser depends only on
+``diagnose()`` walks the tree once, in sorted order, and classifies
+each file or directory at most once.  It never enters a child of
+``.pvcs/fuzz/work/`` or ``.pvcs/ci-workspaces/``: each is a whole
+disposable repository that a live campaign or build may be using.
+``repair()`` applies each finding's action.  Both are deliberately
+independent of the higher-level stores — doctor must work precisely
+when the repository is too damaged for them to open.  (The one
+exception is :mod:`repro.store.pack`, whose parser depends only on
 ``repro.common`` and is exactly what pack repair needs.)
 """
 
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -68,16 +69,11 @@ from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
 
 __all__ = ["Finding", "DoctorReport", "diagnose", "repair"]
 
-#: Temp-file prefixes the store layers create (mkstemp adds a random
-#: suffix).  ``atomic_write`` temps are ``.{name}.XXXXXXXX`` — covered
-#: by the "dotfile inside .pvcs" rule below.
-_TEMP_PREFIXES = (".ingest-", ".mat-", ".pack-tmp-")
-
-#: Directories whose *contents* are content-addressed payloads and must
-#: never be parsed, repaired or deleted by name-pattern heuristics.
-_OPAQUE_DIRS = {"objects", "quarantine"}
-
 _META_DIR = ".pvcs"
+
+#: Directories whose *contents* are content-addressed payloads: a
+#: ``*.jsonl`` stored in one is an artifact, never a ledger to repair.
+_OPAQUE_DIRS = {"objects", "quarantine"}
 
 
 @dataclass
@@ -127,10 +123,6 @@ class DoctorReport:
         return "\n".join(lines) + "\n"
 
 
-def _in_opaque_dir(path: Path, root: Path) -> bool:
-    return bool(_OPAQUE_DIRS & set(path.relative_to(root).parts[:-1]))
-
-
 def _ledger_repaired(raw: bytes) -> bytes | None:
     """*raw* without its debris lines, or ``None`` when it has none.
 
@@ -152,121 +144,119 @@ def _ledger_repaired(raw: bytes) -> bytes | None:
     return kept + b"\n" if kept and not kept.endswith(b"\n") else kept
 
 
-def _iter_meta_files(root: Path):
-    """Every regular file under the repository's ``.pvcs`` trees."""
-    for meta in sorted(root.rglob(_META_DIR)):
-        if not meta.is_dir():
-            continue
-        for dirpath, dirnames, filenames in os.walk(meta):
-            dirnames.sort()
-            for name in sorted(filenames):
-                yield Path(dirpath) / name
+def _age(path: Path, now: float) -> float | None:
+    try:
+        return now - path.stat().st_mtime
+    except OSError:
+        return None
 
 
-def _scan_locks(root: Path, findings: list[Finding]) -> None:
-    """Lock files whose recorded holder is dead: stale metadata.
+# -- one rule per write primitive ------------------------------------------------
+def _ledger(path: Path) -> Finding | None:
+    """A journal, run-state or other JSONL ledger holding crash debris."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    repaired = _ledger_repaired(raw)
+    if repaired is None:
+        return None
+    return Finding(
+        kind="torn-jsonl",
+        path=path,
+        detail=f"crash debris: {len(raw)} -> {len(repaired)} bytes",
+        action="rewrite without debris",
+    )
+
+
+def _temp(path: Path, now: float, tmp_age_s: float) -> Finding | None:
+    """An orphan temp a crash left between mkstemp and publish."""
+    age = _age(path, now)
+    if age is None or age < tmp_age_s:
+        # Could belong to a live writer; the age gate keeps doctor safe
+        # to run next to an in-flight popper run.
+        return None
+    return Finding(
+        kind="orphan-temp", path=path, detail=f"aged {age:.0f}s", action="unlink"
+    )
+
+
+def _lock(path: Path) -> Finding | None:
+    """A lock file whose recorded holder is dead: stale metadata.
 
     With flock the kernel already released the lock — the metadata is
     cosmetic but misleading ("held by pid N" for a pid that no longer
     exists); in the O_EXCL fallback the file itself wedges writers, so
     clearing it is load-bearing.
     """
-    candidates = [
-        p for p in root.rglob("*.lock") if p.is_file() and _META_DIR in p.parts
-    ]
-    for path in sorted(candidates):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        if not text.strip():
-            continue  # released cleanly; empty file is the normal state
-        info = LockInfo.from_json(text)
-        if info is None:
-            findings.append(
-                Finding(
-                    kind="stale-lock",
-                    path=path,
-                    detail="unreadable holder metadata",
-                    action="truncate",
-                )
-            )
-        elif not info.alive():
-            findings.append(
-                Finding(
-                    kind="stale-lock",
-                    path=path,
-                    detail=f"holder {info.describe()} is dead",
-                    action="truncate",
-                )
-            )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError:
+        return None
+    if not text.strip():
+        return None  # released cleanly; empty file is the normal state
+    info = LockInfo.from_json(text)
+    if info is None:
+        detail = "unreadable holder metadata"
+    elif not info.alive():
+        detail = f"holder {info.describe()} is dead"
+    else:
+        return None
+    return Finding(kind="stale-lock", path=path, detail=detail, action="truncate")
 
 
-def _scan_temps(root: Path, findings: list[Finding], tmp_age_s: float) -> None:
-    """Orphan temp files a crash left between mkstemp and publish."""
-    now = time.time()
-    for path in _iter_meta_files(root):
-        name = path.name
-        is_temp = name.startswith(_TEMP_PREFIXES) or (
-            name.startswith(".") and not name.endswith(".lock")
+def _pack(path: Path, siblings: list[str]) -> Finding | None:
+    """Packfile debris: the three states a crashed repack can leave.
+
+    A pack without an index is a publish that never finished — the pack
+    is self-describing, so the index rebuilds from it (the temp-file
+    stage is an orphan temp).  An index without a pack is the tail of
+    an interrupted sweep (packs are unlinked pack-first).  A pack whose
+    body fails its trailer checksum is truncated bit rot; quarantining
+    it surfaces the loss through the dangling-record rule.
+    """
+    if path.suffix == ".idx":
+        if path.with_suffix(".pack").name in siblings:
+            return None
+        return Finding(
+            kind="dangling-pack-index",
+            path=path,
+            detail="its pack is gone",
+            action="unlink",
         )
-        if not is_temp:
-            continue
-        try:
-            age = now - path.stat().st_mtime
-        except OSError:
-            continue
-        if age < tmp_age_s:
-            # Could belong to a live writer; the age gate keeps doctor
-            # safe to run next to an in-flight popper run.
-            continue
-        findings.append(
-            Finding(
-                kind="orphan-temp",
-                path=path,
-                detail=f"aged {age:.0f}s",
-                action="unlink",
-            )
+    try:
+        _scan_pack(path)
+    except PackError as exc:
+        return Finding(
+            kind="truncated-pack",
+            path=path,
+            detail=str(exc),
+            action="quarantine pack",
         )
-
-
-def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
-    """Journals / run-state files holding crash debris."""
-    for path in sorted(root.rglob("*.jsonl")):
-        if not path.is_file() or _in_opaque_dir(path, root):
-            continue
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            continue
-        if not raw:
-            continue
-        repaired = _ledger_repaired(raw)
-        if repaired is not None:
-            findings.append(
-                Finding(
-                    kind="torn-jsonl",
-                    path=path,
-                    detail=f"crash debris: {len(raw)} -> {len(repaired)} bytes",
-                    action="rewrite without debris",
-                )
-            )
+    if path.with_suffix(".idx").name in siblings:
+        return None
+    return Finding(
+        kind="unindexed-pack",
+        path=path,
+        detail="published without its index",
+        action="rebuild index",
+    )
 
 
 def _packed_oids(objects_dir: Path) -> set[str]:
     """Object ids reachable through the pool's pack indexes.
 
     Reads the ``.idx`` JSON directly (no ContentStore) so the dangling-
-    record scan stays honest after a repack moved objects out of the
+    record rule stays honest after a repack moved objects out of the
     loose shards.  Unreadable indexes contribute nothing — their packs
-    are handled by the pack scan.
+    are handled by the pack rule.
     """
     oids: set[str] = set()
     pack_dir = objects_dir / PACK_DIR
     if not pack_dir.is_dir():
         return oids
     for idx in sorted(pack_dir.glob("*.idx")):
-        if not (pack_dir / idx.name).with_suffix(".pack").is_file():
+        if not idx.with_suffix(".pack").is_file():
             continue
         try:
             doc = json.loads(idx.read_text(encoding="utf-8"))
@@ -276,253 +266,188 @@ def _packed_oids(objects_dir: Path) -> set[str]:
     return oids
 
 
-def _scan_index(root: Path, findings: list[Finding]) -> None:
-    """Artifact-index records that are partial or reference lost objects."""
-    for index_dir in sorted(root.rglob(f"{_META_DIR}/cache/index")):
-        if not index_dir.is_dir():
-            continue
-        objects_dir = index_dir.parent / "objects"
-        packed = _packed_oids(objects_dir)
-        for path in sorted(index_dir.glob("*.json")):
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(doc, dict) or "key" not in doc:
-                    raise ValueError("not a record")
-            except (OSError, ValueError, json.JSONDecodeError):
-                findings.append(
-                    Finding(
-                        kind="partial-index-record",
-                        path=path,
-                        detail="unparseable record",
-                        action="unlink",
-                    )
-                )
-                continue
-            missing = [
-                str(out.get("oid", ""))
-                for out in doc.get("outputs", [])
-                if isinstance(out, dict)
-                and len(str(out.get("oid", ""))) == 64
-                and str(out["oid"]) not in packed
-                and not (
-                    objects_dir
-                    / str(out["oid"])[:2]
-                    / str(out["oid"])[2:]
-                ).is_file()
-            ]
-            if missing:
-                findings.append(
-                    Finding(
-                        kind="dangling-index-record",
-                        path=path,
-                        detail=f"references {len(missing)} missing object(s)",
-                        action="unlink",
-                    )
-                )
+def _record(path: Path, packed: set[str]) -> Finding | None:
+    """An artifact-index record that is partial or references lost
+    objects."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or "key" not in doc:
+            raise ValueError("not a record")
+    except (OSError, ValueError, json.JSONDecodeError):
+        return Finding(
+            kind="partial-index-record",
+            path=path,
+            detail="unparseable record",
+            action="unlink",
+        )
+    objects_dir = path.parent.parent / "objects"
+    missing = [
+        oid
+        for oid in (
+            str(out.get("oid", ""))
+            for out in doc.get("outputs", [])
+            if isinstance(out, dict)
+        )
+        if len(oid) == 64
+        and oid not in packed
+        and not (objects_dir / oid[:2] / oid[2:]).is_file()
+    ]
+    if not missing:
+        return None
+    return Finding(
+        kind="dangling-index-record",
+        path=path,
+        detail=f"references {len(missing)} missing object(s)",
+        action="unlink",
+    )
 
 
-def _scan_fuzz(root: Path, findings: list[Finding], tmp_age_s: float) -> None:
-    """Debris a killed fuzz campaign leaves under ``.pvcs/fuzz/``.
+def _subdirs(
+    here: Path,
+    rel: tuple[str, ...],
+    dirnames: list[str],
+    now: float,
+    tmp_age_s: float,
+) -> list[Finding]:
+    """Scratch trees and corpus entries among *here*'s subdirectories.
 
-    Sandboxes in ``work/`` are per-variant scratch repositories the
-    runner removes after each execution — any that survive are stale
-    (age-gated like temps, so doctor is safe next to a live campaign).
-    Corpus/reproducer variant directories publish ``meta.json`` last; a
-    directory without one is a partial admission with no index record.
+    Prunes *dirnames* in place: the walk never enters a scratch tree (a
+    sandbox or CI checkout is a whole repository a live campaign or
+    build may be using) nor a tree ``repair`` will remove.
     """
-    now = time.time()
-    for fuzz_dir in sorted(root.rglob(f"{_META_DIR}/fuzz")):
-        if not fuzz_dir.is_dir():
-            continue
-        work = fuzz_dir / "work"
-        if work.is_dir():
-            for sandbox in sorted(work.iterdir()):
-                if not sandbox.is_dir():
-                    continue
-                try:
-                    age = now - sandbox.stat().st_mtime
-                except OSError:
-                    continue
-                if age < tmp_age_s:
-                    continue
+    findings = []
+    if rel[-2:] == (_META_DIR, "ci-workspaces"):
+        dirnames.clear()
+    elif rel[-3:] == (_META_DIR, "fuzz", "work"):
+        # Sandboxes are per-variant scratch repositories the runner
+        # removes after each execution; any that survive the age gate
+        # are stale.
+        for name in dirnames:
+            age = _age(here / name, now)
+            if age is not None and age >= tmp_age_s:
                 findings.append(
                     Finding(
                         kind="stale-fuzz-sandbox",
-                        path=sandbox,
+                        path=here / name,
                         detail=f"aged {age:.0f}s",
                         action="remove tree",
                     )
                 )
-        for corpus_name in ("corpus", "repro"):
-            corpus_dir = fuzz_dir / corpus_name
-            if not corpus_dir.is_dir():
-                continue
-            for variant in sorted(corpus_dir.iterdir()):
-                if variant.is_dir() and not (variant / "meta.json").is_file():
-                    findings.append(
-                        Finding(
-                            kind="partial-corpus-entry",
-                            path=variant,
-                            detail="missing meta.json",
-                            action="remove tree",
-                        )
-                    )
-
-
-def _scan_packs(root: Path, findings: list[Finding]) -> None:
-    """Packfile debris: the three states a crashed repack can leave.
-
-    A pack without an index is a publish that never finished — the pack
-    is self-describing, so the index rebuilds from it (the temp-file
-    stage is covered by the orphan-temp scan).  An index without a pack
-    is the tail of an interrupted sweep (packs are unlinked pack-first).
-    A pack whose body fails its trailer checksum is truncated bit rot;
-    quarantining it surfaces the loss through the dangling-record scan.
-    """
-    for pack_dir in sorted(root.rglob(PACK_DIR)):
-        if (
-            not pack_dir.is_dir()
-            or _META_DIR not in pack_dir.parts
-            or pack_dir.parent.name != "objects"
-        ):
-            continue
-        for pack in sorted(pack_dir.glob("*.pack")):
-            idx = pack.with_suffix(".idx")
-            try:
-                _scan_pack(pack)
-            except PackError as exc:
+        dirnames.clear()
+    elif rel[-3:] in ((_META_DIR, "fuzz", "corpus"), (_META_DIR, "fuzz", "repro")):
+        # Variant directories publish meta.json last; one without it is
+        # a partial admission with no index record.
+        for name in list(dirnames):
+            if not (here / name / "meta.json").is_file():
                 findings.append(
                     Finding(
-                        kind="truncated-pack",
-                        path=pack,
-                        detail=str(exc),
-                        action="quarantine pack",
+                        kind="partial-corpus-entry",
+                        path=here / name,
+                        detail="missing meta.json",
+                        action="remove tree",
                     )
                 )
-                continue
-            if not idx.is_file():
-                findings.append(
-                    Finding(
-                        kind="unindexed-pack",
-                        path=pack,
-                        detail="published without its index",
-                        action="rebuild index",
-                    )
-                )
-        for idx in sorted(pack_dir.glob("*.idx")):
-            if not idx.with_suffix(".pack").is_file():
-                findings.append(
-                    Finding(
-                        kind="dangling-pack-index",
-                        path=idx,
-                        detail="its pack is gone",
-                        action="unlink",
-                    )
-                )
-
-
-def _scan_queue(root: Path, findings: list[Finding]) -> None:
-    """Debris a crashed ``popper serve`` daemon leaves under
-    ``.pvcs/queue/``.
-
-    The queue journal is the single source of truth, so every side file
-    is reconstructible and safe to drop: a lease marker whose recorded
-    holder pid is dead (or whose JSON never finished landing) belongs
-    to a daemon that is gone — recovery re-leases from the journal and
-    never reads the marker.  A result file that does not parse is the
-    half of a ``queue.publish`` crash that lost the race: either the
-    ``job_done`` record landed (the job is done regardless) or it did
-    not (the lease expires and the job re-runs).  Live-pid leases are
-    left strictly alone, so doctor is safe to run next to a serving
-    daemon.
-    """
-    for queue_dir in sorted(root.rglob(f"{_META_DIR}/queue")):
-        if not queue_dir.is_dir():
-            continue
-        leases = queue_dir / "leases"
-        if leases.is_dir():
-            for path in sorted(leases.glob("*.json")):
-                try:
-                    doc = json.loads(path.read_text(encoding="utf-8"))
-                    pid = int(doc.get("pid", 0))
-                except (OSError, ValueError, json.JSONDecodeError, TypeError):
-                    findings.append(
-                        Finding(
-                            kind="stale-queue-lease",
-                            path=path,
-                            detail="unreadable lease marker",
-                            action="unlink",
-                        )
-                    )
-                    continue
-                if pid > 0:
-                    try:
-                        os.kill(pid, 0)
-                        continue  # the holder is alive; not our business
-                    except ProcessLookupError:
-                        pass
-                    except PermissionError:
-                        continue  # alive under another uid
-                findings.append(
-                    Finding(
-                        kind="stale-queue-lease",
-                        path=path,
-                        detail=f"holder pid {pid} is dead",
-                        action="unlink",
-                    )
-                )
-        results = queue_dir / "results"
-        if results.is_dir():
-            for path in sorted(results.glob("*.json")):
-                try:
-                    doc = json.loads(path.read_text(encoding="utf-8"))
-                    if not isinstance(doc, dict) or "job" not in doc:
-                        raise ValueError("not a result record")
-                except (OSError, ValueError, json.JSONDecodeError):
-                    findings.append(
-                        Finding(
-                            kind="partial-queue-result",
-                            path=path,
-                            detail="unparseable result record",
-                            action="unlink",
-                        )
-                    )
-
-
-def _scan_quarantine(root: Path, findings: list[Finding]) -> None:
-    for quarantine in sorted(root.rglob("quarantine")):
-        if not quarantine.is_dir() or _META_DIR not in quarantine.parts:
-            continue
-        for path in sorted(quarantine.iterdir()):
-            if path.is_file():
-                findings.append(
-                    Finding(
-                        kind="quarantined-object",
-                        path=path,
-                        detail="failed its integrity check; a re-run heals",
-                    )
-                )
+                dirnames.remove(name)
+    return findings
 
 
 def diagnose(root: str | Path, tmp_age_s: float = 60.0) -> DoctorReport:
-    """Scan a repository for crash debris; never modifies anything.
+    """Walk a repository once for crash debris; never modifies anything.
 
-    *tmp_age_s* gates the orphan-temp scan: temps younger than this may
-    belong to a concurrent writer and are left alone.
+    *tmp_age_s* gates orphan temps and stale fuzz sandboxes: younger
+    ones may belong to a concurrent writer and are left alone.
     """
     root = Path(root)
     report = DoctorReport(root=root)
     if not root.is_dir():
         return report
-    _scan_locks(root, report.findings)
-    _scan_temps(root, report.findings, tmp_age_s)
-    _scan_jsonl(root, report.findings)
-    _scan_packs(root, report.findings)
-    _scan_index(root, report.findings)
-    _scan_fuzz(root, report.findings, tmp_age_s)
-    _scan_queue(root, report.findings)
-    _scan_quarantine(root, report.findings)
+    now = time.time()
+    for dirpath, dirnames, filenames in os.walk(root):
+        here = Path(dirpath)
+        rel = here.relative_to(root).parts
+        dirnames.sort()
+        in_meta = _META_DIR in rel
+        if in_meta:
+            report.findings.extend(_subdirs(here, rel, dirnames, now, tmp_age_s))
+        opaque = not _OPAQUE_DIRS.isdisjoint(rel)
+        is_pack_dir = in_meta and rel[-2:] == ("objects", PACK_DIR)
+        is_index_dir = rel[-3:] == (_META_DIR, "cache", "index")
+        packed = _packed_oids(here.parent / "objects") if is_index_dir else set()
+        for name in sorted(filenames):
+            path = here / name
+            if in_meta and rel[-1] == "quarantine":
+                finding = Finding(
+                    kind="quarantined-object",
+                    path=path,
+                    detail="failed its integrity check; a re-run heals",
+                )
+            elif in_meta and name.endswith(".lock"):
+                finding = _lock(path)
+            elif in_meta and name.startswith("."):
+                finding = _temp(path, now, tmp_age_s)
+            elif is_pack_dir and name.endswith((".pack", ".idx")):
+                finding = _pack(path, filenames)
+            elif is_index_dir and name.endswith(".json"):
+                finding = _record(path, packed)
+            elif name.endswith(".jsonl") and not opaque:
+                finding = _ledger(path)
+            else:
+                continue
+            if finding is not None:
+                report.findings.append(finding)
     return report
+
+
+# -- repair: one function per action ---------------------------------------------
+def _truncate(path: Path) -> None:
+    with open(path, "r+b") as handle:
+        handle.truncate(0)
+
+
+def _unlink(path: Path) -> None:
+    path.unlink(missing_ok=True)
+
+
+def _rewrite_without_debris(path: Path) -> None:
+    repaired = _ledger_repaired(path.read_bytes())
+    if repaired is not None:
+        path.write_bytes(repaired)
+
+
+def _remove_tree(path: Path) -> None:
+    shutil.rmtree(path, ignore_errors=True)
+
+
+def _rebuild_index(path: Path) -> None:
+    try:
+        rebuild_index(path)
+    except PackError:
+        # Self-check failed after all: the pack is not trustworthy and
+        # the loose copies it would have folded still exist (the sweep
+        # never ran).
+        path.unlink(missing_ok=True)
+
+
+def _quarantine_pack(path: Path) -> None:
+    objects_dir = path.parent.parent
+    quarantine = objects_dir.parent / "quarantine"
+    if (objects_dir / "quarantine").is_dir():
+        quarantine = objects_dir / "quarantine"
+    quarantine.mkdir(parents=True, exist_ok=True)
+    os.replace(path, quarantine / path.name)
+    idx = path.with_suffix(".idx")
+    if idx.is_file():
+        os.replace(idx, quarantine / idx.name)
+
+
+_REPAIRS = {
+    "truncate": _truncate,
+    "unlink": _unlink,
+    "rewrite without debris": _rewrite_without_debris,
+    "remove tree": _remove_tree,
+    "rebuild index": _rebuild_index,
+    "quarantine pack": _quarantine_pack,
+}
 
 
 def repair(report: DoctorReport) -> DoctorReport:
@@ -532,44 +457,7 @@ def repair(report: DoctorReport) -> DoctorReport:
         if not finding.action or finding.repaired:
             continue
         try:
-            if finding.kind == "stale-lock":
-                with open(finding.path, "r+b") as handle:
-                    handle.truncate(0)
-            elif finding.kind in (
-                "orphan-temp",
-                "partial-index-record",
-                "dangling-index-record",
-                "stale-queue-lease",
-                "partial-queue-result",
-            ):
-                finding.path.unlink(missing_ok=True)
-            elif finding.kind == "torn-jsonl":
-                raw = finding.path.read_bytes()
-                repaired_bytes = _ledger_repaired(raw)
-                if repaired_bytes is not None:
-                    finding.path.write_bytes(repaired_bytes)
-            elif finding.kind in ("stale-fuzz-sandbox", "partial-corpus-entry"):
-                shutil.rmtree(finding.path, ignore_errors=True)
-            elif finding.kind == "unindexed-pack":
-                try:
-                    rebuild_index(finding.path)
-                except PackError:
-                    # Self-check failed after all: the pack is not
-                    # trustworthy and the loose copies it would have
-                    # folded still exist (the sweep never ran).
-                    finding.path.unlink(missing_ok=True)
-            elif finding.kind == "dangling-pack-index":
-                finding.path.unlink(missing_ok=True)
-            elif finding.kind == "truncated-pack":
-                objects_dir = finding.path.parent.parent
-                quarantine = objects_dir.parent / "quarantine"
-                if (objects_dir / "quarantine").is_dir():
-                    quarantine = objects_dir / "quarantine"
-                quarantine.mkdir(parents=True, exist_ok=True)
-                os.replace(finding.path, quarantine / finding.path.name)
-                idx = finding.path.with_suffix(".idx")
-                if idx.is_file():
-                    os.replace(idx, quarantine / idx.name)
+            _REPAIRS[finding.action](finding.path)
             finding.repaired = True
         except OSError:
             finding.repaired = False

@@ -159,10 +159,3 @@ class TestServePayloadGrammar:
         assert any(not decodes(p) for p in payloads)
         assert any(len(p) > MAX_BODY_BYTES for p in payloads)
         assert any(len(p) <= MAX_BODY_BYTES for p in payloads)
-
-    def test_crash_grammar_covers_the_queue_sites(self):
-        from repro.fuzz.mutators import _CRASH_TARGETS
-
-        assert "queue.claim" in _CRASH_TARGETS
-        assert "queue.publish" in _CRASH_TARGETS
-        assert "queue.*" in _CRASH_TARGETS

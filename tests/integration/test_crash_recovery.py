@@ -133,6 +133,14 @@ class TestCrashPointCoverage:
         assert main(args) == 0
         assert consulted == set(RUN_CRASH_POINTS)
 
+    def test_the_fuzz_grammar_targets_the_run_crash_points(self):
+        """A fuzz variant runs one pipeline, so its crash grammar names
+        exactly the points that run can reach (globs aside)."""
+        from repro.fuzz.mutators import _CRASH_TARGETS
+
+        literal = {t for t in _CRASH_TARGETS if "*" not in t}
+        assert literal == set(RUN_CRASH_POINTS)
+
 
 class TestTornLedgerWithoutDoctor:
     def test_torn_sweep_state_resumes_three_times(self, repo_dir, control_results):

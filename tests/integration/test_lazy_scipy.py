@@ -6,7 +6,7 @@ those call sites.  ``multiprocessing`` is imported only when a worker
 pool starts (``repro.engine.pool``), though every ``popper`` start
 imports the pool module.  A warm sweep asks for neither, nor for the
 fuzz, serve or store self-check code that only ``popper selftest``
-runs.
+runs, nor for the doctor.
 """
 
 import os
@@ -26,7 +26,8 @@ WARM_SWEEP = (
     "lazy = ('scipy', 'multiprocessing')\n"
     "loaded = sorted(m for m in sys.modules if m.split('.')[0] in lazy)\n"
     "print('lazy modules:', loaded)\n"
-    "checks = ('repro.fuzz', 'repro.serve', 'repro.store.smoke')\n"
+    "checks = ('repro.fuzz', 'repro.serve', 'repro.store.smoke',\n"
+    "          'repro.store.doctor')\n"
     "print('self-check modules:', [m for m in checks if m in sys.modules])\n"
     "sys.exit(code)\n"
 )

@@ -8,13 +8,12 @@ under the injected failures this file throws at a real daemon:
   attribute the loss, respawn, and the job must still complete;
 * ``kill -9`` on an idle worker: its replacement must take the next
   job, which completes on its first lease;
-* a simulated crash between the durable result write and the
-  ``job_done`` journal record (``queue.publish``): a restarted daemon
-  must re-admit the job and finish it as a cache hit, byte-identical
-  to what a plain ``popper run`` produces;
-* a simulated crash between the durable lease marker and the
-  ``job_leased`` record (``queue.claim``): the journal stays the truth
-  (job still queued) and the orphan marker is inert debris.
+* a simulated crash at the ``job_done`` journal append
+  (``queue.append.window``), after the outputs were filed: a restarted
+  daemon must re-admit the job and finish it as a cache hit,
+  byte-identical to what a plain ``popper run`` produces;
+* a simulated crash at the ``job_leased`` journal append: the journal
+  stays the truth (job still queued) and the job stays claimable.
 """
 
 import os
@@ -137,14 +136,13 @@ class TestPublishCrash:
         repo = make_repo(tmp_path / "served")
         daemon = PopperServer(repo, workers=1, max_queue=8, lease_s=30.0)
         daemon.start(api=False, loop=False)
-        install_crash_plan(CrashPlan.parse("at:queue.publish:1"))
+        install_crash_plan(CrashPlan.parse("at:queue.append.window:3"))
         job = daemon.submit("exp")
         with pytest.raises(SimulatedCrash):
             settle(daemon, job.id)
         install_crash_plan(None)
-        # The "dead" daemon: result file durable, cache filed, but the
-        # journal's last word on the job is the lease.
-        assert daemon.queue._result_path(job.id).is_file()
+        # The "dead" daemon: cache filed, but the journal's last word on
+        # the job is the lease.
         assert daemon.queue.get(job.id).state == "leased"
         daemon.pool.drain()
         daemon.queue.checkpoint()
@@ -172,12 +170,11 @@ class TestClaimCrash:
     def test_journal_stays_the_truth(self, tmp_path):
         queue = JobQueue(tmp_path / QUEUE_DIR, durable=False)
         job = queue.submit("exp")
-        install_crash_plan(CrashPlan.parse("at:queue.claim:1"))
+        install_crash_plan(CrashPlan.parse("at:queue.append.window:1"))
         with pytest.raises(SimulatedCrash):
             queue.claim()
         install_crash_plan(None)
-        # The lease marker landed; the journal record did not.
-        assert queue._lease_path(job.id).is_file()
+        # The journal record of the lease never landed.
         queue.checkpoint()
         queue.close()
 
@@ -185,6 +182,6 @@ class TestClaimCrash:
         recovered = replayed.get(job.id)
         assert recovered.state == "queued"  # the journal never saw a lease
         assert recovered.attempts == 0
-        leased = replayed.claim()  # the orphan marker does not block it
+        leased = replayed.claim()
         assert leased is not None and leased.id == job.id
         replayed.close()

@@ -41,12 +41,22 @@ class TestLifecycle:
         leased = q.claim()
         assert leased.id == job.id
         assert leased.state == "leased" and leased.attempts == 1
-        assert q._lease_path(job.id).is_file()
         done = q.complete(job.id, meta={"rows": 3}, seconds=1.5)
         assert done.state == "done" and done.meta == {"rows": 3}
-        assert not q._lease_path(job.id).exists()
-        result = json.loads(q._result_path(job.id).read_text())
-        assert result["job"] == job.id and result["meta"] == {"rows": 3}
+
+    def test_the_journal_is_the_only_queue_file(self, tmp_path, clock):
+        q = make_queue(tmp_path, clock, max_depth=8)
+        done = q.submit("done-exp")
+        failed = q.submit("failed-exp")
+        assert q.claim().id == done.id
+        q.heartbeat(done.id)
+        q.complete(done.id, meta={"rows": 1})
+        assert q.claim().id == failed.id
+        q.fail(failed.id, "boom")
+        assert q.submit("warm", cached_meta={"rows": 2}).cached
+        q.close()
+        queue_files = sorted(p.name for p in (tmp_path / "queue").iterdir())
+        assert queue_files == ["journal.jsonl"]
 
     def test_complete_is_idempotent_on_done(self, tmp_path, clock):
         q = make_queue(tmp_path, clock)
@@ -95,7 +105,6 @@ class TestAdmission:
         q.submit("a")
         job = q.submit("warm", cached_meta={"rows": 2})
         assert job.state == "done" and job.cached
-        assert q._result_path(job.id).is_file()
         assert q.depth() == 1  # the cache-served job took no slot
 
 
@@ -156,7 +165,6 @@ class TestRetries:
         clock.advance(6.0)
         assert [j.id for j in q.expire_leases()] == [job.id]
         assert job.state == "queued"
-        assert not q._lease_path(job.id).exists()
 
     def test_heartbeat_extends_the_deadline(self, tmp_path, clock):
         q = make_queue(tmp_path, clock, lease_s=5.0)

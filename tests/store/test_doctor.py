@@ -234,61 +234,35 @@ class TestReportShape:
         assert report.unrepaired == []
 
 
-class TestQueueDebris:
-    """Leases and results a crashed `popper serve` daemon leaves behind."""
+class TestScratchTrees:
+    """Fuzz sandboxes and CI checkouts are whole repositories a live
+    campaign or build may be using: doctor never reaches inside one."""
 
-    @pytest.fixture
-    def queue_dir(self, root):
-        queue = root / ".pvcs" / "queue"
-        (queue / "leases").mkdir(parents=True)
-        (queue / "results").mkdir(parents=True)
-        return queue
-
-    def lease(self, queue_dir, job, pid):
-        path = queue_dir / "leases" / f"{job}.json"
-        path.write_text(
-            json.dumps({"job": job, "pid": pid, "deadline": 1.0}),
-            encoding="utf-8",
-        )
-        return path
-
-    def test_dead_holder_lease_unlinked(self, queue_dir, root):
-        path = self.lease(queue_dir, "job-000000", dead_pid())
+    def test_stale_sandbox_reported_once_without_its_contents(self, root):
+        sandbox = root / ".pvcs" / "fuzz" / "work" / "deadbeefdeadbeef"
+        (sandbox / ".pvcs" / "locks").mkdir(parents=True)
+        write_lock(sandbox / ".pvcs" / "locks" / "store.lock", dead_pid())
+        temp = sandbox / ".pvcs" / ".HEAD.x7f3"
+        temp.write_text("refs/heads/main")
+        os.utime(temp, (1.0, 1.0))
+        os.utime(sandbox, (1.0, 1.0))
         report = diagnose(root)
-        assert kinds(report) == ["stale-queue-lease"]
-        repaired = repair(report)
-        assert not repaired.unrepaired
-        assert not path.exists()
+        assert [(f.kind, f.path) for f in report.findings] == [
+            ("stale-fuzz-sandbox", sandbox)
+        ]
 
-    def test_live_holder_lease_untouched(self, queue_dir, root):
-        # Our own pid: a daemon is "serving" right now.
-        path = self.lease(queue_dir, "job-000000", os.getpid())
+    def test_aged_ci_checkout_files_are_not_temps(self, root):
+        checkout = root / ".pvcs" / "ci-workspaces" / "build-1" / "job-1"
+        checkout.mkdir(parents=True)
+        travis = checkout / ".travis.yml"
+        travis.write_text("language: python\n")
+        os.utime(travis, (1.0, 1.0))
         assert diagnose(root).clean
-        assert path.exists()
+        assert travis.exists()
 
-    def test_unreadable_lease_unlinked(self, queue_dir, root):
-        path = queue_dir / "leases" / "job-000001.json"
-        path.write_text('{"job": "job-000001", "pid":', encoding="utf-8")
-        report = repair(diagnose(root))
-        assert not report.unrepaired
-        assert not path.exists()
-
-    def test_partial_result_unlinked(self, queue_dir, root):
-        torn = queue_dir / "results" / "job-000000.json"
-        torn.write_text('{"job": "job-000000", "meta"', encoding="utf-8")
-        wrong = queue_dir / "results" / "job-000001.json"
-        wrong.write_text('{"unrelated": true}', encoding="utf-8")
-        report = diagnose(root)
-        assert kinds(report) == ["partial-queue-result"] * 2
-        repaired = repair(report)
-        assert not repaired.unrepaired
-        assert not torn.exists() and not wrong.exists()
-
-    def test_healthy_queue_state_not_flagged(self, queue_dir, root):
-        good = queue_dir / "results" / "job-000000.json"
-        good.write_text(
-            json.dumps({"job": "job-000000", "meta": {"rows": 1}}),
-            encoding="utf-8",
-        )
-        assert diagnose(root).clean
-        assert good.exists()
+    def test_torn_ledger_in_a_young_sandbox_left_alone(self, root):
+        sandbox = root / ".pvcs" / "fuzz" / "work" / "cafecafecafecafe"
+        ledger = sandbox / "experiments" / "e" / "journal.jsonl"
+        ledger.parent.mkdir(parents=True)
+        ledger.write_text('{"event": "ok"}\n{"event": "li')
+        assert diagnose(root, tmp_age_s=60).clean
