@@ -1,23 +1,25 @@
-"""Engine throughput: the four-experiment sweep across all backends.
+"""Engine throughput: what ``popper run -j 2`` buys over ``-j 1``.
 
-Runs the four paper experiments (`gassyfs`, `torpor`,
-`mpi-comm-variability`, `jupyter-bww`) through ``popper run --all``
-three ways — serial (``-j 1``), threaded (``-j 4``) and process
-(``--backend process -j 4``) — and records wall seconds plus a
-per-mode ``speedup_vs_serial`` to ``BENCH_engine.json`` at the
-repository root — the repo's perf-trajectory data point for the
-execution engine.
+Sweeps 16 experiments — the four paper experiments (`gassyfs`,
+`torpor`, `mpi-comm-variability`, `jupyter-bww`), shrunk to a
+seconds-scale budget, each at seeds 7-10 — as users run them: every
+operation is one fresh ``python -m repro.core.cli run --all`` process.
+Four modes, each on its own repository:
 
-Also asserts the engine's correctness contract while it is at it: all
-three modes must produce byte-identical ``results.csv`` files.
+* ``j1_cold`` / ``j2_cold`` — ``--no-cache``: every experiment executes,
+  serially or on two worker processes;
+* ``j1_warm`` / ``j2_warm`` — every experiment is served from the
+  artifact store (each repository is primed by one untimed sweep).
 
-The speedups are hardware-dependent: the experiment payloads are
-CPU-bound Python, so threading is GIL-bounded everywhere and the
-process backend only wins on a multi-core host (it clamps its pool to
-``cpu_count``, so on one core it degenerates to serial plus fork
-overhead).  ``cpu_count`` and each parallel mode's requested vs
-effective worker counts are recorded alongside the timings so the
-numbers can be read in context.
+Wall time is measured around the process; CPU time is the process's
+``wait4`` rusage, which includes the worker processes it reaped.  Ten
+rounds run every mode once, the order rotating each round, and each
+mode records its raw samples with their median and quartiles, plus
+``cpu_count`` and the commit, to ``BENCH_engine.json`` at the
+repository root.
+
+Also asserts the engine's correctness contract: all four modes leave
+byte-identical ``results.csv`` files (``results_identical``).
 
 Run standalone (``python benchmarks/bench_engine.py``) or via pytest
 (``pytest benchmarks/bench_engine.py``).
@@ -25,6 +27,9 @@ Run standalone (``python benchmarks/bench_engine.py``) or via pytest
 
 import json
 import os
+import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -40,20 +45,22 @@ EXPERIMENTS = {
             "sites": ["cloudlab-wisc"],
             "workloads": ["git-compile"],
             "workload_scale": 0.1,
-            "seed": 7,
         },
     ),
-    "exp-torpor": ("torpor", {"runs": 2, "seed": 7}),
-    "exp-mpi": ("mpi-comm-variability", {"iterations": 10, "runs": 5, "seed": 7}),
-    "exp-bww": ("jupyter-bww", {"seed": 7}),
+    "exp-torpor": ("torpor", {"runs": 2}),
+    "exp-mpi": ("mpi-comm-variability", {"iterations": 10, "runs": 5}),
+    "exp-bww": ("jupyter-bww", {}),
 }
+SEEDS = (7, 8, 9, 10)
+ROUNDS = 10
 
-#: (mode name, extra ``popper run`` arguments) for each backend.
-MODES = [
-    ("serial_j1", ["-j", "1"]),
-    ("threaded_j4", ["-j", "4"]),
-    ("process_j4", ["--backend", "process", "-j", "4"]),
-]
+#: mode -> extra ``popper run --all`` arguments.
+MODES = {
+    "j1_cold": ["-j", "1", "--no-cache"],
+    "j2_cold": ["-j", "2", "--no-cache"],
+    "j1_warm": ["-j", "1"],
+    "j2_warm": ["-j", "2"],
+}
 
 
 def build_repo(root: Path):
@@ -63,71 +70,112 @@ def build_repo(root: Path):
 
     repo = PopperRepository.init(root)
     for experiment, (template, overrides) in EXPERIMENTS.items():
-        repo.add_experiment(template, experiment, commit=False)
-        vars_path = repo.experiment_dir(experiment) / "vars.yml"
-        doc = minyaml.load_file(vars_path)
-        doc.update(overrides)
-        write_text(vars_path, minyaml.dumps(doc))
+        for seed in SEEDS:
+            name = f"{experiment}-{seed}"
+            repo.add_experiment(template, name, commit=False)
+            vars_path = repo.experiment_dir(name) / "vars.yml"
+            doc = minyaml.load_file(vars_path)
+            doc.update(overrides, seed=seed)
+            write_text(vars_path, minyaml.dumps(doc))
     repo.vcs.add_all()
-    repo.vcs.commit("instantiate the four paper experiments")
+    repo.vcs.commit("instantiate the benchmark experiments")
     return repo
 
 
-def sweep(repo, extra_args: list[str]) -> float:
-    """Run the full sweep; returns wall seconds (exit code must be 0)."""
-    from repro.core.cli import main
+def sweep(root: Path, args: list[str], log: Path) -> tuple[float, float]:
+    """One fresh-process ``popper run --all``; returns (wall s, CPU s)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    argv = [sys.executable, "-m", "repro.core.cli", "-C", str(root),
+            "run", "--all", *args]
+    with log.open("wb") as out:
+        started = time.perf_counter()
+        proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.STDOUT, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (
+        f"popper run --all {' '.join(args)} exited {proc.returncode}:\n"
+        + log.read_text(errors="replace")
+    )
+    return wall, usage.ru_utime + usage.ru_stime
 
-    started = time.perf_counter()
-    code = main(["-C", str(repo.root), "run", "--all", *extra_args])
-    seconds = time.perf_counter() - started
-    assert code == 0, f"sweep with {extra_args} exited {code}"
-    return seconds
+
+def summary(samples: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "samples": [round(s, 4) for s in samples],
+        "median": round(statistics.median(samples), 4),
+        "q1": round(q1, 4),
+        "q3": round(q3, 4),
+    }
+
+
+def commit() -> str:
+    """The measured commit; ``-dirty`` marks uncommitted changes."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 def run_bench(base: Path) -> dict:
-    cpus = os.cpu_count() or 1
-    # The first sweep in an interpreter pays its lazy imports (about a
-    # second); an untimed one keeps that off whichever mode runs first.
-    sweep(build_repo(base / "warm-up"), ["-j", "1"])
-    repos = {mode: build_repo(base / mode) for mode, _ in MODES}
-    seconds = {
-        mode: sweep(repos[mode], extra) for mode, extra in MODES
-    }
+    repos = {mode: build_repo(base / mode).root for mode in MODES}
+    log = base / "sweep.log"
+    # Untimed: fills the warm modes' artifact stores, and warms the
+    # page cache for the cold ones.
+    for mode, args in MODES.items():
+        sweep(repos[mode], args, log)
+    order = list(MODES)
+    wall: dict[str, list[float]] = {mode: [] for mode in MODES}
+    cpu: dict[str, list[float]] = {mode: [] for mode in MODES}
+    for round_no in range(ROUNDS):
+        shift = round_no % len(order)
+        for mode in order[shift:] + order[:shift]:
+            seconds, cpu_seconds = sweep(repos[mode], MODES[mode], log)
+            wall[mode].append(seconds)
+            cpu[mode].append(cpu_seconds)
 
-    reference = None
-    for experiment in EXPERIMENTS:
-        blobs = {
-            mode: (
-                repos[mode].experiment_dir(experiment) / "results.csv"
-            ).read_bytes()
-            for mode, _ in MODES
-        }
-        reference = blobs["serial_j1"]
-        for mode, blob in blobs.items():
-            assert blob == reference, f"{experiment}: {mode} results differ"
-    assert reference is not None
-
-    serial_s = seconds["serial_j1"]
-    modes = {"serial_j1": {"wall_seconds": round(serial_s, 4)}}
-    for mode, requested in (("threaded_j4", 4), ("process_j4", 4)):
-        wall = seconds[mode]
-        modes[mode] = {
-            "wall_seconds": round(wall, 4),
-            "speedup_vs_serial": round(serial_s / wall, 3) if wall else None,
-            "workers_requested": requested,
-            # Threading never clamps (oversubscription just time-shares
-            # the GIL); the process pool clamps to the core count.
-            "workers_effective": (
-                min(requested, cpus) if mode == "process_j4" else requested
-            ),
-        }
+    names = sorted(
+        f"{experiment}-{seed}" for experiment in EXPERIMENTS for seed in SEEDS
+    )
+    results_identical = all(
+        len({(repos[mode] / "experiments" / name / "results.csv").read_bytes()
+             for mode in MODES}) == 1
+        for name in names
+    )
+    assert results_identical, "results.csv differs between modes"
 
     report = {
         "benchmark": "engine-sweep",
-        "experiments": sorted(EXPERIMENTS),
-        "modes": modes,
-        "cpu_count": cpus,
-        "results_identical": True,
+        "experiments": len(names),
+        "rounds": ROUNDS,
+        "operation": "one fresh `python -m repro.core.cli run --all` process",
+        "modes": {
+            mode: {
+                "args": MODES[mode],
+                "wall_s": summary(wall[mode]),
+                "cpu_s": summary(cpu[mode]),
+            }
+            for mode in MODES
+        },
+        "j2_faster_rounds": {
+            temp: sum(
+                j2 < j1
+                for j1, j2 in zip(wall[f"j1_{temp}"], wall[f"j2_{temp}"])
+            )
+            for temp in ("cold", "warm")
+        },
+        "cpu_count": os.cpu_count() or 1,
+        "python": sys.version.split()[0],
+        "commit": commit(),
+        "results_identical": results_identical,
     }
     BENCH_FILE.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
@@ -136,14 +184,12 @@ def run_bench(base: Path) -> dict:
 def test_bench_engine_sweep(tmp_path):
     report = run_bench(tmp_path)
     assert report["results_identical"]
-    for mode, _ in MODES:
-        assert report["modes"][mode]["wall_seconds"] > 0
-    assert report["modes"]["process_j4"]["workers_effective"] >= 1
-    assert BENCH_FILE.is_file()
+    for mode in MODES:
+        assert len(report["modes"][mode]["wall_s"]["samples"]) == ROUNDS
+    assert json.loads(BENCH_FILE.read_text(encoding="utf-8")) == report
 
 
 if __name__ == "__main__":
-    import sys
     import tempfile
 
     sys.path.insert(0, str(REPO_ROOT / "src"))

@@ -37,8 +37,9 @@ from repro.ci.config import CIConfig
 from repro.engine import (
     RunOptions,
     RunStateStore,
+    SerialScheduler,
     TaskGraph,
-    resolve_backend,
+    ThreadedScheduler,
     task_fingerprint,
 )
 from repro.monitor.journal import RunJournal
@@ -280,7 +281,12 @@ class CIServer:
                 ),
                 restore=job_restore(env),
             )
-        scheduler, _, _ = resolve_backend("auto", self.jobs)
+        # Threads: the job payloads close over the live server (unpicklable).
+        scheduler = (
+            ThreadedScheduler(max_workers=self.jobs)
+            if self.jobs > 1
+            else SerialScheduler()
+        )
         try:
             with RunStateStore(self.state_path, resume=resume) as store:
                 options = RunOptions(run_state=store)

@@ -240,12 +240,11 @@ class TransientInjectedFault(InjectedFault, TransientError):
 class UnpicklablePayloadError(EngineError):
     """A payload (or its value) cannot cross a process boundary.
 
-    The process scheduler audits every payload before spawning workers;
-    a closure, lambda or otherwise unpicklable payload raises this (or,
-    with a fallback configured, demotes the run to an in-process
-    backend).  Also raised for a task whose *return value* cannot be
-    pickled back to the parent — the task executed, but its result
-    cannot reach dependents, so it is reported as failed.
+    The process scheduler audits every payload before spawning workers
+    and demotes a graph holding a closure, lambda or otherwise
+    unpicklable payload to the threaded backend.  This error fails a
+    task whose *return value* cannot be pickled back to the parent —
+    the task executed, but its result cannot reach dependents.
     """
 
 

@@ -88,20 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run up to N independent experiments concurrently (default 1)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=("auto", "serial", "threaded", "process"),
-        default="auto",
-        help="execution backend: serial, threaded (overlaps I/O), or "
-        "process (worker processes, true multi-core; payloads must be "
-        "pickle-safe).  auto = threaded when -j > 1 (default)",
-    )
-    run.add_argument(
-        "--process-smoke",
-        action="store_true",
-        help="shorthand for --backend process -j 2",
+        help="run experiments on N worker processes, at most one per "
+        "CPU core (default 1: serially, in this process)",
     )
     run.add_argument(
         "--resume",
@@ -130,27 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(modes: flaky/fail/delay/rate; see docs/robustness.md)",
     )
     run.add_argument(
-        "--fault-seed",
-        type=int,
-        default=42,
-        metavar="SEED",
-        help="seed for injected-fault determinism (default 42; "
-        "superseded by --seed)",
-    )
-    run.add_argument(
         "--seed",
         type=int,
         default=None,
         metavar="SEED",
         help="one seed for every injection surface (fault plan, crash "
-        "plan, fuzz randomizer); overrides --fault-seed and the "
-        "POPPER_SEED environment variable, and is recorded in the "
-        "run_start journal header",
-    )
-    run.add_argument(
-        "--chaos-smoke",
-        action="store_true",
-        help="shorthand for --retries 3 --inject-faults flaky:run:2",
+        "plan, fuzz randomizer); overrides the POPPER_SEED environment "
+        "variable (default 42), and is recorded in the run_start "
+        "journal header",
     )
     run.add_argument(
         "--inject-crash",
@@ -502,28 +477,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-def _scheduler_for(backend: str, jobs: int):
-    """Resolve ``--backend``/``-j`` into a scheduler; print any warning.
-
-    Returns ``(scheduler, effective_workers)``.  Asking for more workers
-    than CPU cores warns (and, for the process backend, clamps) instead
-    of silently oversubscribing — see
-    :func:`repro.engine.resolve_backend` for the policy.
-    """
-    from repro.engine import resolve_backend
-
-    if jobs < 1:
-        raise PopperError(f"--jobs must be >= 1, got {jobs}")
-    scheduler, workers, warning = resolve_backend(backend, jobs)
-    if warning:
-        print(f"-- {warning}", file=sys.stderr)
-    return scheduler, workers
-
-
 def _effective_seed(args) -> int:
     """One seed for every injection surface: ``--seed`` wins, then the
     ``POPPER_SEED`` environment variable (how ``popper ci --seed``
-    reaches in-process matrix jobs), then ``--fault-seed`` (default 42)."""
+    reaches in-process matrix jobs), then 42."""
     explicit = getattr(args, "seed", None)
     if explicit is not None:
         return int(explicit)
@@ -535,17 +492,20 @@ def _effective_seed(args) -> int:
             raise PopperError(
                 f"POPPER_SEED must be an integer, got {env!r}"
             ) from None
-    return int(getattr(args, "fault_seed", 42))
+    return 42
 
 
 def _cmd_run(args) -> int:
     """Run experiments as independent nodes of a task graph.
 
-    With ``-j N`` the engine runs up to N experiments concurrently; each
-    one journals into its own ``journal.jsonl``.  A failing experiment
-    (``PopperError``) is reported as ERRORED and the rest of the sweep
-    keeps running; exit status aggregates across the sweep (0 all ok,
-    1 validation failures, 2 errored experiments).
+    Each experiment journals into its own ``journal.jsonl``.  A failing
+    experiment (``PopperError``) is reported as ERRORED and the rest of
+    the sweep keeps running; exit status aggregates across the sweep
+    (0 all ok, 1 validation failures, 2 errored experiments).
+
+    ``-j 1`` runs serially in this process; ``-j N`` runs on up to N
+    worker processes (one per core at most), started on the first
+    experiment the cache cannot serve.
 
     Resilience: ``--retries``/``--task-timeout`` set stage-level retry
     and deadline policies, ``--inject-faults`` applies a deterministic
@@ -575,6 +535,7 @@ def _cmd_run(args) -> int:
         RunStateStore,
         TaskGraph,
         TaskState,
+        resolve_backend,
     )
 
     repo = PopperRepository.open(args.repo)
@@ -590,22 +551,16 @@ def _cmd_run(args) -> int:
         print("popper run: name at least one experiment (or --all)", file=sys.stderr)
         return 2
 
-    retries = args.retries
-    fault_spec = args.inject_faults
-    if args.chaos_smoke:
-        retries = max(retries, 3)
-        fault_spec = fault_spec or "flaky:run:2"
-    if retries < 0:
-        raise PopperError(f"--retries must be >= 0, got {retries}")
-    if fault_spec:
-        FaultPlan.parse(fault_spec, seed=seed)  # validate early
+    if args.retries < 0:
+        raise PopperError(f"--retries must be >= 0, got {args.retries}")
+    if args.inject_faults:
+        FaultPlan.parse(args.inject_faults, seed=seed)  # validate early
 
-    backend = args.backend
-    jobs = args.jobs
-    if args.process_smoke:
-        backend = "process"
-        jobs = max(jobs, 2)
-    scheduler, workers = _scheduler_for(backend, jobs)
+    if args.jobs < 1:
+        raise PopperError(f"--jobs must be >= 1, got {args.jobs}")
+    scheduler, workers, warning = resolve_backend(args.jobs)
+    if warning:
+        print(f"-- {warning}", file=sys.stderr)
 
     if args.cache_check and (args.no_cache or args.validate_only):
         raise PopperError(
@@ -635,16 +590,16 @@ def _cmd_run(args) -> int:
     def experiment_task(name: str):
         # Plain data rather than a closure, so the process backend can
         # ship it to a worker; bound to the open repo and cancel token
-        # for the in-process backends (dropped on pickle).
+        # for a serial run (dropped on pickle).
         return SweepExperimentJob(
             repo_root=str(repo.root),
             name=name,
             strict=args.strict,
             resume=args.resume,
             validate_only=args.validate_only,
-            retries=retries,
+            retries=args.retries,
             task_timeout=args.task_timeout,
-            fault_spec=fault_spec,
+            fault_spec=args.inject_faults,
             fault_seed=seed,
             use_cache=use_cache,
             backend=scheduler.backend,
@@ -659,20 +614,20 @@ def _cmd_run(args) -> int:
 
         return restore
 
-    def sweep_payload(name: str):
+    def sweep_payload(name: str, key: str):
         """The task payload for one experiment of the sweep.
 
-        With the cache on, the whole experiment is memoized under its
-        vars fingerprint: a warm run materializes ``results.csv``, the
-        figure artifacts and the reports from the content pool and only
-        re-evaluates the (cheap) validations.
+        With the cache on, the whole experiment is memoized under *key*
+        (its :func:`sweep_key`): a warm run materializes
+        ``results.csv``, the figure artifacts and the reports from the
+        content pool and only re-evaluates the (cheap) validations.
         """
         payload = experiment_task(name)
         if artifact_store is None:
             return payload
         return MemoizedPayload(
             fn=payload,
-            key=sweep_key(repo, name),
+            key=key,
             root=repo.root,
             outputs=lambda result: sweep_outputs(repo, name, result.figures),
             meta=lambda result: sweep_meta(len(result.results), result.validated),
@@ -689,10 +644,11 @@ def _cmd_run(args) -> int:
             if args.validate_only:
                 graph.add(name, experiment_task(name))
             else:
+                key = sweep_key(repo, name)
                 graph.add(
                     name,
-                    sweep_payload(name),
-                    fingerprint=sweep_key(repo, name),
+                    sweep_payload(name, key),
+                    fingerprint=key,
                     # Only validated successes are worth caching; a run
                     # that completed with validation failures re-runs on
                     # resume.

@@ -19,11 +19,10 @@ an imperative loop::
 4. the three *tails* — **postprocess** (``process-result.py``),
    **visualize** (the analysis notebook, when present) and **validate**
    (``validations.aver`` → ``validation_report.txt``) — depend only on
-   the run's results table and are independent of each other, so a
-   :class:`~repro.engine.ThreadedScheduler` may overlap them.  The
-   default :class:`~repro.engine.SerialScheduler` keeps runs
-   deterministic for debugging; either backend produces identical
-   artifacts.
+   the run's results table and are independent of each other.  The
+   stages run on a :class:`~repro.engine.SerialScheduler`, one at a
+   time in a deterministic order; parallelism lives one level up, where
+   ``popper run -j N`` runs whole experiments on worker processes.
 
 Every run is observable after the fact: each stage executes inside a
 ``task/<stage>`` tracing span (root span ``pipeline/run/<experiment>``),
@@ -58,7 +57,6 @@ from repro.engine import (
     RunOptions,
     RUN_STATE_FILE,
     RunStateStore,
-    Scheduler,
     SerialScheduler,
     TaskGraph,
     TaskState,
@@ -118,7 +116,6 @@ class ExperimentPipeline:
         metrics: MetricStore | None = None,
         inventory: Inventory | None = None,
         tracer: Tracer | None = None,
-        scheduler: Scheduler | None = None,
         retry: RetryPolicy | None = None,
         timeout_s: float | None = None,
         faults: FaultPlan | None = None,
@@ -135,9 +132,6 @@ class ExperimentPipeline:
         self.metrics = metrics if metrics is not None else MetricStore()
         self.inventory = inventory
         self.tracer = tracer if tracer is not None else Tracer(metrics=self.metrics)
-        # Serial by default: deterministic stage order for debugging.
-        # Pass a ThreadedScheduler to overlap the independent tails.
-        self.scheduler = scheduler if scheduler is not None else SerialScheduler()
         self.retry = retry
         self.timeout_s = timeout_s
         self.faults = faults
@@ -394,9 +388,9 @@ class ExperimentPipeline:
         ``setup → [baseline] → run`` is a chain; ``postprocess``,
         ``visualize`` (when the experiment ships a notebook) and
         ``validate`` all depend only on ``run`` and are mutually
-        independent — the engine may overlap them.  The ``run`` stage
-        carries a checkpoint fingerprint over the experiment's variables,
-        so an interrupted sweep resumes without re-executing it.
+        independent.  The ``run`` stage carries a checkpoint fingerprint
+        over the experiment's variables, so an interrupted sweep resumes
+        without re-executing it.
 
         The artifact-producing stages (``baseline``, ``run``,
         ``postprocess``, ``visualize``) are declared through
@@ -525,7 +519,7 @@ class ExperimentPipeline:
         variables = self.load_vars()
         graph = self.stage_graph(variables)
         with tracer.span(f"pipeline/run/{self.experiment}"):
-            recap = self.scheduler.run(graph, tracer=tracer, options=options)
+            recap = SerialScheduler().run(graph, tracer=tracer, options=options)
             # A failed stage fails the run; its dependents were skipped,
             # independent stages already finished and are journaled.
             # DEGRADED stages (declared optional in vars.yml) do not

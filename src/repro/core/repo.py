@@ -63,20 +63,20 @@ PAPER_TEMPLATES: dict[str, dict[str, str]] = {
 DEFAULT_TRAVIS = """\
 # Integrity checks for this Popper repository (category-1 validation).
 # Five jobs run the experiment sweep in one mode each: re-validate the
-# stored results; re-execute under injected transient faults with
-# retries; run twice against one artifact store and require a warm,
-# identical second pass; crash mid-write, repair with popper doctor
-# and resume clean; run on worker processes.  The sixth job, popper
-# selftest, checks the toolchain itself in scratch repositories: the
-# degradation detectors, the fuzz loop, the packed store and the
-# serve daemon.
+# stored results; re-execute with retries while the first two attempts
+# of every run stage fail; run twice against one artifact store and
+# require a warm, identical second pass; crash mid-write, repair with
+# popper doctor and resume clean; run on two worker processes.  The
+# sixth job, popper selftest, checks the toolchain itself in scratch
+# repositories: the degradation detectors, the fuzz loop, the packed
+# store and the serve daemon.
 language: generic
 env:
   - POPPER_JOB="run --all --validate-only"
-  - POPPER_JOB="run --all --chaos-smoke"
+  - POPPER_JOB="run --all --retries 3 --inject-faults flaky:run:2"
   - POPPER_JOB="run --all --cache-check"
   - POPPER_JOB="run --all --crash-smoke"
-  - POPPER_JOB="run --all --process-smoke"
+  - POPPER_JOB="run --all -j 2"
   - POPPER_JOB=selftest
 script:
   - popper check

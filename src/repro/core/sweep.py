@@ -1,9 +1,9 @@
 """The sweep job: one experiment of ``popper run``, as a picklable unit.
 
-``popper run --all -jN`` executes experiments as tasks of a
-:class:`~repro.engine.TaskGraph`.  The in-process schedulers can run any
-callable, but the :class:`~repro.engine.ProcessScheduler` ships each
-task's payload to a worker *process* — so the payload must survive
+``popper run --all -j N`` executes experiments as tasks of a
+:class:`~repro.engine.TaskGraph`.  With N > 1 they run on the
+:class:`~repro.engine.ProcessScheduler`, which ships each task's
+payload to a worker *process* — so the payload must survive
 ``pickle``, which rules out the closures the CLI historically built.
 
 :class:`SweepExperimentJob` is that payload as plain data: the
@@ -17,9 +17,9 @@ on the far side:
   seeds derive per experiment name, exactly as the CLI derives them);
 * the cancel token only exists in the parent process, so under the
   process backend a signal drains at whole-experiment granularity —
-  in-flight experiments finish and checkpoint; under in-process
-  backends :meth:`bind` supplies the shared repo and token and
-  cancellation additionally drains at stage granularity.
+  in-flight experiments finish and checkpoint; with ``-j 1``
+  :meth:`bind` supplies the shared repo and token and cancellation
+  additionally drains at stage granularity.
 
 A whole experiment is also one artifact-store entry, and ``popper run``
 and ``popper serve`` share it: :func:`sweep_key` is its memo key,
@@ -36,23 +36,39 @@ from typing import Mapping
 
 from repro.common.hashing import sha256_text
 from repro.common.rng import derive_seed
-from repro.core.pipeline import ExperimentPipeline, ExperimentResult
+from repro.core.pipeline import (
+    NOTEBOOK_FILE,
+    ExperimentPipeline,
+    ExperimentResult,
+)
+from repro.core.postprocess import PROCESS_SCRIPT
 from repro.core.repo import PopperRepository
 from repro.engine import CancelToken, FaultPlan, RetryPolicy, task_fingerprint
 
 __all__ = ["SweepExperimentJob", "sweep_key", "sweep_meta", "sweep_outputs"]
 
 
+#: The files a hit on the whole-experiment entry lets a run skip
+#: reading.  ``validations.aver`` is not one of them: every hit
+#: re-evaluates it.
+_KEYED_FILES = ("vars.yml", "setup.yml", PROCESS_SCRIPT, NOTEBOOK_FILE)
+
+
 def sweep_key(repo: PopperRepository, name: str) -> str:
     """The memo key of experiment *name*'s whole run.
 
-    It covers the experiment's parameters: editing ``vars.yml``
-    invalidates the entry and the sweep checkpoint, and the experiment
-    re-runs.
+    It covers the content of ``vars.yml``, ``setup.yml``,
+    ``process-result.py`` and ``visualize.nb.json`` (a missing file
+    counts as empty): editing any of them invalidates the entry and the
+    sweep checkpoint, and the experiment re-runs.
     """
-    vars_path = repo.experiment_dir(name) / "vars.yml"
-    text = vars_path.read_text(encoding="utf-8") if vars_path.is_file() else ""
-    return task_fingerprint(f"sweep/{name}", {"vars": sha256_text(text)})
+    exp_dir = repo.experiment_dir(name)
+    digests = {}
+    for file in _KEYED_FILES:
+        path = exp_dir / file
+        text = path.read_text(encoding="utf-8") if path.is_file() else ""
+        digests[file] = sha256_text(text)
+    return task_fingerprint(f"sweep/{name}", digests)
 
 
 def sweep_outputs(
@@ -105,9 +121,9 @@ class SweepExperimentJob:
     ) -> "SweepExperimentJob":
         """Attach in-process-only collaborators (not pickled).
 
-        The CLI binds its open repository and live cancel token so the
-        serial/threaded backends share them; a process-backend worker
-        unpickles the job without them and reconstructs what it needs.
+        The CLI binds its open repository and live cancel token so a
+        serial run shares them; a process-backend worker unpickles the
+        job without them and reconstructs what it needs.
         """
         self._repo = repo
         self._cancel = cancel

@@ -6,12 +6,12 @@ playbook host fan-out all declare their work as a
 :class:`~repro.engine.scheduler.Scheduler` —
 :class:`~repro.engine.scheduler.SerialScheduler` for deterministic
 debugging, :class:`~repro.engine.scheduler.ThreadedScheduler` for
-I/O-overlapping parallelism, or
+payloads that cannot leave the process (CI jobs, playbook hosts), or
 :class:`~repro.engine.procsched.ProcessScheduler` for true multi-core
 execution of pickle-safe payloads
-(:func:`~repro.engine.scheduler.resolve_backend` picks one from
-``--backend``/``-j``).  See ``docs/engine.md``.  The process backend
-and ``popper serve`` run on one supervised
+(:func:`~repro.engine.scheduler.resolve_backend` picks serial or
+processes from ``popper run -j``).  See ``docs/engine.md``.  The
+process backend and ``popper serve`` run on one supervised
 :class:`~repro.engine.pool.WorkerPool`.
 
 The resilience layer (see ``docs/robustness.md``) rides on top:
@@ -53,7 +53,6 @@ from repro.engine.runstate import (
 )
 from repro.engine.procsched import ProcessScheduler, audit_pickle_safety
 from repro.engine.scheduler import (
-    BACKENDS,
     RunOptions,
     Scheduler,
     SerialScheduler,
@@ -76,7 +75,6 @@ __all__ = [
     "TaskGraph",
     "TaskOutcome",
     "TaskState",
-    "BACKENDS",
     "RunOptions",
     "Scheduler",
     "SerialScheduler",

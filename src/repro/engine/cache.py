@@ -6,7 +6,7 @@ where they live, and how to rebuild its Python value from the recorded
 metadata once those files are back on disk.  Before executing such a
 task the scheduler consults the run's
 :class:`~repro.store.ArtifactStore`; a fingerprint hit materializes the
-outputs from the content pool (hardlink or copy) and completes the task
+outputs from the content pool (a copy) and completes the task
 as :attr:`~repro.engine.graph.TaskState.CACHED`, journaling a ``cache``
 event with the bytes it did not have to recompute.  A miss executes the
 payload normally and then files the produced outputs, so the *next* run
@@ -88,8 +88,6 @@ class MemoizedPayload:
     outputs: Callable[[Any], Mapping[str, Path]]
     meta: Callable[[Any], dict | None] = field(default=lambda value: {})
     restore: Callable[[dict], Any] | None = None
-    #: Materialize via hardlink instead of copy (read-only consumers).
-    link: bool = False
 
     def __post_init__(self) -> None:
         if not self.key:

@@ -1,10 +1,10 @@
 """The process-parallel scheduler: true multi-core graph execution.
 
 ``ThreadedScheduler`` overlaps I/O but not computation — the experiment
-payloads are pure-Python and GIL-bound, which is why ``BENCH_engine.json``
-historically showed ``-j 4`` *slower* than serial.  ``ProcessScheduler``
-runs the same :class:`~repro.engine.graph.TaskGraph` contract on a pool
-of worker *processes*, so independent tasks use independent cores.
+payloads are pure-Python and GIL-bound, so threads barely beat serial.
+``ProcessScheduler`` runs the same :class:`~repro.engine.graph.TaskGraph`
+contract on a pool of worker *processes*, so independent tasks use
+independent cores; ``popper run -j N`` (N > 1) runs on it.
 
 Design:
 
@@ -12,10 +12,12 @@ Design:
   boundary.  Before spawning anything the scheduler audits every task
   (:func:`audit_pickle_safety`); closures and lambdas fail the audit and
   the run demotes itself to the threaded backend, journaling a
-  ``scheduler_fallback`` event — or raises
-  :class:`~repro.common.errors.UnpicklablePayloadError` when
-  ``fallback=None``.  A task whose *dependency values* turn out
-  unpicklable at dispatch time runs inline in the parent instead.
+  ``scheduler_fallback`` event and warning.  A task whose *dependency
+  values* turn out unpicklable at dispatch time runs inline in the
+  parent instead.
+* **A pool started on the first miss.** The worker pool starts when the
+  first task misses both the artifact store and the checkpoint, so a
+  fully cached or fully restored graph forks nothing.
 * **Parent-side assignment across topological levels.** The parent
   hands the oldest ready task to the next idle worker, whichever
   topological level it belongs to, so uneven stage durations never
@@ -250,21 +252,12 @@ class ProcessScheduler(Scheduler):
     #: workers and cancellation (seconds).
     POLL_S = 0.1
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        fallback: str | None = "threaded",
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-        if fallback not in (None, "threaded"):
-            raise EngineError(
-                f"fallback must be 'threaded' or None, got {fallback!r}"
-            )
         self.max_workers = max_workers
-        self.fallback = fallback
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, graph, result, tracer, parent, options):
@@ -276,11 +269,6 @@ class ProcessScheduler(Scheduler):
             detail = "; ".join(
                 f"{tid}: {reason}" for tid, reason in sorted(problems.items())
             )
-            if self.fallback is None:
-                raise UnpicklablePayloadError(
-                    f"{len(problems)} task payload(s) cannot cross a "
-                    f"process boundary: {detail}"
-                )
             demoted = ThreadedScheduler(max_workers=self.max_workers)
             if journal is not None:
                 journal.event(
@@ -370,6 +358,8 @@ class ProcessScheduler(Scheduler):
                     optional=task.optional,
                     faults=options.faults,
                 )
+                if not pool.workers:
+                    pool.start()  # the first miss: a cached graph forks nothing
                 try:
                     pool.dispatch(job, tid)
                 except Exception as exc:
@@ -519,7 +509,6 @@ class ProcessScheduler(Scheduler):
                     self._graft_spans(tracer, events, local, parent_id)
 
         try:
-            pool.start()
             dispatch(ready.take_ready())
             while inflight:
                 records = pool.poll(timeout_s=self.POLL_S)

@@ -69,16 +69,12 @@ from repro.store import ArtifactStore
 from repro.monitor.tracing import Span, Tracer, activate, current_tracer
 
 __all__ = [
-    "BACKENDS",
     "RunOptions",
     "Scheduler",
     "SerialScheduler",
     "ThreadedScheduler",
     "resolve_backend",
 ]
-
-#: Backend names accepted by ``popper run --backend`` / :func:`resolve_backend`.
-BACKENDS = ("auto", "serial", "threaded", "process")
 
 
 @dataclass(frozen=True)
@@ -339,11 +335,7 @@ class Scheduler:
             record = store.lookup(key)
             if record is None:
                 return None
-            restored_bytes = store.materialize(
-                record,
-                payload.cache_root(),
-                link=bool(getattr(payload, "link", False)),
-            )
+            restored_bytes = store.materialize(record, payload.cache_root())
             value = payload.cache_restore(dict(record.meta))
         except Exception:
             return None
@@ -596,47 +588,23 @@ class ThreadedScheduler(Scheduler):
             raise EngineError(f"unrunnable tasks left over: {ready.pending()}")
 
 
-def resolve_backend(
-    backend: str = "auto", jobs: int = 1
-) -> tuple[Scheduler, int, str | None]:
-    """Pick a scheduler for ``--backend BACKEND -j JOBS``.
+def resolve_backend(jobs: int = 1) -> tuple[Scheduler, int, str | None]:
+    """Pick the scheduler for ``popper run -j JOBS``.
 
     Returns ``(scheduler, effective_workers, warning)``; *warning* is a
-    human-readable line (or ``None``) the CLI prints and callers may
-    journal.  Policy:
-
-    * ``auto`` — threaded when ``jobs > 1``, serial otherwise (the
-      historical ``-j`` behavior).
-    * ``serial`` — one worker, ``jobs`` ignored.
-    * ``threaded`` — ``jobs`` workers; asking for more workers than CPU
-      cores warns but does **not** clamp, because threads time-share the
-      GIL anyway and I/O-bound payloads legitimately oversubscribe.
-    * ``process`` — ``jobs`` worker *processes*, clamped to
-      ``os.cpu_count()`` with a warning: extra processes cost real
-      memory and context switches and can never add throughput.
+    human-readable line (or ``None``) the CLI prints.  ``-j 1`` runs
+    serially in the calling process.  ``-j N`` runs on N worker
+    *processes*, clamped to ``os.cpu_count()`` with a warning: extra
+    processes cost real memory and context switches and can never add
+    throughput.
     """
     if jobs < 1:
         raise EngineError(f"jobs must be >= 1, got {jobs}")
-    if backend not in BACKENDS:
-        raise EngineError(
-            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
-        )
-    if backend == "auto":
-        backend = "threaded" if jobs > 1 else "serial"
-    if backend == "serial":
+    if jobs == 1:
         return SerialScheduler(), 1, None
-    cpus = os.cpu_count() or 1
-    if backend == "threaded":
-        warning = None
-        if jobs > cpus:
-            warning = (
-                f"-j {jobs} exceeds the {cpus} available CPU core(s); "
-                f"threads time-share the GIL, expect no extra throughput "
-                f"for CPU-bound tasks"
-            )
-        return ThreadedScheduler(max_workers=jobs), jobs, warning
     from repro.engine.procsched import ProcessScheduler
 
+    cpus = os.cpu_count() or 1
     workers, warning = jobs, None
     if jobs > cpus:
         workers = cpus

@@ -113,10 +113,11 @@ _GARBLED_SPECS = (
 #: Travis env lines: well-formed ones, quoted values included, and
 #: deliberately odd ones (an empty value, no ``=``, an unbalanced quote).
 _TRAVIS_ENV_LINES = (
-    "POPPER_JOB=selftest", 'POPPER_JOB="run --all --chaos-smoke"',
+    "POPPER_JOB=selftest",
+    'POPPER_JOB="run --all --retries 3 --inject-faults flaky:run:2"',
     'POPPER_JOB="run --all --cache-check"', "POPPER_JOB=",
-    'EXTRA=1 POPPER_JOB="run --all --chaos-smoke"', "NOVALUE",
-    'POPPER_JOB="run --all',
+    'EXTRA=1 POPPER_JOB="run --all --retries 3 --inject-faults flaky:run:2"',
+    "NOVALUE", 'POPPER_JOB="run --all',
 )
 
 _HOST_COUNTS = (0, 1, 2, 3, 5, 8)

@@ -4,10 +4,11 @@ A playbook is a list of plays; a play targets a host pattern and runs an
 ordered task list.  Execution fans out across hosts through the shared
 execution engine (:mod:`repro.engine`): each task becomes a flat
 :class:`~repro.engine.TaskGraph` with one node per alive host, run by a
-:class:`~repro.engine.ThreadedScheduler` bounded by ``max_forks`` (like
-Ansible's linear strategy).  Tasks stay in lockstep: task *i* completes
-on every host before task *i+1* starts, which is what experiment phases
-(install → configure → run → collect) require.
+:class:`~repro.engine.ThreadedScheduler` with one thread per host, at
+most 16 (like Ansible's forks and linear strategy), or serially for a
+single host.  Tasks stay in lockstep: task *i* completes on every host
+before task *i+1* starts, which is what experiment phases (install →
+configure → run → collect) require.
 
 YAML shape (the subset the Popper templates use)::
 
@@ -32,7 +33,7 @@ from typing import Any
 
 from repro.common import minyaml
 from repro.common.errors import OrchestrationError, TransientError
-from repro.engine import Scheduler, SerialScheduler, TaskGraph, ThreadedScheduler
+from repro.engine import SerialScheduler, TaskGraph, ThreadedScheduler
 from repro.monitor.tracing import current_tracer
 from repro.orchestration.inventory import Host, Inventory
 from repro.orchestration.modules import MODULES, TaskResult, run_module
@@ -41,6 +42,9 @@ from repro.orchestration.templating import evaluate, render_value
 __all__ = ["Task", "Play", "Playbook", "PlaybookRunner", "HostStats", "PlayRecap"]
 
 _TASK_KEYWORDS = {"name", "register", "when", "loop", "ignore_errors", "retries"}
+
+#: The most hosts one task fans out to at once.
+_MAX_FORKS = 16
 
 
 @dataclass
@@ -148,10 +152,6 @@ class PlayRecap:
 
     stats: dict[str, HostStats]
     task_results: list[tuple[str, str, TaskResult]]  # (task name, host, result)
-    #: Hosts dropped from the run as unreachable, within the runner's
-    #: ``max_host_failures`` budget (host name -> reason).  A degraded
-    #: run is still ``ok``: the remaining hosts completed every task.
-    degraded: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -172,56 +172,19 @@ class PlaybookRunner:
         self,
         inventory: Inventory,
         extra_vars: dict[str, Any] | None = None,
-        max_forks: int = 16,
-        scheduler: Scheduler | None = None,
-        max_host_failures: int = 0,
-        unreachable_retries: int = 0,
     ) -> None:
         self.inventory = inventory
         self.extra_vars = dict(extra_vars or {})
-        self.max_forks = max(1, max_forks)
-        # Injected scheduler overrides the per-task default (one worker
-        # per alive host, bounded by max_forks; serial when forks == 1).
-        self.scheduler = scheduler
-        # Graceful degradation: up to max_host_failures hosts may be
-        # dropped as unreachable without failing the run (they land in
-        # the recap's ``degraded`` map); unreachable operations retry up
-        # to unreachable_retries times first.
-        self.max_host_failures = max(0, int(max_host_failures))
-        self.unreachable_retries = max(0, int(unreachable_retries))
-
-    def _scheduler_for(self, hosts: int) -> Scheduler:
-        if self.scheduler is not None:
-            return self.scheduler
-        forks = min(self.max_forks, hosts)
-        if forks <= 1:
-            return SerialScheduler()
-        return ThreadedScheduler(max_workers=forks)
-
-    def _gather_facts(self, host: Host) -> dict[str, Any]:
-        """Gather facts, retrying unreachable hosts within the budget."""
-        last: TransientError | None = None
-        for _attempt in range(self.unreachable_retries + 1):
-            try:
-                return host.connection.facts()
-            except TransientError as exc:
-                last = exc
-        assert last is not None
-        raise last
 
     def run(self, playbook: Playbook) -> PlayRecap:
         """Run every play; stops a host's participation at its first
         unignored failure (remaining tasks count as skipped).
 
-        A host that stays unreachable (facts gathering or any task op,
-        after ``unreachable_retries`` retries) is *degraded* — dropped
-        from the rest of the run without failing it — as long as at most
-        ``max_host_failures`` hosts are lost; one more and the failure
-        counts like any other.
+        An unreachable host fails its task like any other failure; one
+        that is unreachable while gathering facts raises.
         """
         stats: dict[str, HostStats] = {}
         task_log: list[tuple[str, str, TaskResult]] = []
-        degraded: dict[str, str] = {}
         for play in playbook.plays:
             hosts = self.inventory.match(play.hosts)
             if not hosts:
@@ -231,24 +194,15 @@ class PlaybookRunner:
             host_vars: dict[str, dict[str, Any]] = {}
             for host in hosts:
                 stats.setdefault(host.name, HostStats())
-                if host.name in degraded:
-                    continue
                 merged = dict(self.extra_vars)
                 merged.update(self.inventory.effective_vars(host))
                 merged.update(play.vars)
                 merged.update(self.extra_vars)  # extra vars win overall
                 if play.gather_facts and host.connection is not None:
-                    try:
-                        merged["facts"] = self._gather_facts(host)
-                    except TransientError as exc:
-                        stats[host.name].unreachable += 1
-                        if len(degraded) >= self.max_host_failures:
-                            raise
-                        degraded[host.name] = str(exc)
-                        continue
+                    merged["facts"] = host.connection.facts()
                 host_vars[host.name] = merged
 
-            dead: set[str] = set(degraded)
+            dead: set[str] = set()
             for task in play.tasks:
                 alive = [h for h in hosts if h.name not in dead]
                 if not alive:
@@ -271,7 +225,12 @@ class PlaybookRunner:
                                 )
                             )(host),
                         )
-                    fanout = self._scheduler_for(len(alive)).run(graph)
+                    scheduler = (
+                        ThreadedScheduler(max_workers=min(_MAX_FORKS, len(alive)))
+                        if len(alive) > 1
+                        else SerialScheduler()
+                    )
+                    fanout = scheduler.run(graph)
                     # _run_task_on_host reports failures as TaskResults;
                     # an exception here is a runner bug, not a host fault.
                     fanout.raise_first_error()
@@ -286,12 +245,6 @@ class PlaybookRunner:
                         if result.failed and not task.ignore_errors:
                             if result.unreachable:
                                 host_stats.unreachable += 1
-                                if len(degraded) < self.max_host_failures:
-                                    # Lost to infrastructure, within
-                                    # budget: degrade, don't fail.
-                                    degraded[host.name] = result.msg
-                                    dead.add(host.name)
-                                    continue
                             host_stats.failed += 1
                             failed_hosts += 1
                             dead.add(host.name)
@@ -309,7 +262,7 @@ class PlaybookRunner:
                         if task.module == "set_fact":
                             host_vars[host.name].update(result.data)
                     task_span.attributes["failed_hosts"] = failed_hosts
-        return PlayRecap(stats=stats, task_results=task_log, degraded=degraded)
+        return PlayRecap(stats=stats, task_results=task_log)
 
     def _run_task_on_host(
         self, task: Task, host: Host, variables: dict[str, Any]
@@ -348,8 +301,8 @@ class PlaybookRunner:
                     args["that"] = [evaluate(str(c), local_vars) for c in raw_list]
                 return run_module(task.module, host.connection, args)
             except TransientError as exc:
-                # The host, not the module, failed: flag it so the
-                # runner can retry or degrade instead of hard-failing.
+                # The host, not the module, failed: the recap counts it
+                # as unreachable.
                 return TaskResult(failed=True, unreachable=True, msg=str(exc))
             except OrchestrationError as exc:
                 return TaskResult(failed=True, msg=str(exc))
@@ -357,12 +310,7 @@ class PlaybookRunner:
         def with_retries(item: Any | None) -> TaskResult:
             result = one(item)
             retries_used = 0
-            while result.failed:
-                budget = task.retries
-                if result.unreachable:
-                    budget = max(budget, self.unreachable_retries)
-                if retries_used >= budget:
-                    break
+            while result.failed and retries_used < task.retries:
                 retries_used += 1
                 result = one(item)
             return result

@@ -6,7 +6,7 @@ under a repository's ``.pvcs/cache/`` and is shared by every substrate:
 
 * the engine consults it before running a cache-aware task (see
   :mod:`repro.engine.cache`) — a hit materializes the recorded outputs
-  (hardlink or copy) and the task completes as CACHED;
+  (a copy) and the task completes as CACHED;
 * the experiment pipeline and ``popper run --all`` sweeps store their
   stage outputs (``results.csv``, figures, baseline profiles) here;
 * ``popper cache stats|verify|gc`` administers it.
@@ -133,9 +133,7 @@ class ArtifactStore:
             record=record, bytes_stored=stored, bytes_deduped=deduped
         )
 
-    def materialize(
-        self, record: ArtifactRecord, root: Path, link: bool = False
-    ) -> int:
+    def materialize(self, record: ArtifactRecord, root: Path) -> int:
         """Recreate a record's outputs under *root*; returns bytes restored.
 
         Raises :class:`~repro.common.errors.StoreError` when an object is
@@ -143,9 +141,7 @@ class ArtifactStore:
         """
         restored = 0
         for output in record.outputs:
-            restored += self.cas.materialize(
-                output.oid, Path(root) / output.path, link=link
-            )
+            restored += self.cas.materialize(output.oid, Path(root) / output.path)
         return restored
 
     # -- administration ----------------------------------------------------------

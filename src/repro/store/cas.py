@@ -337,45 +337,26 @@ class ContentStore:
 
     # -- materialization ------------------------------------------------------
     def materialize(
-        self,
-        oid: str,
-        dest: str | Path,
-        link: bool = False,
-        verify: bool = True,
+        self, oid: str, dest: str | Path, verify: bool = True
     ) -> int:
         """Recreate an object's content at *dest*; returns bytes written.
 
-        ``link=True`` publishes a hardlink to the stored object instead
-        of copying (falling back to a copy when the filesystem refuses):
-        cheap, but only safe for read-only consumers — a consumer that
-        truncates the file in place would corrupt the pool.  Either way
-        the destination is replaced atomically, so a half-materialized
-        artifact is never observable.
-
-        A packed object materializes by extraction (``link`` degrades
-        to a copy — there is no loose file to hardlink).
+        The destination is a copy, independent of the pool, and is
+        replaced atomically, so a half-materialized artifact is never
+        observable.  A packed object materializes by extraction.
         """
         path = self.object_path(oid)
-        loose = path.exists()
-        if loose and not verify:
+        if path.exists() and not verify:
             data = None
         else:
             # Loose+verify, or packed either way: one verified read.
             data = self.get_bytes(oid, verify=verify)
-            loose = path.exists()  # pack quarantine may have fallen back
         dest = Path(dest)
         ensure_dir(dest.parent)
         fd, tmp_name = tempfile.mkstemp(prefix=".mat-", dir=str(dest.parent))
         tmp = Path(tmp_name)
         try:
-            if link and loose:
-                os.close(fd)
-                tmp.unlink()
-                try:
-                    os.link(path, tmp)
-                except OSError:
-                    shutil.copyfile(path, tmp)
-            elif data is not None:
+            if data is not None:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(data)
             else:
@@ -385,7 +366,7 @@ class ContentStore:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        return path.stat().st_size if loose else len(data)
+        return path.stat().st_size if data is None else len(data)
 
     # -- integrity ------------------------------------------------------------
     def quarantine(self, oid: str) -> Path | None:

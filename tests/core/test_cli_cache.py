@@ -60,6 +60,29 @@ class TestWarmSweep:
         assert main(["-C", str(repo_dir), "run", "--all"]) == 0
         assert "(cached)" in capsys.readouterr().out
 
+    def test_postprocess_edit_invalidates_cache(self, repo_dir, capsys):
+        exp = add_torpor(repo_dir, "one")
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        assert (exp / "figure.csv").read_text().startswith("class,")
+        (exp / "process-result.py").write_text(
+            "def process(results):\n"
+            "    return results.aggregate(['stressor'], 'speedup')\n"
+        )
+        capsys.readouterr()
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        assert "(cached)" not in capsys.readouterr().out
+        assert (exp / "figure.csv").read_text().startswith("stressor,")
+        # The new script's outputs are what the entry now replays.
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        assert "(cached)" in capsys.readouterr().out
+        assert (exp / "figure.csv").read_text().startswith("stressor,")
+        # Every hit re-evaluates the validations, so they stay out of
+        # the key.
+        with (exp / "validations.aver").open("a") as handle:
+            handle.write("\n")
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        assert "(cached)" in capsys.readouterr().out
+
     def test_warm_parallelism_is_deterministic(self, repo_dir, capsys):
         """-j1 and -j4 warm runs produce byte-identical artifacts."""
         add_torpor(repo_dir, "one")

@@ -19,10 +19,10 @@ def test_default_ci_matrix_jobs_parse_as_popper_commands():
     jobs = config.expand_matrix()
     assert [env["POPPER_JOB"] for env in jobs] == [
         "run --all --validate-only",
-        "run --all --chaos-smoke",
+        "run --all --retries 3 --inject-faults flaky:run:2",
         "run --all --cache-check",
         "run --all --crash-smoke",
-        "run --all --process-smoke",
+        "run --all -j 2",
         "selftest",
     ]
     parser = build_parser()

@@ -3,9 +3,10 @@
 Payloads here are module-level classes — the process backend ships each
 task to a worker process with ``pickle``, and the tests cover exactly
 that contract: the pickle-safety audit (and its threaded fallback),
-dependency values crossing the boundary, cache/checkpoint composition,
-retries and fault plans inside workers, deterministic journal-shard
-merging, dead-worker containment, and cooperative cancellation.
+dependency values crossing the boundary, cache/checkpoint composition
+(a fully cached graph starts no worker), retries and fault plans inside
+workers, deterministic journal-shard merging, dead-worker containment,
+and cooperative cancellation.
 """
 
 import os
@@ -25,6 +26,7 @@ from repro.common.errors import (
 from repro.engine import (
     CancelToken,
     FaultPlan,
+    MemoizedPayload,
     ProcessScheduler,
     RetryPolicy,
     RunCancelled,
@@ -35,9 +37,11 @@ from repro.engine import (
     audit_pickle_safety,
     resolve_backend,
 )
-from repro.engine.scheduler import SerialScheduler, ThreadedScheduler
+from repro.engine.pool import WorkerPool
+from repro.engine.scheduler import SerialScheduler
 from repro.monitor.journal import RunJournal, read_journal
 from repro.monitor.tracing import Tracer
+from repro.store import ArtifactStore
 
 
 class Square:
@@ -85,6 +89,18 @@ class Sleep:
     def __call__(self, ctx):
         time.sleep(self.seconds)
         return self.value
+
+
+class WriteText:
+    """Writes *text* to *path* and returns it."""
+
+    def __init__(self, path, text):
+        self.path = path
+        self.text = text
+
+    def __call__(self, ctx):
+        Path(self.path).write_text(self.text, encoding="utf-8")
+        return self.text
 
 
 class WritePid:
@@ -173,13 +189,6 @@ def test_unpicklable_payload_falls_back_to_threaded(tmp_path):
         e["event"] == "span_end" and e["name"] == "task/closure"
         for e in events
     )
-
-
-def test_fallback_none_raises_unpicklable_payload_error():
-    graph = TaskGraph()
-    graph.add("closure", lambda ctx: 1)
-    with pytest.raises(UnpicklablePayloadError, match="closure"):
-        ProcessScheduler(max_workers=2, fallback=None).run(graph)
 
 
 def test_unpicklable_return_value_fails_the_task():
@@ -308,6 +317,39 @@ def test_checkpoint_restores_on_second_run(tmp_path):
     assert second.value("work") == 49
 
 
+def test_fully_cached_graph_starts_no_worker(tmp_path, monkeypatch):
+    starts = []
+    real_start = WorkerPool.start
+
+    def counting_start(pool):
+        starts.append(pool.size)
+        real_start(pool)
+
+    monkeypatch.setattr(WorkerPool, "start", counting_start)
+    graph = TaskGraph()
+    for i in range(3):
+        out = tmp_path / f"out-{i}.txt"
+        graph.add(
+            f"t{i}",
+            MemoizedPayload(
+                fn=WriteText(str(out), f"value {i}"),
+                key=f"{i:064d}",
+                root=tmp_path,
+                outputs=lambda value, out=out: {"out": out},
+                meta=lambda value: {"value": value},
+                restore=lambda meta: meta["value"],
+            ),
+        )
+    options = RunOptions(artifact_store=ArtifactStore(tmp_path / "cache"))
+    cold = ProcessScheduler(max_workers=2).run(graph, options=options)
+    assert {o.state for o in cold.outcomes.values()} == {TaskState.OK}
+    assert starts == [2]
+    warm = ProcessScheduler(max_workers=2).run(graph, options=options)
+    assert {o.state for o in warm.outcomes.values()} == {TaskState.CACHED}
+    assert warm.value("t1") == "value 1"
+    assert starts == [2]
+
+
 # -- journal shard merging -------------------------------------------------------
 
 
@@ -347,33 +389,20 @@ def test_merged_journal_is_one_tree_in_graph_order(tmp_path):
 # -- backend resolution ----------------------------------------------------------
 
 
-def test_resolve_backend_auto_policy():
-    scheduler, workers, warning = resolve_backend("auto", 1)
+def test_resolve_backend_serial_for_one_job():
+    scheduler, workers, warning = resolve_backend(1)
     assert isinstance(scheduler, SerialScheduler)
     assert (workers, warning) == (1, None)
-    scheduler, workers, _ = resolve_backend("auto", 3)
-    assert isinstance(scheduler, ThreadedScheduler)
-    assert workers == 3
 
 
 def test_resolve_backend_process_clamps_to_cpu_count():
     cpus = os.cpu_count() or 1
-    scheduler, workers, warning = resolve_backend("process", cpus + 5)
+    scheduler, workers, warning = resolve_backend(cpus + 5)
     assert isinstance(scheduler, ProcessScheduler)
     assert workers == cpus
     assert warning is not None and "clamping" in warning
 
 
-def test_resolve_backend_threaded_warns_without_clamping():
-    cpus = os.cpu_count() or 1
-    scheduler, workers, warning = resolve_backend("threaded", cpus + 5)
-    assert isinstance(scheduler, ThreadedScheduler)
-    assert workers == cpus + 5
-    assert warning is not None and "GIL" in warning
-
-
-def test_resolve_backend_rejects_unknown_names():
+def test_resolve_backend_rejects_zero_jobs():
     with pytest.raises(EngineError):
-        resolve_backend("quantum", 2)
-    with pytest.raises(EngineError):
-        resolve_backend("process", 0)
+        resolve_backend(0)

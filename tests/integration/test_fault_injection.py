@@ -69,9 +69,10 @@ class TestFlakyWithRetries:
         )
         assert "myexp: ERRORED" in capsys.readouterr().out
 
-    def test_chaos_smoke_shorthand_completes(self, repo_dir):
+    def test_retried_flaky_run_completes(self, repo_dir):
         add_torpor(repo_dir, "myexp")
-        assert main(["-C", str(repo_dir), "run", "--all", "--chaos-smoke"]) == 0
+        chaos = ["--retries", "3", "--inject-faults", "flaky:run:2"]
+        assert main(["-C", str(repo_dir), "run", "--all", *chaos]) == 0
 
     def test_bad_fault_spec_rejected_before_running(self, repo_dir, capsys):
         add_torpor(repo_dir, "myexp")

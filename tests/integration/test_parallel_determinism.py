@@ -3,10 +3,10 @@
 The engine's contract (and the paper's re-executability requirement) is
 that scheduling is an observability/wall-clock concern only — the four
 paper experiments are deterministic functions of their seeds, so a
-serial sweep and a 4-way-threaded sweep of the same repository must
-produce byte-identical ``results.csv`` files and identical validation
-verdicts.  Journals may interleave differently but must stay well-formed
-per experiment.
+serial sweep and a 4-way sweep on worker processes of the same
+repository must produce byte-identical ``results.csv`` files and
+identical validation verdicts.  Journals may interleave differently but
+must stay well-formed per experiment.
 """
 
 import pytest
@@ -50,42 +50,42 @@ def build_repo(root):
 
 @pytest.fixture(scope="module")
 def sweeps(tmp_path_factory):
-    """Run the identical repository serially and with -j 4."""
+    """Run the identical repository serially and on worker processes."""
     serial = build_repo(tmp_path_factory.mktemp("det") / "serial")
-    threaded = build_repo(tmp_path_factory.mktemp("det") / "threaded")
+    parallel = build_repo(tmp_path_factory.mktemp("det") / "parallel")
     assert main(["-C", str(serial.root), "run", "--all", "-j", "1"]) == 0
-    assert main(["-C", str(threaded.root), "run", "--all", "-j", "4"]) == 0
-    return serial, threaded
+    assert main(["-C", str(parallel.root), "run", "--all", "-j", "4"]) == 0
+    return serial, parallel
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_results_csv_byte_identical(sweeps, experiment):
-    serial, threaded = sweeps
+    serial, parallel = sweeps
     serial_csv = (serial.experiment_dir(experiment) / "results.csv").read_bytes()
-    threaded_csv = (
-        threaded.experiment_dir(experiment) / "results.csv"
+    parallel_csv = (
+        parallel.experiment_dir(experiment) / "results.csv"
     ).read_bytes()
-    assert serial_csv == threaded_csv
+    assert serial_csv == parallel_csv
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_validation_verdicts_identical(sweeps, experiment):
-    serial, threaded = sweeps
+    serial, parallel = sweeps
     serial_report = (
         serial.experiment_dir(experiment) / "validation_report.txt"
     ).read_text()
-    threaded_report = (
-        threaded.experiment_dir(experiment) / "validation_report.txt"
+    parallel_report = (
+        parallel.experiment_dir(experiment) / "validation_report.txt"
     ).read_text()
-    assert serial_report == threaded_report
-    assert "ALL VALIDATIONS PASSED" in threaded_report
+    assert serial_report == parallel_report
+    assert "ALL VALIDATIONS PASSED" in parallel_report
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_parallel_journals_well_formed(sweeps, experiment):
     """Each experiment's journal is complete and self-consistent."""
-    _, threaded = sweeps
-    events = read_journal(threaded.experiment_dir(experiment) / "journal.jsonl")
+    _, parallel = sweeps
+    events = read_journal(parallel.experiment_dir(experiment) / "journal.jsonl")
     assert events[0]["event"] == "run_start"
     assert events[0]["experiment"] == experiment
     assert events[-1]["event"] == "run_end"
@@ -99,8 +99,8 @@ def test_parallel_journals_well_formed(sweeps, experiment):
 
 
 def test_trace_renders_critical_path_after_parallel_run(sweeps, capsys):
-    _, threaded = sweeps
-    assert main(["-C", str(threaded.root), "trace", "exp-torpor"]) == 0
+    _, parallel = sweeps
+    assert main(["-C", str(parallel.root), "trace", "exp-torpor"]) == 0
     out = capsys.readouterr().out
     assert "critical path:" in out
     assert "pipeline/run/exp-torpor" in out
@@ -117,27 +117,27 @@ def retry_sweeps(tmp_path_factory):
     """
     chaos = ["--retries", "2", "--inject-faults", "flaky:run:1"]
     serial = build_repo(tmp_path_factory.mktemp("retry-det") / "serial")
-    threaded = build_repo(tmp_path_factory.mktemp("retry-det") / "threaded")
+    parallel = build_repo(tmp_path_factory.mktemp("retry-det") / "parallel")
     assert main(["-C", str(serial.root), "run", "--all", "-j", "1"] + chaos) == 0
-    assert main(["-C", str(threaded.root), "run", "--all", "-j", "4"] + chaos) == 0
-    return serial, threaded
+    assert main(["-C", str(parallel.root), "run", "--all", "-j", "4"] + chaos) == 0
+    return serial, parallel
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_retried_results_csv_byte_identical(retry_sweeps, experiment):
-    serial, threaded = retry_sweeps
+    serial, parallel = retry_sweeps
     serial_csv = (serial.experiment_dir(experiment) / "results.csv").read_bytes()
-    threaded_csv = (
-        threaded.experiment_dir(experiment) / "results.csv"
+    parallel_csv = (
+        parallel.experiment_dir(experiment) / "results.csv"
     ).read_bytes()
-    assert serial_csv == threaded_csv
+    assert serial_csv == parallel_csv
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_retried_runs_journal_their_attempts(retry_sweeps, experiment):
     """Both attempts of the flaky run stage land in the journal."""
-    _, threaded = retry_sweeps
-    events = read_journal(threaded.experiment_dir(experiment) / "journal.jsonl")
+    _, parallel = retry_sweeps
+    events = read_journal(parallel.experiment_dir(experiment) / "journal.jsonl")
     run_attempts = [
         e for e in events if e["event"] == "attempt" and e["task"] == "run"
     ]

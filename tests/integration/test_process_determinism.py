@@ -1,14 +1,14 @@
-"""The process backend must not change results: ``-j 1`` serial and
-``--backend process -j 4`` are bit-identical.
+"""The process pool must not change results: ``-j 1`` serial and
+``-j 2`` on worker processes are bit-identical.
 
-Same contract as ``test_parallel_determinism``, one layer further out:
-worker *processes* instead of worker threads.  The sweep payloads cross
+Same contract as ``test_parallel_determinism``, at the worker count the
+default CI matrix runs (``run --all -j 2``).  The sweep payloads cross
 a pickle boundary, execute under fork, and journal into per-worker
 shards that are merged back into one tree — none of which may leak into
 ``results.csv``, the validation verdicts, or journal well-formedness.
-Also covers the operational surface the backend adds: the run-journal
+Also covers the operational surface the pool adds: the run-journal
 header naming backend and worker count, worker-count clamping, the
-``--process-smoke`` CI shorthand, and SIGTERM drain + resume.
+default CI matrix's ``-j 2`` job, and SIGTERM drain + resume.
 """
 
 import json
@@ -35,25 +35,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 @pytest.fixture(scope="module")
 def sweeps(tmp_path_factory):
-    """Run the identical repository serially and on worker processes."""
+    """Run the identical repository serially and on two worker processes."""
     serial = build_repo(tmp_path_factory.mktemp("proc-det") / "serial")
     process = build_repo(tmp_path_factory.mktemp("proc-det") / "process")
     assert main(["-C", str(serial.root), "run", "--all", "-j", "1"]) == 0
-    assert (
-        main(
-            [
-                "-C",
-                str(process.root),
-                "run",
-                "--all",
-                "--backend",
-                "process",
-                "-j",
-                "4",
-            ]
-        )
-        == 0
-    )
+    assert main(["-C", str(process.root), "run", "--all", "-j", "2"]) == 0
     return serial, process
 
 
@@ -83,11 +69,11 @@ def test_validation_verdicts_identical(sweeps, experiment):
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_journal_header_names_backend_and_workers(sweeps, experiment):
     """The run journal records who executed it: backend + worker count."""
-    _, process = sweeps
+    serial, process = sweeps
     events = read_journal(process.experiment_dir(experiment) / "journal.jsonl")
     assert events[0]["event"] == "run_start"
     assert events[0]["backend"] == "process"
-    assert events[0]["workers"] >= 1
+    assert events[0]["workers"] == min(2, os.cpu_count() or 1)
     assert events[-1]["event"] == "run_end"
     assert events[-1]["status"] == "ok"
     seqs = [e["seq"] for e in events]
@@ -95,6 +81,8 @@ def test_journal_header_names_backend_and_workers(sweeps, experiment):
     span_ends = {e["name"] for e in events if e["event"] == "span_end"}
     assert {"task/setup", "task/run", "task/validate"} <= span_ends
     assert f"pipeline/run/{experiment}" in span_ends
+    header = read_journal(serial.experiment_dir(experiment) / "journal.jsonl")[0]
+    assert (header["backend"], header["workers"]) == ("serial", 1)
 
 
 def test_trace_renders_critical_path_after_process_run(sweeps, capsys):
@@ -129,8 +117,7 @@ def test_oversubscribed_process_pool_clamps_with_warning(tmp_path, capsys):
     )
     cpus = os.cpu_count() or 1
     capsys.readouterr()
-    args = ["-C", str(repo_dir), "run", "--all", "--backend", "process"]
-    assert main([*args, "-j", str(cpus + 7)]) == 0
+    assert main(["-C", str(repo_dir), "run", "--all", "-j", str(cpus + 7)]) == 0
     err = capsys.readouterr().err
     assert "clamping" in err
     events = read_journal(repo_dir / "experiments" / "one" / "journal.jsonl")
@@ -138,23 +125,10 @@ def test_oversubscribed_process_pool_clamps_with_warning(tmp_path, capsys):
     assert events[0]["workers"] == cpus
 
 
-def test_process_smoke_is_process_backend_with_two_jobs(tmp_path, capsys):
-    repo_dir = tmp_path / "smoke-repo"
-    repo_dir.mkdir()
-    assert main(["-C", str(repo_dir), "init"]) == 0
-    assert main(["-C", str(repo_dir), "add", "torpor", "one"]) == 0
-    (repo_dir / "experiments" / "one" / "vars.yml").write_text(
-        "runner: torpor-variability\nruns: 2\nseed: 11\n"
-    )
-    assert main(["-C", str(repo_dir), "run", "--all", "--process-smoke"]) == 0
-    events = read_journal(repo_dir / "experiments" / "one" / "journal.jsonl")
-    assert events[0]["backend"] == "process"
-
-
 def test_default_ci_matrix_includes_a_process_backend_job():
     config = CIConfig.from_yaml(DEFAULT_TRAVIS)
     jobs = [env.get("POPPER_JOB") for env in config.expand_matrix()]
-    assert "run --all --process-smoke" in jobs
+    assert "run --all -j 2" in jobs
     assert "selftest" in jobs
     assert len(jobs) == 6
 
@@ -178,8 +152,7 @@ SLOW_RUN = (
     "    return real(variables)\n"
     "runners.EXPERIMENT_RUNNERS['torpor-variability'] = slow\n"
     "from repro.core.cli import main\n"
-    "sys.exit(main(['-C', sys.argv[1], 'run', '--all',\n"
-    "               '--backend', 'process', '-j', '2']))\n"
+    "sys.exit(main(['-C', sys.argv[1], 'run', '--all', '-j', '2']))\n"
 )
 
 
@@ -196,7 +169,7 @@ def _make_repo(path, names):
 
 class TestSignalledProcessSweep:
     def test_sigterm_drains_workers_and_resumes(self, tmp_path, capsys):
-        """SIGTERM mid-sweep under the process backend: in-flight worker
+        """SIGTERM mid-sweep on the process pool: in-flight worker
         payloads drain (whole-experiment granularity — workers see no
         cancel token), the exit code is 143, and ``--resume`` serves the
         checkpointed experiments from cache."""

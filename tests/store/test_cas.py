@@ -134,12 +134,6 @@ class TestMaterialize:
         dest.write_bytes(b"consumer truncates in place")
         assert store.get_bytes(oid) == b"v1"
 
-    def test_hardlink_materialization(self, store, tmp_path):
-        oid = store.put_bytes(b"linked").oid
-        dest = tmp_path / "f"
-        store.materialize(oid, dest, link=True)
-        assert dest.read_bytes() == b"linked"
-
     def test_replaces_existing_destination(self, store, tmp_path):
         oid = store.put_bytes(b"new").oid
         dest = tmp_path / "f"
