@@ -46,7 +46,7 @@ def bench_atomic_write(base: Path, durable: bool) -> float:
     target.parent.mkdir(parents=True)
     started = time.perf_counter()
     for _ in range(WRITES):
-        atomic_write(target, PAYLOAD, durable=durable)
+        atomic_write(target, PAYLOAD, durable=durable, crash_label="bench.record")
     return (time.perf_counter() - started) / WRITES
 
 

@@ -2,29 +2,27 @@
 
 The fault plan in :mod:`repro.engine.faults` makes *payloads* fail; this
 module makes the *toolchain itself* die mid-write, which is the failure
-class crash consistency is about.  Every hazardous write site in the
-storage stack calls :func:`crashpoint` with a dotted site name::
+class crash consistency is about.  Every durable write goes through one
+of two primitives, and each fires two crash points named from the
+label its caller passes for the write site:
 
-    cas.ingest.tmp          object bytes written, not yet published
-    cas.ingest.publish      object published, index record not yet written
-    index.record            about to publish an artifact-index record
-    refs.update             about to replace a ref file
-    runstate.append.torn    half a run-state record flushed to disk
-    journal.append.torn     half a journal event flushed to disk
-    runstate.append.window  a group-commit window about to land (the
-                            buffered records are lost whole, no tear)
-    journal.append.window   same, for the run journal's writer
-    fuzz.coverage.window / fuzz.coverage.torn  the coverage map's writer
-    fuzz.corpus.window / fuzz.corpus.torn      the corpus index's writer
-    queue.append.window / queue.append.torn    the serve queue journal's
-                            group-commit writer
-    profiles.attach.window / profiles.attach.torn  a run's line in its
-                            commit's ledger (``profiles/<commit>.jsonl``)
-    profiles.index.window / profiles.index.torn    a profiles index line
-    pack.write.tmp          packfile temp durable, rename not yet issued
-    pack.publish            pack renamed in, index not yet written
-    fsutil.atomic_write.tmp     temp file durable, rename not yet issued
-    fsutil.atomic_write.rename  renamed, parent directory not yet fsynced
+:func:`~repro.common.fsutil.atomic_write` (whole files)::
+
+    <label>.tmp      temp file written, rename not yet issued
+    <label>.rename   renamed in, parent directory not yet fsynced
+
+    labels: cas.ingest, cas.materialize, index.record, pack.write,
+    pack.index, refs.update, vcs.index, vcs.clock, vcs.checkout,
+    fuzz.corpus.meta, doctor.rewrite
+
+:class:`~repro.common.groupcommit.GroupCommitWriter` (JSONL ledgers)::
+
+    <label>.window   a group-commit window about to land (the buffered
+                     records are lost whole, no tear)
+    <label>.torn     half a record flushed to disk
+
+    labels: runstate.append, journal.append, queue.append,
+    profiles.attach, profiles.index, fuzz.coverage, fuzz.corpus
 
 With no plan installed the hook is a cheap no-op.  A :class:`CrashPlan`
 (``popper run --inject-crash SPEC``) matches site names against globbed

@@ -1,13 +1,14 @@
 """Small filesystem helpers shared by the substrates that touch disk.
 
 Half of the crash-consistency contract lives here: :func:`atomic_write`
-is the one way whole ``.pvcs/`` metadata files reach disk (temp file →
-fsync → rename → parent-directory fsync, so a record is either absent
-or complete *and durable* after a crash).  The other half, the one way
-JSONL ledgers grow, is :class:`~repro.common.groupcommit.GroupCommitWriter`.
-Both call :func:`~repro.common.crash.crashpoint` at their hazards so the
-crash-injection harness can kill the process exactly where a real power
-cut would bite.
+is the one way a whole file reaches disk (temp file → fsync → rename →
+parent-directory fsync, so a file is either absent or complete *and
+durable* after a crash).  The other half, the one way JSONL ledgers
+grow, is :class:`~repro.common.groupcommit.GroupCommitWriter`.  Both
+name their :func:`~repro.common.crash.crashpoint` hazards from the
+caller's label, so every write site is a crash point by construction
+and the crash-injection harness can kill the process exactly where a
+real power cut would bite.
 """
 
 from __future__ import annotations
@@ -70,13 +71,23 @@ def fsync_path(path: str | os.PathLike) -> None:
 
 
 def atomic_write(
-    path: str | os.PathLike, data: bytes, durable: bool = True
+    path: str | os.PathLike,
+    data: bytes,
+    durable: bool = True,
+    *,
+    crash_label: str,
 ) -> None:
     """Write *data* so readers never observe a partial file.
 
-    The temporary file gets a unique name (``mkstemp``), so concurrent
-    writers to the same target cannot interleave partial writes — the
-    last complete ``os.replace`` wins.
+    The temporary file gets a unique dot-name (``mkstemp``) in the
+    target's directory, so concurrent writers to the same target cannot
+    interleave partial writes — the last complete ``os.replace`` wins —
+    and ``popper doctor`` sweeps the temp a crash leaves behind.
+
+    *crash_label* names the write site: the crash points
+    ``<label>.tmp`` (temp written, rename not yet issued) and
+    ``<label>.rename`` (renamed, parent directory not yet fsynced) fire
+    under it.
 
     With ``durable`` (the default) the temp file is fsynced before the
     rename and the parent directory after it, so after a crash the
@@ -99,9 +110,9 @@ def atomic_write(
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
-        crashpoint("fsutil.atomic_write.tmp")
+        crashpoint(f"{crash_label}.tmp")
         os.replace(tmp_name, target)
-        crashpoint("fsutil.atomic_write.rename")
+        crashpoint(f"{crash_label}.rename")
         if durable:
             fsync_path(target.parent)
     except SimulatedCrash:

@@ -18,10 +18,10 @@ clears.  On platforms without ``fcntl`` the lock degrades to an
 ``O_EXCL`` lock file where stale-holder breaking (dead PID, or metadata
 older than ``stale_s``) is load-bearing rather than cosmetic.
 
-Locks are reentrant per instance (an :class:`~repro.store.ArtifactStore`
-publish holds the store lock while the pool ingest takes it again) and
-thread-safe: one ``threading.RLock`` serializes threads of this process
-while the file lock serializes processes.
+Locks are reentrant per instance (a holder may call code that takes
+the same lock again) and thread-safe: one ``threading.RLock``
+serializes threads of this process while the file lock serializes
+processes.
 
 :func:`ScopedLock` is the naming convention: scope ``"refs"`` under
 ``.pvcs`` becomes ``.pvcs/locks/refs.lock``.  The lock *layout* is part

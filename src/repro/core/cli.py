@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-crash",
         default=None,
         metavar="SPEC",
-        help="deterministic crash plan, e.g. 'at:cas.ingest.publish:1' "
+        help="deterministic crash plan, e.g. 'at:cas.ingest.rename:1' "
         "(modes: at/rate; crash points: see docs/robustness.md)",
     )
     run.add_argument(

@@ -105,6 +105,7 @@ class Corpus:
         atomic_write(
             target / META_FILE,
             json.dumps(entry.to_json(), sort_keys=True, indent=1).encode("utf-8"),
+            crash_label="fuzz.corpus.meta",
         )
         record = {
             "variant": entry.variant,

@@ -93,12 +93,11 @@ _FAULT_CLAUSES = (
 #: The crash points one variant's pipeline run consults (the run crash
 #: points of the crash -> doctor -> resume matrix) plus globs over them.
 _CRASH_TARGETS = (
-    "cas.ingest.tmp", "cas.ingest.publish", "index.record",
-    "runstate.append.torn", "journal.append.torn", "runstate.append.window",
-    "journal.append.window", "fsutil.atomic_write.tmp",
-    "fsutil.atomic_write.rename", "profiles.attach.torn",
+    "cas.ingest.tmp", "cas.ingest.rename", "index.record.tmp",
+    "index.record.rename", "runstate.append.torn", "journal.append.torn",
+    "runstate.append.window", "journal.append.window", "profiles.attach.torn",
     "profiles.index.torn", "profiles.attach.window", "profiles.index.window",
-    "cas.*", "profiles.*", "*.torn", "*.window", "fsutil.*", "*",
+    "cas.*", "profiles.*", "*.torn", "*.window", "index.*", "*",
 )
 _CRASH_CLAUSES = ("at:{t}:1", "at:{t}:2", "at:{t}:3", "rate:{t}:0.5",
                   "rate:{t}:1")

@@ -70,13 +70,11 @@ class ArtifactStore:
         self.root = Path(root)
         # One inter-process lock for the whole store: ``store()`` holds
         # it across ingest + index publish (so a concurrent gc can never
-        # sweep objects between those two steps) and the pool re-enters
-        # it per object publish.  Lock file: <root>/locks/store.lock.
+        # sweep objects between those two steps), and gc and repack hold
+        # it for their whole span.  Lock file: <root>/locks/store.lock.
         self.lock = ScopedLock(self.root, "store")
         self.cas = ContentStore(
-            self.root / "objects",
-            quarantine_dir=self.root / "quarantine",
-            lock=self.lock,
+            self.root / "objects", quarantine_dir=self.root / "quarantine"
         )
         self.index = ArtifactIndex(self.root / "index")
 

@@ -14,13 +14,16 @@ raised :class:`~repro.common.errors.CorruptObjectError` names the
 quarantined file, so ``popper cache verify`` can report it (with its
 referrers) and a re-run can repopulate the object.
 
-Crash consistency: an ingest fsyncs the temp file before publishing and
-the shard directory after (``durable=False`` opts hot disposable pools
-out), and the publish step runs under the pool's optional
-:class:`~repro.common.locking.RepoLock` so two *processes* sharing one
-cache serialize exactly the way two threads already did.  A crash
-mid-ingest leaves only an ``.ingest-*`` orphan temp — never a partial
-object — which ``popper doctor`` sweeps.
+Crash consistency: an ingest lands through
+:func:`~repro.common.fsutil.atomic_write` (crash points
+``cas.ingest.tmp`` / ``cas.ingest.rename``), which fsyncs the temp file
+before the rename and the shard directory after (``durable=False`` opts
+hot disposable pools out).  A crash mid-ingest leaves only an orphan
+dot-temp in the shard directory — never a partial object — which
+``popper doctor`` sweeps.  The pool itself takes no lock: racing
+writers of one object write the same bytes, and
+:class:`~repro.store.artifacts.ArtifactStore` holds its store lock
+around every ingest, gc and repack of its pool.
 
 Packs: cold objects can be folded into packfiles under
 ``objects/pack/`` (see :mod:`repro.store.pack` and :meth:`ContentStore.repack`).
@@ -33,25 +36,17 @@ shard directories are exactly two hex characters.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
-import tempfile
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from repro.common.crash import SimulatedCrash, crashpoint
 from repro.common.errors import CorruptObjectError, MissingObjectError, StoreError
 from repro.common.hashing import sha256_bytes
-from repro.common.fsutil import ensure_dir, fsync_path
-from repro.common.locking import RepoLock
+from repro.common.fsutil import atomic_write, ensure_dir
 from repro.store.pack import PACK_DIR, PackError, PackReader, write_pack
 
 __all__ = ["IngestResult", "RepackReport", "ContentStore"]
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,10 @@ class RepackReport:
 class ContentStore:
     """A sharded, verifying, deduplicating pool of immutable objects.
 
-    Safe for concurrent writers: every write lands under a unique
-    temporary name first and is published with ``os.replace``, so two
-    threads (or two sweeps sharing one cache) racing to store the same
-    content cannot interleave partial writes.
+    Safe for concurrent writers: every object lands through
+    :func:`~repro.common.fsutil.atomic_write`, so two threads (or two
+    sweeps sharing one cache) racing to store the same content cannot
+    interleave partial writes.
     """
 
     def __init__(
@@ -111,7 +106,6 @@ class ContentStore:
         objects_dir: str | Path,
         quarantine_dir: str | Path | None = None,
         durable: bool = True,
-        lock: RepoLock | None = None,
     ) -> None:
         self.objects_dir = Path(objects_dir)
         self.quarantine_dir = (
@@ -121,18 +115,12 @@ class ContentStore:
         )
         #: fsync objects (and their shard dir) as they are published.
         self.durable = bool(durable)
-        #: Optional inter-process lock serializing publishes across
-        #: processes sharing this pool (reentrant: safe to hold already).
-        self.lock = lock
         ensure_dir(self.objects_dir)
         self.packs_dir = self.objects_dir / PACK_DIR
         #: Lazily-built map of idx basename -> PackReader.  Invalidated
         #: by repack and refreshed on a lookup miss, so another process
         #: publishing a pack is picked up without restarting.
         self._pack_cache: dict[str, PackReader] | None = None
-
-    def _publish_guard(self):
-        return self.lock if self.lock is not None else nullcontext()
 
     # -- packs ----------------------------------------------------------------
     def _invalidate_packs(self) -> None:
@@ -195,73 +183,21 @@ class ContentStore:
         return self.quarantine_dir / oid
 
     # -- writing --------------------------------------------------------------
-    def _publish(self, tmp: Path, target: Path) -> None:
-        crashpoint("cas.ingest.tmp")
-        with self._publish_guard():
-            ensure_dir(target.parent)
-            os.replace(tmp, target)
-            if self.durable:
-                fsync_path(target.parent)
-        crashpoint("cas.ingest.publish")
-
     def put_bytes(self, data: bytes) -> IngestResult:
         """File a bytes payload; returns its id.  Idempotent."""
         oid = sha256_bytes(data)
         target = self.object_path(oid)
         if target.exists():
             return IngestResult(oid=oid, size=len(data), deduped=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".ingest-", dir=str(self.objects_dir)
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                if self.durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            self._publish(Path(tmp_name), target)
-        except SimulatedCrash:
-            # An injected crash leaves the orphan temp a real kill would.
-            raise
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
+        atomic_write(target, data, durable=self.durable, crash_label="cas.ingest")
         return IngestResult(oid=oid, size=len(data), deduped=False)
 
     def put_file(self, path: str | Path) -> IngestResult:
-        """File a host file's contents, streamed and hashed in one pass."""
+        """File a host file's contents (read whole, then :meth:`put_bytes`)."""
         source = Path(path)
         if not source.is_file():
             raise StoreError(f"cannot ingest non-file: {source}")
-        digest = hashlib.sha256()
-        size = 0
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".ingest-", dir=str(self.objects_dir)
-        )
-        try:
-            with os.fdopen(fd, "wb") as out, source.open("rb") as handle:
-                while True:
-                    chunk = handle.read(_CHUNK)
-                    if not chunk:
-                        break
-                    digest.update(chunk)
-                    size += len(chunk)
-                    out.write(chunk)
-                if self.durable:
-                    out.flush()
-                    os.fsync(out.fileno())
-            oid = digest.hexdigest()
-            target = self.object_path(oid)
-            if target.exists():
-                Path(tmp_name).unlink(missing_ok=True)
-                return IngestResult(oid=oid, size=size, deduped=True)
-            self._publish(Path(tmp_name), target)
-        except SimulatedCrash:
-            raise
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        return IngestResult(oid=oid, size=size, deduped=False)
+        return self.put_bytes(source.read_bytes())
 
     # -- reading --------------------------------------------------------------
     def get_bytes(self, oid: str, verify: bool = True) -> bytes:
@@ -336,37 +272,17 @@ class ContentStore:
         yield from sorted(seen)
 
     # -- materialization ------------------------------------------------------
-    def materialize(
-        self, oid: str, dest: str | Path, verify: bool = True
-    ) -> int:
+    def materialize(self, oid: str, dest: str | Path) -> int:
         """Recreate an object's content at *dest*; returns bytes written.
 
-        The destination is a copy, independent of the pool, and is
-        replaced atomically, so a half-materialized artifact is never
-        observable.  A packed object materializes by extraction.
+        The destination is a copy, independent of the pool, read
+        verified and replaced atomically, so a half-materialized
+        artifact is never observable.  A packed object materializes by
+        extraction.
         """
-        path = self.object_path(oid)
-        if path.exists() and not verify:
-            data = None
-        else:
-            # Loose+verify, or packed either way: one verified read.
-            data = self.get_bytes(oid, verify=verify)
-        dest = Path(dest)
-        ensure_dir(dest.parent)
-        fd, tmp_name = tempfile.mkstemp(prefix=".mat-", dir=str(dest.parent))
-        tmp = Path(tmp_name)
-        try:
-            if data is not None:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-            else:
-                os.close(fd)
-                shutil.copyfile(path, tmp)
-            os.replace(tmp, dest)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path.stat().st_size if data is None else len(data)
+        data = self.get_bytes(oid)
+        atomic_write(dest, data, durable=False, crash_label="cas.materialize")
+        return len(data)
 
     # -- integrity ------------------------------------------------------------
     def quarantine(self, oid: str) -> Path | None:
@@ -483,15 +399,14 @@ class ContentStore:
         """Fold every loose object and existing pack into one fresh pack.
 
         Steps, in crash-safe order: materialize every object (verified),
-        publish the new pack + index (``pack.write.tmp`` /
-        ``pack.publish`` crashpoints), then sweep the old packs and the
+        publish the new pack, then its index (``pack.write.*`` and
+        ``pack.index.*`` crash points), then sweep the old packs and the
         loose copies.  A crash anywhere leaves every object readable —
         the sweep only removes copies the new pack already serves.
+        Takes no lock: :meth:`ArtifactStore.repack
+        <repro.store.artifacts.ArtifactStore.repack>` holds the store
+        lock around it.
         """
-        with self._publish_guard():
-            return self._repack_locked(min_objects, delta)
-
-    def _repack_locked(self, min_objects: int, delta: bool) -> RepackReport:
         readers = self.pack_readers(refresh=True)
         loose = list(self.loose_ids())
         objects: dict[str, bytes] = {}
@@ -516,8 +431,6 @@ class ContentStore:
         pack_path, idx_path = write_pack(
             objects, self.packs_dir, delta=delta, durable=self.durable
         )
-        if self.durable:
-            fsync_path(self.packs_dir)
         self._invalidate_packs()
         new_reader = PackReader(idx_path)
         # Sweep: old packs first (pack before idx), then loose copies.

@@ -12,13 +12,13 @@ primitive     debris                  produced by                     repair
 ledger        torn JSONL line         crash mid-append to a journal   drop each line readers skip as
                                       or run-state (a resumed writer  debris (the interrupted task
                                       seals it off, appends after it) has no record and re-runs)
-temp file     orphan temp file        crash between mkstemp and       unlink (content is elsewhere
-                                      os.replace                      or will be re-produced)
+temp file     orphan temp file        crash inside ``atomic_write``,  unlink (content is elsewhere
+                                      between mkstemp and os.replace  or will be re-produced)
 lock          stale lock metadata     holder died while holding a     truncate the lock file
                                       RepoLock
-pack          unindexed pack          crash between pack publish and  rebuild the index from the
-                                      index write (``pack.publish``)  self-describing pack (unlink
-                                                                      if its checksum fails — the
+pack          unindexed pack          crash between pack rename and   rebuild the index from the
+                                      index write                     self-describing pack (unlink
+                                      (``pack.write.rename``)         if its checksum fails — the
                                                                       loose copies still exist)
               dangling pack index     pack swept, index unlink        unlink (nothing references a
                                       crashed                         pack that is gone)
@@ -63,6 +63,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.fsutil import atomic_write
 from repro.common.groupcommit import decode_jsonl
 from repro.common.locking import LockInfo
 from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
@@ -411,7 +412,9 @@ def _unlink(path: Path) -> None:
 def _rewrite_without_debris(path: Path) -> None:
     repaired = _ledger_repaired(path.read_bytes())
     if repaired is not None:
-        path.write_bytes(repaired)
+        # A doctor killed mid-repair must leave the ledger it was fixing
+        # whole: for the serve queue, that journal is all its state.
+        atomic_write(path, repaired, crash_label="doctor.rewrite")
 
 
 def _remove_tree(path: Path) -> None:

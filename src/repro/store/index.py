@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.common.crash import crashpoint
 from repro.common.errors import StoreError
 from repro.common.fsutil import atomic_write, ensure_dir
 
@@ -154,10 +153,13 @@ class ArtifactIndex:
             meta=dict(meta or {}),
             seq=time.time_ns(),
         )
-        crashpoint("index.record")
         # Durable by default: a published record must reference objects
         # that survived the same crash window (they were fsynced first).
-        atomic_write(self._path(key), (entry.to_json() + "\n").encode("utf-8"))
+        atomic_write(
+            self._path(key),
+            (entry.to_json() + "\n").encode("utf-8"),
+            crash_label="index.record",
+        )
         return entry
 
     def remove(self, key: str) -> bool:

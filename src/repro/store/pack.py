@@ -35,15 +35,15 @@ typically near-identical CSV/JSON blobs differing in a few cells, where
 shared prefix+suffix captures most of the redundancy at ~zero encode
 cost.
 
-Crash safety mirrors the rest of the store: the pack body lands under a
-unique temp name, is fsynced, renamed into place
-(``pack.write.tmp`` / ``pack.publish`` crashpoints), and only then is
-the index written (atomic, durable).  A crash leaves either an orphan
-temp (doctor sweeps it), a pack without an index (doctor rebuilds the
-index from the self-describing pack), or a complete pair.  Reads verify
-each materialized object against its oid; a failed check quarantines
-the *whole pack* — coarse, but a pack is one file and one re-run heals
-the pool.
+Crash safety mirrors the rest of the store: the pack body lands through
+:func:`~repro.common.fsutil.atomic_write` (crash points
+``pack.write.tmp`` / ``pack.write.rename``), and only then does the
+index, the same way (``pack.index.tmp`` / ``pack.index.rename``).  A
+crash leaves either an orphan dot-temp (doctor sweeps it), a pack
+without an index (doctor rebuilds the index from the self-describing
+pack), or a complete pair.  Reads verify each materialized object
+against its oid; a failed check quarantines the *whole pack* — coarse,
+but a pack is one file and one re-run heals the pool.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.common.crash import SimulatedCrash, crashpoint
 from repro.common.errors import CorruptObjectError, StoreError
-from repro.common.fsutil import atomic_write, ensure_dir, fsync_path
+from repro.common.fsutil import atomic_write, ensure_dir
 from repro.common.hashing import sha256_bytes
 
 __all__ = [
@@ -85,8 +84,6 @@ _FLAG_DELTA = 2
 _DELTA_WINDOW = 8
 _DELTA_MAX_DEPTH = 8
 _DELTA_MIN_AFFIX = 32
-
-_TMP_PREFIX = ".pack-tmp-"
 
 
 class PackError(StoreError):
@@ -218,27 +215,7 @@ def write_pack(
     checksum = hashlib.sha256(bytes(body)).hexdigest()
     body += bytes.fromhex(checksum)
 
-    tmp = pack_dir / f"{_TMP_PREFIX}{name}"
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(bytes(body))
-            if durable:
-                handle.flush()
-                import os
-
-                os.fsync(handle.fileno())
-        crashpoint("pack.write.tmp")
-        tmp.replace(pack_path)
-        if durable:
-            fsync_path(pack_dir)
-        crashpoint("pack.publish")
-    except SimulatedCrash:
-        # Leave the debris a real kill would: orphan temp, or a pack
-        # without its index — both in doctor's repair table.
-        raise
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(pack_path, bytes(body), durable=durable, crash_label="pack.write")
     index_doc = {
         "version": _VERSION,
         "pack": pack_path.name,
@@ -249,6 +226,7 @@ def write_pack(
         idx_path,
         json.dumps(index_doc, sort_keys=True).encode("utf-8"),
         durable=durable,
+        crash_label="pack.index",
     )
     return pack_path, idx_path
 
@@ -350,6 +328,7 @@ def rebuild_index(pack_path: str | Path, durable: bool = True) -> Path:
         idx_path,
         json.dumps(index_doc, sort_keys=True).encode("utf-8"),
         durable=durable,
+        crash_label="pack.index",
     )
     return idx_path
 

@@ -7,9 +7,9 @@ store end-to-end in a scratch pool, in seconds:
    duplicates (delta fodder) and unique blobs;
 2. repack the loose tail into one packfile and demand byte-identical
    reads for every object afterwards, with a clean fsck;
-3. crash the repack at the ``pack.publish`` hazard (pack renamed in,
-   index never written), run the doctor, and demand the rebuilt pool
-   still serves every object byte for byte.
+3. crash the repack at the ``pack.write.rename`` hazard (pack renamed
+   in, index never written), run the doctor, and demand the rebuilt
+   pool still serves every object byte for byte.
 
 Like the other self-checks it turns "the subsystem imports" into "the
 subsystem survives the failure it was designed for".
@@ -101,11 +101,11 @@ def store_smoke(root: str | Path | None = None) -> str:
                 f"corrupt object(s)"
             )
 
-        # Crash the next repack at pack.publish: new pack renamed in,
-        # index never written, old copies never swept.
+        # Crash the next repack at pack.write.rename: new pack renamed
+        # in, index never written, old copies never swept.
         extra = b"crash-window payload\n" * 8
         expected[store.put_bytes(extra).oid] = extra
-        previous = install_crash_plan(CrashPlan.parse("at:pack.publish:1"))
+        previous = install_crash_plan(CrashPlan.parse("at:pack.write.rename:1"))
         try:
             store.repack()
         except SimulatedCrash:

@@ -3,7 +3,10 @@
 ``add`` snapshots working-tree files into the object store and records
 them here; ``commit`` turns the index into a nested tree.  The index is
 persisted as a sorted text file so that repository state is diffable and
-deterministic.
+deterministic, and saved through
+:func:`~repro.common.fsutil.atomic_write` (crash points ``vcs.index.*``):
+a crash mid-save leaves the previous index whole, never a cut line that
+would make the repository unopenable.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.common.errors import VcsError
+from repro.common.fsutil import atomic_write
 from repro.vcs.objects import MODE_DIR, MODE_EXEC, MODE_FILE, Tree, TreeEntry
 from repro.vcs.store import ObjectStore
 
@@ -50,9 +54,8 @@ class Index:
             f"{mode} {oid} {rel}"
             for rel, (oid, mode) in sorted(self.entries.items())
         ]
-        self.path.write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-        )
+        text = "\n".join(lines) + ("\n" if lines else "")
+        atomic_write(self.path, text.encode("utf-8"), crash_label="vcs.index")
 
     # -- mutation ------------------------------------------------------------------
     def stage(self, rel_path: str, oid: str, mode: str = MODE_FILE) -> None:

@@ -7,9 +7,12 @@ carry over.
 
 Ref updates are the repository's commit points — losing one un-does a
 commit the user was told succeeded — so every write goes through
-:func:`~repro.common.fsutil.atomic_write` with durability on, under the
+:func:`~repro.common.fsutil.atomic_write` with durability on (crash
+points ``refs.update.tmp`` / ``refs.update.rename``), under the
 repository-wide ``refs`` :class:`~repro.common.locking.ScopedLock` so
-two processes committing into one repo serialize their updates.
+two processes committing into one repo serialize their updates.  The
+listings skip dot-names: a crash mid-update leaves its temp beside the
+ref until ``popper doctor`` sweeps it, and a temp is never a ref.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.common.crash import crashpoint
 from repro.common.errors import VcsError
 from repro.common.fsutil import atomic_write, ensure_dir
 from repro.common.locking import ScopedLock
@@ -28,7 +30,9 @@ _REF_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._/\-]*$")
 
 
 def _check_name(name: str) -> str:
-    if not _REF_NAME.match(name) or ".." in name or name.endswith("/"):
+    # No component may start with ".": the listings skip dot-names.
+    bad = ".." in name or "/." in name or name.endswith("/")
+    if bad or not _REF_NAME.match(name):
         raise VcsError(f"illegal ref name: {name!r}")
     return name
 
@@ -42,11 +46,19 @@ class RefStore:
         ensure_dir(self.meta / "refs" / "heads")
         ensure_dir(self.meta / "refs" / "tags")
 
+    def _names(self, kind: str) -> list[str]:
+        """Ref names under ``refs/<kind>/``, skipping dot-named temps."""
+        root = self.meta / "refs" / kind
+        return [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and not path.name.startswith(".")
+        ]
+
     def _write_ref(self, path: Path, content: str) -> None:
         """Publish one ref durably and atomically, under the refs lock."""
         with self.lock:
-            crashpoint("refs.update")
-            atomic_write(path, content.encode("utf-8"))
+            atomic_write(path, content.encode("utf-8"), crash_label="refs.update")
 
     # -- HEAD -----------------------------------------------------------------
     @property
@@ -102,12 +114,7 @@ class RefStore:
         path.unlink()
 
     def branches(self) -> list[str]:
-        root = self.meta / "refs" / "heads"
-        out = []
-        for path in sorted(root.rglob("*")):
-            if path.is_file():
-                out.append(str(path.relative_to(root)))
-        return out
+        return self._names("heads")
 
     # -- tags -------------------------------------------------------------------
     def _tag_path(self, name: str) -> Path:
@@ -118,8 +125,9 @@ class RefStore:
         with self.lock:
             if path.exists():
                 raise VcsError(f"tag already exists: {name!r}")
-            crashpoint("refs.update")
-            atomic_write(path, (oid + "\n").encode("utf-8"))
+            atomic_write(
+                path, (oid + "\n").encode("utf-8"), crash_label="refs.update"
+            )
 
     def read_tag(self, name: str) -> str | None:
         path = self._tag_path(name)
@@ -128,9 +136,4 @@ class RefStore:
         return path.read_text(encoding="utf-8").strip()
 
     def tags(self) -> list[str]:
-        root = self.meta / "refs" / "tags"
-        out = []
-        for path in sorted(root.rglob("*")):
-            if path.is_file():
-                out.append(str(path.relative_to(root)))
-        return out
+        return self._names("tags")

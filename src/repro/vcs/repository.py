@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.common.errors import ObjectNotFound, VcsError
-from repro.common.fsutil import ensure_dir
+from repro.common.fsutil import atomic_write, ensure_dir
 from repro.vcs.diff import Change, diff_commits, tree_changes
 from repro.vcs.index import Index
 from repro.vcs.objects import MODE_EXEC, MODE_FILE, Blob, Commit, Tag
@@ -105,7 +105,7 @@ class Repository:
     def _tick(self) -> int:
         path = self.meta / "clock"
         value = int(path.read_text(encoding="utf-8").strip() or "0") + 1
-        path.write_text(f"{value}\n", encoding="utf-8")
+        atomic_write(path, f"{value}\n".encode("ascii"), crash_label="vcs.clock")
         return value
 
     # -- path plumbing -------------------------------------------------------------
@@ -162,9 +162,10 @@ class Repository:
         for rel in list(self.index.entries):
             if rel not in present:
                 self.index.unstage(rel)
-        staged = self.add(*sorted(present)) if present else []
+        if present:
+            return self.add(*sorted(present))  # add() saves the index
         self.index.save()
-        return staged
+        return []
 
     def rm(self, *paths: str | Path, keep_workdir: bool = False) -> None:
         """Unstage files and (by default) remove them from the working tree."""

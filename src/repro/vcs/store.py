@@ -176,6 +176,8 @@ class ObjectStore:
             # Checkouts are rebuildable from the pool, so skip the
             # per-file fsync tax — durability matters for the metadata
             # that *references* content, not the scratch materialization.
-            atomic_write(dest / path, data, durable=False)
+            atomic_write(
+                dest / path, data, durable=False, crash_label="vcs.checkout"
+            )
             written += len(data)
         return written

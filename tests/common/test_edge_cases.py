@@ -51,10 +51,10 @@ class TestMinyamlEdges:
 class TestFsUtil:
     def test_atomic_write_replaces(self, tmp_path):
         target = tmp_path / "deep" / "file.bin"
-        atomic_write(target, b"one")
-        atomic_write(target, b"two")
+        atomic_write(target, b"one", crash_label="test.file")
+        atomic_write(target, b"two", crash_label="test.file")
         assert target.read_bytes() == b"two"
-        assert not target.with_name(target.name + ".tmp").exists()
+        assert [p.name for p in target.parent.iterdir()] == ["file.bin"]
 
     def test_walk_files_sorted(self, tmp_path):
         for name in ("b/z.txt", "b/a.txt", "a.txt"):
@@ -100,7 +100,7 @@ class TestRefEdges:
         from repro.vcs.refs import RefStore
 
         refs = RefStore(tmp_path)
-        for bad in ("", "-lead", "a..b", "name/", "sp ace"):
+        for bad in ("", "-lead", "a..b", "name/", "sp ace", "a/.hidden"):
             with pytest.raises(VcsError):
                 refs.write_branch(bad, "0" * 64)
 

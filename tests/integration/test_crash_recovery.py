@@ -8,6 +8,7 @@ Also covers the CLI surface (``--inject-crash``, ``--crash-smoke``,
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -29,20 +30,21 @@ from repro.engine import EXIT_SIGTERM
 SRC = Path(__file__).resolve().parents[2] / "src"
 TORPOR_VARS = "runner: torpor-variability\nruns: 2\nseed: 11\n"
 
-#: Every crash point a plain sweep exercises.  ``refs.update`` fires on
-#: commits, not runs — covered separately below.
+#: Every crash point a plain sweep exercises.  ``refs.update.*`` and
+#: ``vcs.index.*`` fire on commits and staging, not runs — covered
+#: separately below.
 RUN_CRASH_POINTS = [
+    # Whole files through atomic_write: the objects, then their record.
     "cas.ingest.tmp",
-    "cas.ingest.publish",
-    "index.record",
+    "cas.ingest.rename",
+    "index.record.tmp",
+    "index.record.rename",
     "runstate.append.torn",
     "journal.append.torn",
     # Group-commit windows: the crash fires before the window's bytes
     # land, losing the buffered event(s) whole — never a torn prefix.
     "runstate.append.window",
     "journal.append.window",
-    "fsutil.atomic_write.tmp",
-    "fsutil.atomic_write.rename",
     # The run's profile line, then its index line.
     "profiles.attach.torn",
     "profiles.index.torn",
@@ -141,6 +143,30 @@ class TestCrashPointCoverage:
         literal = {t for t in _CRASH_TARGETS if "*" not in t}
         assert literal == set(RUN_CRASH_POINTS)
 
+    def test_only_the_write_primitives_write_temps_fsync_or_crash(self):
+        """Whole files go through atomic_write and ledgers through
+        GroupCommitWriter; each names its crash points from its label.
+        A hand-rolled temp file, fsync or crash point elsewhere in the
+        package is a write site the crash matrix cannot see."""
+        package = SRC / "repro"
+        primitives = {
+            package / "common" / "fsutil.py",
+            package / "common" / "groupcommit.py",
+        }
+        pattern = re.compile(r"\bmkstemp\(|\bos\.fsync\(|\bcrashpoint\(")
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path in primitives:
+                continue
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if path.name == "crash.py" and line.startswith("def crashpoint("):
+                    continue
+                if pattern.search(line):
+                    offenders.append(f"{path.relative_to(SRC)}:{number}")
+        assert offenders == []
+
 
 class TestTornLedgerWithoutDoctor:
     def test_torn_sweep_state_resumes_three_times(self, repo_dir, control_results):
@@ -161,11 +187,12 @@ class TestTornLedgerWithoutDoctor:
 
 
 class TestPackCrashRecovery:
-    """The two mid-packfile hazards: crash during the pack temp write
-    and between pack publish and index write.  Both must be repairable
-    by popper doctor with a byte-identical warm run afterwards."""
+    """The two mid-packfile hazards: crash with the pack temp written
+    and between the pack's rename and its index write.  Both must be
+    repairable by popper doctor with a byte-identical warm run
+    afterwards."""
 
-    @pytest.mark.parametrize("point", ["pack.write.tmp", "pack.publish"])
+    @pytest.mark.parametrize("point", ["pack.write.tmp", "pack.write.rename"])
     def test_repack_crash_doctor_rerun_is_byte_identical(
         self, repo_dir, control_results, point, capsys
     ):
@@ -220,28 +247,94 @@ class TestRepackedWarmRun:
 
 
 class TestRefsCrash:
-    def test_torn_ref_update_never_happens(self, repo_dir):
-        """refs.update crashes *before* the atomic replace, so the old
-        ref survives intact and the commit is simply absent."""
+    def test_torn_ref_update_never_happens(self, repo_dir, tmp_path):
+        """refs.update.tmp fires with the new ref's temp written and
+        durable but not yet renamed over the ref, so the old ref
+        survives intact and the commit is simply absent.  The temp sits
+        beside the ref until doctor sweeps it, and is never listed as a
+        branch."""
         repo = PopperRepository.open(repo_dir)
         branch, before = repo.vcs.refs.head()
         (repo_dir / "experiments" / "one" / "vars.yml").write_text(
             TORPOR_VARS + "# touched\n"
         )
-        install_crash_plan(CrashPlan.parse("at:refs.update:1"))
+        install_crash_plan(CrashPlan.parse("at:refs.update.tmp:1"))
         try:
             repo.vcs.add_all()
             with pytest.raises(SimulatedCrash):
                 repo.vcs.commit("doomed commit")
         finally:
             install_crash_plan(None)
+        heads = repo_dir / ".pvcs" / "refs" / "heads"
+        assert [p.name for p in heads.iterdir() if p.name.startswith(".")]
         reopened = PopperRepository.open(repo_dir)
         assert reopened.vcs.refs.head() == (branch, before)
-        # Nothing to repair: the ref write is atomic end to end.
+        assert reopened.vcs.refs.branches() == [branch]
+        clone = reopened.vcs.clone(tmp_path / "clone")
+        assert clone.refs.branches() == [branch]
+        assert clone.refs.head() == (branch, before)
+        # The young temp is spared by doctor's age gate; the ref write
+        # itself left nothing to repair.
         assert main(["-C", str(repo_dir), "doctor", "--dry-run"]) == 0
         reopened.vcs.add_all()
         reopened.vcs.commit("retry lands")
         assert reopened.vcs.refs.head()[1] != before
+
+
+class TestVcsIndexCrash:
+    def test_crash_mid_index_save_keeps_the_previous_index(self, repo_dir):
+        """A save cut short must never leave a half-written staging
+        index: a cut line would make every popper command fail to open
+        the repository."""
+        index_path = repo_dir / ".pvcs" / "index"
+        before = index_path.read_bytes()
+        staged = dict(PopperRepository.open(repo_dir).vcs.index.entries)
+        assert staged
+        (repo_dir / "experiments" / "one" / "vars.yml").write_text(
+            TORPOR_VARS + "# touched\n"
+        )
+        install_crash_plan(CrashPlan.parse("at:vcs.index.tmp:1"))
+        try:
+            with pytest.raises(SimulatedCrash):
+                PopperRepository.open(repo_dir).vcs.add_all()
+        finally:
+            install_crash_plan(None)
+        assert index_path.read_bytes() == before
+        assert PopperRepository.open(repo_dir).vcs.index.entries == staged
+        args = ["-C", str(repo_dir), "doctor", "--tmp-age", "0"]
+        assert main([*args, "--dry-run"]) == 1
+        assert main(args) == 0
+        assert not [
+            p for p in index_path.parent.iterdir() if p.name.startswith(".index.")
+        ]
+        assert main([*args, "--dry-run"]) == 0
+
+
+class TestDoctorRewriteCrash:
+    def test_doctor_killed_mid_repair_leaves_the_ledger_whole(self, tmp_path):
+        from repro.common.groupcommit import read_jsonl
+        from repro.store.doctor import diagnose, repair
+
+        ledger = tmp_path / ".pvcs" / "queue" / "journal.jsonl"
+        ledger.parent.mkdir(parents=True)
+        # A sealed fragment mid-file: a resumed writer appended after it.
+        ledger.write_bytes(b'{"a": 1}\n{"b": \n\n{"c": 3}\n')
+        before = ledger.read_bytes()
+        install_crash_plan(CrashPlan.parse("at:doctor.rewrite.tmp:1"))
+        try:
+            with pytest.raises(SimulatedCrash):
+                repair(diagnose(tmp_path, tmp_age_s=0))
+        finally:
+            install_crash_plan(None)
+        assert ledger.read_bytes() == before
+        report = repair(diagnose(tmp_path, tmp_age_s=0))
+        assert sorted(f.kind for f in report.findings) == [
+            "orphan-temp",
+            "torn-jsonl",
+        ]
+        assert not report.unrepaired
+        assert read_jsonl(ledger) == ([{"a": 1}, {"c": 3}], 0)
+        assert diagnose(tmp_path, tmp_age_s=0).clean
 
 
 class TestCrashSmokeCli:

@@ -54,12 +54,8 @@ class TestIngest:
         store.put_bytes(b"a")
         p = tmp_path / "f"
         p.write_bytes(b"a")
-        store.put_file(p)  # dedup path discards its temp
-        strays = [
-            f
-            for f in store.objects_dir.iterdir()
-            if f.is_file() and f.name.startswith(".ingest-")
-        ]
+        store.put_file(p)  # the dedup path writes no temp at all
+        strays = [f for f in store.objects_dir.rglob(".*") if f.is_file()]
         assert strays == []
 
 

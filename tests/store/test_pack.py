@@ -193,7 +193,7 @@ class TestDoctorPackRepairs:
 
     def test_unindexed_pack_gets_its_index_rebuilt(self, tmp_path):
         repo, store, blobs = self.make_pool(tmp_path)
-        install_crash_plan(CrashPlan.parse("at:pack.publish:1"))
+        install_crash_plan(CrashPlan.parse("at:pack.write.rename:1"))
         try:
             with pytest.raises(SimulatedCrash):
                 store.repack()
@@ -218,11 +218,11 @@ class TestDoctorPackRepairs:
                 store.repack()
         finally:
             install_crash_plan(None)
-        temps = list(store.packs_dir.glob(".pack-tmp-*"))
+        temps = list(store.packs_dir.glob(".*"))
         assert temps
         report = repair(diagnose(repo, tmp_age_s=0.0))
         assert {f.kind for f in report.findings} == {"orphan-temp"}
-        assert not list(store.packs_dir.glob(".pack-tmp-*"))
+        assert not list(store.packs_dir.glob(".*"))
         # Nothing was folded: every object still reads from loose.
         for oid, data in blobs.items():
             assert store.get_bytes(oid) == data
