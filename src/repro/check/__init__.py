@@ -10,41 +10,29 @@ build, Aver's ``no_regression`` via :mod:`~repro.check.context`, and
 the ``popper perf`` subcommand).
 """
 
-from repro.check.detectors import (
-    AverageAmountDetector,
-    BestModelDetector,
-    Degradation,
-    Detector,
-    ExclusiveTimeOutliersDetector,
-    IntegralDetector,
-    PerformanceChange,
-    default_detectors,
-)
-from repro.check.profiles import (
-    PROFILE_FORMAT_VERSION,
-    Profile,
-    ProfileHistory,
-    harvest_profile,
-)
-from repro.check.suite import DetectorSuite, default_suite
-from repro.check.context import RegressionContext
-from repro.check.smoke import perf_smoke
+from repro import lazy_exports
 
-__all__ = [
-    "PerformanceChange",
-    "Degradation",
-    "Detector",
-    "AverageAmountDetector",
-    "BestModelDetector",
-    "IntegralDetector",
-    "ExclusiveTimeOutliersDetector",
-    "default_detectors",
-    "DetectorSuite",
-    "default_suite",
-    "PROFILE_FORMAT_VERSION",
-    "Profile",
-    "ProfileHistory",
-    "harvest_profile",
-    "RegressionContext",
-    "perf_smoke",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "detectors": (
+            "PerformanceChange",
+            "Degradation",
+            "Detector",
+            "AverageAmountDetector",
+            "BestModelDetector",
+            "IntegralDetector",
+            "ExclusiveTimeOutliersDetector",
+            "default_detectors",
+        ),
+        "suite": ("DetectorSuite", "default_suite"),
+        "profiles": (
+            "PROFILE_FORMAT_VERSION",
+            "Profile",
+            "ProfileHistory",
+            "harvest_profile",
+        ),
+        "context": ("RegressionContext",),
+        "smoke": ("perf_smoke",),
+    },
+)

@@ -37,7 +37,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.common.errors import CheckError
-from repro.stats.models import fit_best_model, model_integral
 
 __all__ = [
     "PerformanceChange",
@@ -264,6 +263,8 @@ class BestModelDetector(_BaseDetector):
     name = "best-model"
 
     def detect(self, baseline, current, metric: str = "runtime") -> Degradation:
+        from repro.stats.models import fit_best_model, model_integral
+
         baseline, current = self._validate(baseline, current)
         base_fit = fit_best_model(np.arange(baseline.size), baseline)
         curr_fit = fit_best_model(np.arange(current.size), current)
@@ -317,6 +318,8 @@ class IntegralDetector(_BaseDetector):
     name = "integral"
 
     def detect(self, baseline, current, metric: str = "runtime") -> Degradation:
+        from repro.stats.models import fit_best_model, model_integral
+
         baseline, current = self._validate(baseline, current)
         base_fit = fit_best_model(np.arange(baseline.size), baseline)
         curr_fit = fit_best_model(np.arange(current.size), current)

@@ -1,47 +1,29 @@
 """Shared substrate-free utilities: YAML subset, hashing, tables, units,
 RNG, inter-process locking and crash injection."""
 
-from repro.common.crash import (
-    CrashPlan,
-    SimulatedCrash,
-    active_crash_plan,
-    crashpoint,
-    install_crash_plan,
-)
-from repro.common.errors import ReproError
-from repro.common.locking import LockInfo, RepoLock, ScopedLock
-from repro.common.hashing import sha256_bytes, sha256_file, sha256_text, short_id
-from repro.common.rng import SeedSequenceFactory, derive_rng, derive_seed
-from repro.common.tables import MetricsTable
-from repro.common.units import (
-    format_duration,
-    format_size,
-    parse_duration,
-    parse_rate,
-    parse_size,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "CrashPlan",
-    "SimulatedCrash",
-    "active_crash_plan",
-    "crashpoint",
-    "install_crash_plan",
-    "LockInfo",
-    "RepoLock",
-    "ScopedLock",
-    "MetricsTable",
-    "SeedSequenceFactory",
-    "derive_rng",
-    "derive_seed",
-    "sha256_bytes",
-    "sha256_file",
-    "sha256_text",
-    "short_id",
-    "parse_size",
-    "parse_duration",
-    "parse_rate",
-    "format_size",
-    "format_duration",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "errors": ("ReproError",),
+        "crash": (
+            "CrashPlan",
+            "SimulatedCrash",
+            "active_crash_plan",
+            "crashpoint",
+            "install_crash_plan",
+        ),
+        "locking": ("LockInfo", "RepoLock", "ScopedLock"),
+        "tables": ("MetricsTable",),
+        "rng": ("SeedSequenceFactory", "derive_rng", "derive_seed"),
+        "hashing": ("sha256_bytes", "sha256_file", "sha256_text", "short_id"),
+        "units": (
+            "parse_size",
+            "parse_duration",
+            "parse_rate",
+            "format_size",
+            "format_duration",
+        ),
+    },
+)

@@ -40,8 +40,8 @@ Spec grammar (comma-separated clauses)::
                       probability p, drawn from a seeded stream
 
 ``popper doctor`` is the other half: after an injected (or real) crash
-it scans ``.pvcs/`` for the debris — orphan temps, torn JSONL tails,
-half-published index records, stale locks — and repairs it.
+it scans the repository for the debris — orphan temps, torn JSONL
+tails, half-published index records, stale locks — and repairs it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 from repro.common.errors import EngineError
-from repro.common.rng import derive_rng
 
 __all__ = [
     "EXIT_CRASH",
@@ -194,6 +193,8 @@ class CrashPlan:
             if spec.mode == "at":
                 doomed = count == int(spec.arg)
             elif spec.mode == "rate":
+                from repro.common.rng import derive_rng
+
                 rng = derive_rng(self.seed, "crash", spec.target, point, count)
                 doomed = float(rng.random()) < spec.arg
             if doomed:

@@ -25,10 +25,15 @@ __all__ = [
     "write_text",
     "read_text",
     "atomic_write",
+    "is_atomic_temp",
     "fsync_path",
     "walk_files",
     "rmtree_quiet",
 ]
+
+#: Ends the name of every temp file :func:`atomic_write` creates, so
+#: its debris is recognisable anywhere, the working tree included.
+_TEMP_MARKER = ".popper-tmp"
 
 
 def ensure_dir(path: str | os.PathLike) -> Path:
@@ -81,8 +86,10 @@ def atomic_write(
 
     The temporary file gets a unique dot-name (``mkstemp``) in the
     target's directory, so concurrent writers to the same target cannot
-    interleave partial writes — the last complete ``os.replace`` wins —
-    and ``popper doctor`` sweeps the temp a crash leaves behind.
+    interleave partial writes — the last complete ``os.replace`` wins.
+    The name carries a fixed marker (:func:`is_atomic_temp`), so
+    ``popper doctor`` sweeps the temp a crash leaves behind and a commit
+    never stages it.
 
     *crash_label* names the write site: the crash points
     ``<label>.tmp`` (temp written, rename not yet issued) and
@@ -102,7 +109,7 @@ def atomic_write(
     target = Path(path)
     ensure_dir(target.parent)
     fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{target.name}.", dir=str(target.parent)
+        prefix=f".{target.name}.", suffix=_TEMP_MARKER, dir=str(target.parent)
     )
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -122,6 +129,11 @@ def atomic_write(
     except BaseException:
         Path(tmp_name).unlink(missing_ok=True)
         raise
+
+
+def is_atomic_temp(name: str) -> bool:
+    """Whether file *name* is a temp :func:`atomic_write` made."""
+    return name.startswith(".") and name.endswith(_TEMP_MARKER)
 
 
 def walk_files(root: str | os.PathLike) -> Iterator[Path]:

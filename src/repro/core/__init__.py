@@ -5,37 +5,21 @@ Repository layout and config (Listing 1), the template registry and CLI
 and the convention-compliance checker.
 """
 
-from repro.core.check import ComplianceReport, Finding, check_repository
-from repro.core.config import CONFIG_NAME, PopperConfig
-from repro.core.pipeline import ExperimentPipeline, ExperimentResult
-from repro.core.repo import PAPER_TEMPLATES, PopperRepository
-from repro.core.runners import (
-    EXPERIMENT_RUNNERS,
-    register_runner,
-    run_experiment_runner,
-)
-from repro.core.templates import (
-    TEMPLATES,
-    ExperimentTemplate,
-    get_template,
-    list_templates,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "PopperRepository",
-    "PAPER_TEMPLATES",
-    "PopperConfig",
-    "CONFIG_NAME",
-    "ExperimentPipeline",
-    "ExperimentResult",
-    "ComplianceReport",
-    "Finding",
-    "check_repository",
-    "TEMPLATES",
-    "ExperimentTemplate",
-    "get_template",
-    "list_templates",
-    "EXPERIMENT_RUNNERS",
-    "register_runner",
-    "run_experiment_runner",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repo": ("PopperRepository", "PAPER_TEMPLATES"),
+        "config": ("PopperConfig", "CONFIG_NAME"),
+        "pipeline": ("ExperimentPipeline", "ExperimentResult"),
+        "check": ("ComplianceReport", "Finding", "check_repository"),
+        "templates": (
+            "TEMPLATES",
+            "ExperimentTemplate",
+            "get_template",
+            "list_templates",
+        ),
+        "runners": ("EXPERIMENT_RUNNERS", "register_runner", "run_experiment_runner"),
+    },
+)

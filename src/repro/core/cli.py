@@ -32,10 +32,7 @@ import os
 import sys
 
 from repro.common.errors import PopperError, ReproError
-from repro.core.check import check_repository
-from repro.core.pipeline import ExperimentPipeline
 from repro.core.repo import PAPER_TEMPLATES, PopperRepository
-from repro.core.templates import list_templates
 
 __all__ = ["main"]
 
@@ -412,6 +409,8 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_experiment_list(args) -> int:
+    from repro.core.templates import list_templates
+
     print("-- available templates ---------------")
     templates = list_templates()
     names = [t.name for t in templates]
@@ -440,6 +439,8 @@ def _cmd_rm(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from repro.core.check import check_repository
+
     repo = PopperRepository.open(args.repo)
     report = check_repository(repo)
     print(report.describe(), end="")
@@ -519,6 +520,7 @@ def _cmd_run(args) -> int:
         install_crash_plan,
     )
     from repro.common.errors import ValidationFailure
+    from repro.core.pipeline import ExperimentPipeline
     from repro.core.sweep import (
         SweepExperimentJob,
         sweep_key,

@@ -36,15 +36,13 @@ and a critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.aver.evaluator import ValidationResult, check_all
 from repro.common import minyaml
 from repro.common.errors import PopperError, ValidationFailure
 from repro.common.hashing import sha256_text
 from repro.common.tables import MetricsTable
-from repro.core.baseline import BASELINE_FILE, check_baseline
 from repro.core.postprocess import PROCESS_SCRIPT, run_postprocess
 from repro.core.repo import PopperRepository
 from repro.core.runners import run_experiment_runner
@@ -66,9 +64,9 @@ from repro.store import ArtifactStore
 from repro.monitor.journal import JOURNAL_FILE, RunJournal
 from repro.monitor.metrics import MetricStore
 from repro.monitor.tracing import Tracer, activate
-from repro.orchestration.connection import ContainerConnection
-from repro.orchestration.inventory import Inventory
-from repro.orchestration.playbook import Playbook, PlaybookRunner
+
+if TYPE_CHECKING:
+    from repro.orchestration.inventory import Inventory
 
 __all__ = ["ExperimentResult", "ExperimentPipeline", "NOTEBOOK_FILE", "JOURNAL_FILE"]
 
@@ -168,6 +166,9 @@ class ExperimentPipeline:
         return doc
 
     def _default_inventory(self) -> Inventory:
+        from repro.orchestration.connection import ContainerConnection
+        from repro.orchestration.inventory import Inventory
+
         inventory = Inventory()
         inventory.add_host(
             "driver",
@@ -181,6 +182,8 @@ class ExperimentPipeline:
         path = self.directory / "setup.yml"
         if not path.is_file():
             return
+        from repro.orchestration.playbook import Playbook, PlaybookRunner
+
         playbook = Playbook.from_yaml(path.read_text(encoding="utf-8"))
         inventory = self.inventory or self._default_inventory()
         recap = PlaybookRunner(inventory, extra_vars=self.load_vars()).run(playbook)
@@ -408,6 +411,8 @@ class ExperimentPipeline:
         )
         run_deps = ("setup",)
         if "baseline" in variables:
+            from repro.core.baseline import BASELINE_FILE, check_baseline
+
             seed = int(variables.get("seed", 42))
             graph.add(
                 "baseline",

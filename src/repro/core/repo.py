@@ -27,7 +27,6 @@ from pathlib import Path
 from repro.common.errors import PopperError
 from repro.common.fsutil import ensure_dir, write_text
 from repro.core.config import CONFIG_NAME, PopperConfig
-from repro.core.templates import get_template
 from repro.store import ArtifactStore
 from repro.vcs.repository import Repository
 
@@ -168,6 +167,8 @@ class PopperRepository:
         self, template_name: str, experiment_name: str, commit: bool = True
     ) -> Path:
         """``popper add <template> <name>``: instantiate a template."""
+        from repro.core.templates import get_template
+
         if not experiment_name or "/" in experiment_name:
             raise PopperError(f"bad experiment name: {experiment_name!r}")
         if experiment_name in self.config.experiments:

@@ -17,8 +17,6 @@ from repro.common.errors import PopperError
 from repro.common.rng import SeedSequenceFactory
 from repro.common.tables import MetricsTable
 from repro.monitor.tracing import current_tracer
-from repro.platform.perfmodel import KernelDemand, execution_time
-from repro.platform.sites import default_sites
 
 __all__ = ["EXPERIMENT_RUNNERS", "register_runner", "run_experiment_runner"]
 
@@ -148,6 +146,9 @@ def _run_generic(variables: dict) -> MetricsTable:
     ``net_bytes_per_node``, ``storage_bytes``, ``node_counts``,
     ``sites``, ``seed``, ``workload`` (label).
     """
+    from repro.platform.perfmodel import KernelDemand, execution_time
+    from repro.platform.sites import default_sites
+
     seed = int(variables.get("seed", 42))
     sites = default_sites(seed)
     seeds = SeedSequenceFactory(seed)

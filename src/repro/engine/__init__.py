@@ -34,67 +34,38 @@ stored outputs and completes the task as
 :attr:`~repro.engine.graph.TaskState.CACHED`.
 """
 
-from repro.engine.cache import CacheAwarePayload, MemoizedPayload
-from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.graph import (
-    GraphResult,
-    ReadySet,
-    Task,
-    TaskContext,
-    TaskGraph,
-    TaskOutcome,
-    TaskState,
-)
-from repro.engine.resilience import NO_RETRY, RetryPolicy, call_with_timeout
-from repro.engine.runstate import (
-    RUN_STATE_FILE,
-    RunStateStore,
-    task_fingerprint,
-)
-from repro.engine.procsched import ProcessScheduler, audit_pickle_safety
-from repro.engine.scheduler import (
-    RunOptions,
-    Scheduler,
-    SerialScheduler,
-    ThreadedScheduler,
-    resolve_backend,
-)
-from repro.engine.shutdown import (
-    EXIT_SIGINT,
-    EXIT_SIGTERM,
-    CancelToken,
-    GracefulShutdown,
-    RunCancelled,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "GraphResult",
-    "ReadySet",
-    "Task",
-    "TaskContext",
-    "TaskGraph",
-    "TaskOutcome",
-    "TaskState",
-    "RunOptions",
-    "Scheduler",
-    "SerialScheduler",
-    "ThreadedScheduler",
-    "ProcessScheduler",
-    "audit_pickle_safety",
-    "resolve_backend",
-    "RetryPolicy",
-    "NO_RETRY",
-    "call_with_timeout",
-    "FaultPlan",
-    "FaultSpec",
-    "CacheAwarePayload",
-    "MemoizedPayload",
-    "RUN_STATE_FILE",
-    "RunStateStore",
-    "task_fingerprint",
-    "EXIT_SIGINT",
-    "EXIT_SIGTERM",
-    "CancelToken",
-    "GracefulShutdown",
-    "RunCancelled",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "graph": (
+            "GraphResult",
+            "ReadySet",
+            "Task",
+            "TaskContext",
+            "TaskGraph",
+            "TaskOutcome",
+            "TaskState",
+        ),
+        "scheduler": (
+            "RunOptions",
+            "Scheduler",
+            "SerialScheduler",
+            "ThreadedScheduler",
+            "resolve_backend",
+        ),
+        "procsched": ("ProcessScheduler", "audit_pickle_safety"),
+        "resilience": ("RetryPolicy", "NO_RETRY", "call_with_timeout"),
+        "faults": ("FaultPlan", "FaultSpec"),
+        "cache": ("CacheAwarePayload", "MemoizedPayload"),
+        "runstate": ("RUN_STATE_FILE", "RunStateStore", "task_fingerprint"),
+        "shutdown": (
+            "EXIT_SIGINT",
+            "EXIT_SIGTERM",
+            "CancelToken",
+            "GracefulShutdown",
+            "RunCancelled",
+        ),
+    },
+)

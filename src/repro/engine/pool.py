@@ -30,8 +30,9 @@ Workers fork where the platform can (cheapest, and a forked worker
 inherits the parent's installed crash plan), else spawn.  Jobs and
 records cross as pickles this program wrote.  ``multiprocessing`` is
 imported in :meth:`WorkerPool.start` and :meth:`WorkerPool.poll`, so
-importing :mod:`repro.engine` stays cheap for the many ``popper``
-invocations that start no worker.
+importing this module starts nothing.  Importing :mod:`repro.engine`
+does not import it at all: only ``popper run -j N`` (through
+:mod:`~repro.engine.procsched`) and ``popper serve`` load the pool.
 """
 
 from __future__ import annotations

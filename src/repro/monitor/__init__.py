@@ -11,52 +11,33 @@ monitoring stack:
   per-run append-only JSONL journal and its renderer (``popper trace``).
 """
 
-from repro.monitor.journal import (
-    EVENT_KINDS,
-    JOURNAL_FILE,
-    RunJournal,
-    load_journal,
-    read_journal,
-)
-from repro.monitor.metrics import MetricStore, Sample, SeriesSummary
-from repro.monitor.report import (
-    SpanRecord,
-    critical_path,
-    render_report,
-    spans_from_events,
-    stage_table,
-)
-from repro.monitor.tracing import (
-    SPAN_METRIC,
-    NullTracer,
-    Span,
-    Tracer,
-    activate,
-    current_tracer,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # metrics
-    "MetricStore",
-    "Sample",
-    "SeriesSummary",
-    # tracing
-    "SPAN_METRIC",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "activate",
-    "current_tracer",
-    # journal
-    "JOURNAL_FILE",
-    "EVENT_KINDS",
-    "RunJournal",
-    "load_journal",
-    "read_journal",
-    # report
-    "SpanRecord",
-    "spans_from_events",
-    "stage_table",
-    "critical_path",
-    "render_report",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "metrics": ("MetricStore", "Sample", "SeriesSummary"),
+        "tracing": (
+            "SPAN_METRIC",
+            "Span",
+            "Tracer",
+            "NullTracer",
+            "activate",
+            "current_tracer",
+        ),
+        "journal": (
+            "JOURNAL_FILE",
+            "EVENT_KINDS",
+            "RunJournal",
+            "load_journal",
+            "read_journal",
+        ),
+        "report": (
+            "SpanRecord",
+            "spans_from_events",
+            "stage_table",
+            "critical_path",
+            "render_report",
+        ),
+    },
+)

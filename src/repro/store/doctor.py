@@ -13,7 +13,9 @@ ledger        torn JSONL line         crash mid-append to a journal   drop each 
                                       or run-state (a resumed writer  debris (the interrupted task
                                       seals it off, appends after it) has no record and re-runs)
 temp file     orphan temp file        crash inside ``atomic_write``,  unlink (content is elsewhere
-                                      between mkstemp and os.replace  or will be re-produced)
+              (any dot-file in        between mkstemp and os.replace  or will be re-produced)
+              ``.pvcs/``; elsewhere,
+              ``is_atomic_temp``)
 lock          stale lock metadata     holder died while holding a     truncate the lock file
                                       RepoLock
 pack          unindexed pack          crash between pack rename and   rebuild the index from the
@@ -63,7 +65,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.common.fsutil import atomic_write
+from repro.common.fsutil import atomic_write, is_atomic_temp
 from repro.common.groupcommit import decode_jsonl
 from repro.common.locking import LockInfo
 from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
@@ -384,7 +386,7 @@ def diagnose(root: str | Path, tmp_age_s: float = 60.0) -> DoctorReport:
                 )
             elif in_meta and name.endswith(".lock"):
                 finding = _lock(path)
-            elif in_meta and name.startswith("."):
+            elif is_atomic_temp(name) or (in_meta and name.startswith(".")):
                 finding = _temp(path, now, tmp_age_s)
             elif is_pack_dir and name.endswith((".pack", ".idx")):
                 finding = _pack(path, filenames)

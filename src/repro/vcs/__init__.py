@@ -8,23 +8,14 @@ deterministic enough that entire experiment histories reproduce
 bit-for-bit.
 """
 
-from repro.vcs.diff import Change, ChangeKind, tree_changes, unified_diff
-from repro.vcs.objects import Blob, Commit, Tag, Tree, TreeEntry
-from repro.vcs.repository import LogEntry, Repository, Status
-from repro.vcs.store import ObjectStore
+from repro import lazy_exports
 
-__all__ = [
-    "Repository",
-    "LogEntry",
-    "Status",
-    "ObjectStore",
-    "Blob",
-    "Tree",
-    "TreeEntry",
-    "Commit",
-    "Tag",
-    "Change",
-    "ChangeKind",
-    "tree_changes",
-    "unified_diff",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repository": ("Repository", "LogEntry", "Status"),
+        "store": ("ObjectStore",),
+        "objects": ("Blob", "Tree", "TreeEntry", "Commit", "Tag"),
+        "diff": ("Change", "ChangeKind", "tree_changes", "unified_diff"),
+    },
+)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.common.errors import ObjectNotFound, VcsError
-from repro.common.fsutil import atomic_write, ensure_dir
+from repro.common.fsutil import atomic_write, ensure_dir, is_atomic_temp
 from repro.vcs.diff import Change, diff_commits, tree_changes
 from repro.vcs.index import Index
 from repro.vcs.objects import MODE_EXEC, MODE_FILE, Blob, Commit, Tag
@@ -124,6 +124,8 @@ class Repository:
         for dirpath, dirnames, filenames in os.walk(self.root):
             dirnames[:] = sorted(d for d in dirnames if d != META_DIR)
             for name in sorted(filenames):
+                if is_atomic_temp(name):
+                    continue  # a crashed write's debris, never content
                 yield (Path(dirpath) / name).relative_to(self.root).as_posix()
 
     # -- staging ------------------------------------------------------------------

@@ -246,6 +246,34 @@ class TestRepackedWarmRun:
         assert main([*args, "doctor", "--dry-run", "--tmp-age", "0"]) == 0
 
 
+class TestMaterializeCrash:
+    def test_working_tree_temp_is_found_by_doctor_and_never_staged(
+        self, repo_dir, capsys
+    ):
+        """A crash mid-materialize leaves its temp beside the output, in
+        the working tree: doctor reports it once past the age gate, and
+        staging the tree never picks it up."""
+        args = ["-C", str(repo_dir)]
+        assert main([*args, "run", "--all"]) == 0
+        crash = ["--inject-crash", "at:cas.materialize.tmp:1"]
+        assert main([*args, "run", "--all", *crash]) == EXIT_CRASH
+        exp_dir = repo_dir / "experiments" / "one"
+        [temp] = [p for p in exp_dir.iterdir() if p.name.startswith(".")]
+
+        vcs = PopperRepository.open(repo_dir).vcs
+        vcs.add_all()
+        assert temp.relative_to(repo_dir).as_posix() not in vcs.index.entries
+
+        assert main([*args, "doctor", "--dry-run"]) == 0  # too young
+        capsys.readouterr()
+        doctor = [*args, "doctor", "--tmp-age", "0"]
+        assert main([*doctor, "--dry-run"]) == 1
+        assert f"orphan-temp: {temp}" in capsys.readouterr().out
+        assert main(doctor) == 0
+        assert not temp.exists()
+        assert main([*doctor, "--dry-run"]) == 0
+
+
 class TestRefsCrash:
     def test_torn_ref_update_never_happens(self, repo_dir, tmp_path):
         """refs.update.tmp fires with the new ref's temp written and
