@@ -12,6 +12,18 @@ Semantics:
   row-wise and then **universally quantified** ("every row satisfies").
 * Aggregates and trend validators reduce vectors before comparison.
 
+Vectors are tuples of floats (a string column is a list of its values),
+and arithmetic follows numpy's rules on plain floats:
+
+* A scalar broadcasts against a vector, and arithmetic on a vector is
+  element-wise IEEE arithmetic: ``x / 0`` is ``inf`` or ``nan`` and ``x
+  % 0`` is ``nan``, never an error, so a comparison over the result
+  fails with ``comparison over NaN/inf values``.
+* Arithmetic on two scalars is Python's: dividing by zero fails with
+  ``division by zero``.
+* Two vectors of unequal length fail to compare, and fail arithmetic
+  unless one of them has length one (which broadcasts, as in numpy).
+
 The entry point is :func:`check`, returning a :class:`ValidationResult`
 per statement with per-group detail — the report a Popper pipeline stores
 next to ``results.csv``.
@@ -19,10 +31,11 @@ next to ``results.csv``.
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.aver.ast import (
     Arith,
@@ -134,7 +147,7 @@ class _Evaluator:
             )
         values = self.group.column(node.name)
         if all(isinstance(v, (int, float, bool)) or v is None for v in values):
-            return self.group.numeric(node.name)
+            return tuple(self.group.numeric(node.name))
         return values  # string column: list of values
 
     # -- function calls -----------------------------------------------------------
@@ -161,21 +174,15 @@ class _Evaluator:
                 raise AverEvalError(
                     f"arithmetic on non-numeric {side} operand of {node.op!r}"
                 )
+        op = _ARITH.get(node.op)
+        if op is None:
+            raise AverEvalError(f"unknown arithmetic operator {node.op!r}")
+        if isinstance(left, tuple) or isinstance(right, tuple):
+            return _elementwise(op, left, right)
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                if node.op == "/":
-                    return left / right
-                if node.op == "%":
-                    return left % right
+            return op(left, right)
         except ZeroDivisionError as exc:
             raise AverEvalError("division by zero") from exc
-        raise AverEvalError(f"unknown arithmetic operator {node.op!r}")
 
     # -- comparisons --------------------------------------------------------------------
     def _eval_compare(self, node: Compare) -> bool:
@@ -194,33 +201,25 @@ class _Evaluator:
             rvals = right if isinstance(right, list) else [right]
             if len(lvals) != len(rvals) and 1 not in (len(lvals), len(rvals)):
                 raise AverEvalError("comparison of unequal-length columns")
-            if len(lvals) == 1:
-                lvals = lvals * len(rvals)
-            if len(rvals) == 1:
-                rvals = rvals * len(lvals)
             results = [
                 (a == b) if op == "==" else (a != b)
-                for a, b in zip(lvals, rvals)
+                for a, b in _broadcast(lvals, rvals)
             ]
             return all(results)
-        larr = np.asarray(left, dtype=np.float64)
-        rarr = np.asarray(right, dtype=np.float64)
-        if larr.ndim and rarr.ndim and larr.size != rarr.size:
+        if (
+            isinstance(left, tuple)
+            and isinstance(right, tuple)
+            and len(left) != len(right)
+        ):
             raise AverEvalError(
-                f"comparison of unequal-length vectors ({larr.size} vs {rarr.size})"
+                f"comparison of unequal-length vectors ({len(left)} vs {len(right)})"
             )
-        if np.any(~np.isfinite(larr)) or np.any(~np.isfinite(rarr)):
+        lvals = _numbers(left, "left")
+        rvals = _numbers(right, "right")
+        if not all(map(math.isfinite, lvals + rvals)):
             raise AverEvalError("comparison over NaN/inf values")
-        ops = {
-            "==": np.equal,
-            "!=": np.not_equal,
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-        }
-        result = ops[op](larr, rarr)
-        return bool(np.all(result))
+        compare = _COMPARE[op]
+        return all(compare(a, b) for a, b in _broadcast(lvals, rvals))
 
     # -- boolean -----------------------------------------------------------------------------
     def _eval_boolop(self, node: BoolOp) -> bool:
@@ -236,12 +235,80 @@ class _Evaluator:
 
     @staticmethod
     def _as_bool(value: Any, context: str) -> bool:
-        if isinstance(value, (bool, np.bool_)):
+        if _is_bool(value):
             return bool(value)
         raise AverEvalError(
             f"operand of {context!r} is not boolean (got {type(value).__name__}); "
             "use a comparison or validator function"
         )
+
+
+_ARITH: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+
+_COMPARE: dict[str, Callable[[float, float], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _ieee(op: Callable[[Any, Any], Any], a: float, b: float) -> float:
+    """``op(a, b)``, with IEEE's ``inf``/``nan`` where Python raises."""
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        if op is operator.mod or a == 0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _broadcast(lvals: Sequence[Any], rvals: Sequence[Any]) -> Iterator[tuple]:
+    """Row pairs of two operands; a side of length one repeats."""
+    if len(lvals) == 1:
+        lvals = lvals * len(rvals)
+    if len(rvals) == 1:
+        rvals = rvals * len(lvals)
+    return zip(lvals, rvals)
+
+
+def _elementwise(
+    op: Callable[[Any, Any], Any], left: Any, right: Any
+) -> tuple[float, ...]:
+    """*op* row by row; a scalar (or a vector of one) broadcasts."""
+    lvals = left if isinstance(left, tuple) else (left,)
+    rvals = right if isinstance(right, tuple) else (right,)
+    if len(lvals) != len(rvals) and 1 not in (len(lvals), len(rvals)):
+        raise AverEvalError(
+            f"arithmetic on unequal-length vectors ({len(lvals)} vs {len(rvals)})"
+        )
+    return tuple(_ieee(op, a, b) for a, b in _broadcast(lvals, rvals))
+
+
+def _numbers(value: Any, side: str) -> tuple[float, ...]:
+    """A comparison operand as floats: a vector, or a scalar as one."""
+    if isinstance(value, tuple):
+        return value
+    try:
+        return (float(value),)
+    except (TypeError, ValueError) as exc:
+        raise AverEvalError(f"comparison of non-numeric {side} operand") from exc
+
+
+def _is_bool(value: Any) -> bool:
+    """A Python bool, or a numpy one from a registered function."""
+    if isinstance(value, bool):
+        return True
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.bool_)
 
 
 def _groups_for(
@@ -300,7 +367,7 @@ def evaluate_statement(
                 GroupResult(binding=binding, passed=False, detail=str(exc))
             )
             continue
-        if not isinstance(verdict, (bool, np.bool_)):
+        if not _is_bool(verdict):
             group_results.append(
                 GroupResult(
                     binding=binding,

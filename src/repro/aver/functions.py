@@ -11,13 +11,19 @@ Two families:
 * **Aggregates** (``min``, ``max``, ``avg``, ``sum``, ``count``,
   ``stddev``, ``median``, ``percentile``) — reduce a column vector to a
   scalar usable in comparisons.
+
+A column arrives as a tuple of floats, and every builtin computes on
+plain floats: the tables are small (tens to a few hundred rows), and a
+cached ``popper run`` validates its results without importing numpy.
+The numpy versions these replace are kept as the reference in
+``tests/aver/test_reference.py``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.common.errors import AverEvalError
 
@@ -27,43 +33,65 @@ __all__ = ["FUNCTIONS", "scaling_exponent", "register_function"]
 _LINEAR_EPS = 0.08
 
 
-def _as_vector(value: Any, name: str, arg_index: int) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    if array.ndim == 0:
-        array = array.reshape(1)
-    if array.size == 0:
+def _floats(value: Any, name: str, arg_index: int) -> tuple[float, ...]:
+    """*value* as a tuple of floats; a scalar is a vector of one."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        value = (value,)
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise AverEvalError(
+            f"{name}(): argument {arg_index} is not numeric"
+        ) from exc
+
+
+def _as_vector(value: Any, name: str, arg_index: int) -> tuple[float, ...]:
+    vector = _floats(value, name, arg_index)
+    if not vector:
         raise AverEvalError(f"{name}(): argument {arg_index} is empty")
-    if np.any(~np.isfinite(array)):
+    if not all(map(math.isfinite, vector)):
         raise AverEvalError(f"{name}(): argument {arg_index} has NaN/inf values")
-    return array
+    return vector
 
 
 def _as_scalar(value: Any, name: str, arg_index: int) -> float:
-    array = np.asarray(value, dtype=np.float64)
-    if array.ndim != 0 and array.size != 1:
+    vector = _floats(value, name, arg_index)
+    if len(vector) != 1:
         raise AverEvalError(
             f"{name}(): argument {arg_index} must be a scalar, got a vector"
         )
-    return float(array.reshape(-1)[0])
+    return vector[0]
 
 
-def scaling_exponent(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares exponent ``b`` of ``y = c * x^b`` (log-log fit)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size:
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+def scaling_exponent(x: Sequence[float], y: Sequence[float]) -> float:
+    """Least-squares exponent ``b`` of ``y = c * x^b`` (log-log fit).
+
+    *x* and *y* are any sequences of numbers; the slope is the
+    closed-form least-squares solution over ``(log x, log y)``.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y):
         raise AverEvalError(
-            f"scaling fit needs equal-length vectors ({x.size} vs {y.size})"
+            f"scaling fit needs equal-length vectors ({len(x)} vs {len(y)})"
         )
-    if x.size < 2:
+    if len(x) < 2:
         raise AverEvalError("scaling fit needs at least 2 points")
-    if np.any(x <= 0) or np.any(y <= 0):
+    if any(v <= 0 for v in x) or any(v <= 0 for v in y):
         raise AverEvalError("scaling fit needs positive values")
-    if np.unique(x).size < 2:
+    lx = [math.log(v) for v in x]
+    ly = [math.log(v) for v in y]
+    mx, my = _mean(lx), _mean(ly)
+    dx = [v - mx for v in lx]
+    sxx = sum(d * d for d in dx)
+    # Distinct x values whose logarithms round to one float fit no slope.
+    if len(set(x)) < 2 or sxx == 0.0:
         raise AverEvalError("scaling fit needs at least 2 distinct x values")
-    lx, ly = np.log(x), np.log(y)
-    slope, _intercept = np.polyfit(lx, ly, 1)
-    return float(slope)
+    return sum(d * (v - my) for d, v in zip(dx, ly)) / sxx
 
 
 def _fn_sublinear(name: str, args: list[Any]) -> bool:
@@ -87,29 +115,28 @@ def _fn_linear(name: str, args: list[Any]) -> bool:
     return abs(scaling_exponent(x, y) - 1.0) <= _LINEAR_EPS
 
 
-def _sorted_by_x(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    return y[order]
+def _sorted_by_x(x: Sequence[float], y: Sequence[float]) -> list[float]:
+    return [y[i] for i in sorted(range(len(x)), key=x.__getitem__)]
 
 
 def _fn_monotonic_inc(name: str, args: list[Any]) -> bool:
     _need(name, args, 2)
     x = _as_vector(args[0], name, 0)
     y = _as_vector(args[1], name, 1)
-    if x.size != y.size:
+    if len(x) != len(y):
         raise AverEvalError(f"{name}(): vectors differ in length")
     ordered = _sorted_by_x(x, y)
-    return bool(np.all(np.diff(ordered) >= -1e-12))
+    return all(b - a >= -1e-12 for a, b in zip(ordered, ordered[1:]))
 
 
 def _fn_monotonic_dec(name: str, args: list[Any]) -> bool:
     _need(name, args, 2)
     x = _as_vector(args[0], name, 0)
     y = _as_vector(args[1], name, 1)
-    if x.size != y.size:
+    if len(x) != len(y):
         raise AverEvalError(f"{name}(): vectors differ in length")
     ordered = _sorted_by_x(x, y)
-    return bool(np.all(np.diff(ordered) <= 1e-12))
+    return all(b - a <= 1e-12 for a, b in zip(ordered, ordered[1:]))
 
 
 def _fn_constant(name: str, args: list[Any]) -> bool:
@@ -118,10 +145,10 @@ def _fn_constant(name: str, args: list[Any]) -> bool:
         raise AverEvalError(f"{name}() takes 1 or 2 arguments, got {len(args)}")
     y = _as_vector(args[0], name, 0)
     tol = _as_scalar(args[1], name, 1) if len(args) == 2 else 0.05
-    mean = float(np.mean(y))
+    mean = _mean(y)
     if mean == 0.0:
-        return bool(np.all(np.abs(y) <= tol))
-    return bool(np.max(np.abs(y - mean)) <= abs(mean) * tol)
+        return all(abs(v) <= tol for v in y)
+    return max(abs(v - mean) for v in y) <= abs(mean) * tol
 
 
 def _fn_within(name: str, args: list[Any]) -> bool:
@@ -132,7 +159,7 @@ def _fn_within(name: str, args: list[Any]) -> bool:
     hi = _as_scalar(args[2], name, 2)
     if lo > hi:
         raise AverEvalError(f"{name}(): lo > hi")
-    return bool(np.all((y >= lo) & (y <= hi)))
+    return all(lo <= v <= hi for v in y)
 
 
 def _need(name: str, args: list[Any], count: int) -> None:
@@ -140,7 +167,9 @@ def _need(name: str, args: list[Any], count: int) -> None:
         raise AverEvalError(f"{name}() takes {count} arguments, got {len(args)}")
 
 
-def _agg(fn: Callable[[np.ndarray], float]) -> Callable[[str, list[Any]], float]:
+def _agg(
+    fn: Callable[[tuple[float, ...]], float]
+) -> Callable[[str, list[Any]], float]:
     def wrapper(name: str, args: list[Any]) -> float:
         _need(name, args, 1)
         return float(fn(_as_vector(args[0], name, 0)))
@@ -154,7 +183,44 @@ def _fn_count(name: str, args: list[Any]) -> float:
             "count() with no arguments is resolved by the evaluator"
         )
     _need(name, args, 1)
-    return float(_as_vector(args[0], name, 0).size)
+    return float(len(_as_vector(args[0], name, 0)))
+
+
+def _stddev(values: Sequence[float]) -> float:
+    """Sample standard deviation (``n - 1`` divisor); 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    mean = _mean(values)
+    squares = sum((v - mean) * (v - mean) for v in values)
+    return math.sqrt(squares / (len(values) - 1))
+
+
+def _median(values: Sequence[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """numpy's default ("linear") percentile, written out.
+
+    The weight is the fractional part of ``(n - 1) * q / 100``.  As in
+    numpy's ``_lerp``, a weight of one half or more interpolates back
+    from the upper neighbour, which keeps every result bit-identical to
+    numpy's.
+    """
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    below = math.floor(index)
+    weight = index - below
+    a, b = ordered[below], ordered[below + 1]
+    if weight >= 0.5:
+        return b - (b - a) * (1 - weight)
+    return a + (b - a) * weight
 
 
 def _fn_percentile(name: str, args: list[Any]) -> float:
@@ -163,7 +229,7 @@ def _fn_percentile(name: str, args: list[Any]) -> float:
     q = _as_scalar(args[1], name, 1)
     if not 0 <= q <= 100:
         raise AverEvalError(f"{name}(): percentile must be in [0, 100]")
-    return float(np.percentile(y, q))
+    return _percentile(y, q)
 
 
 def _fn_scaling_exp(name: str, args: list[Any]) -> float:
@@ -204,20 +270,27 @@ FUNCTIONS: dict[str, Callable[[str, list[Any]], Any]] = {
     "monotonic_dec": _fn_monotonic_dec,
     "constant": _fn_constant,
     "within": _fn_within,
-    "min": _agg(np.min),
-    "max": _agg(np.max),
-    "avg": _agg(np.mean),
-    "mean": _agg(np.mean),
-    "sum": _agg(np.sum),
-    "stddev": _agg(lambda v: np.std(v, ddof=1) if v.size > 1 else 0.0),
-    "median": _agg(np.median),
+    "min": _agg(min),
+    "max": _agg(max),
+    "avg": _agg(_mean),
+    "mean": _agg(_mean),
+    "sum": _agg(sum),
+    "stddev": _agg(_stddev),
+    "median": _agg(_median),
     "count": _fn_count,
     "percentile": _fn_percentile,
 }
 
 
 def register_function(name: str, fn: Callable[[str, list[Any]], Any]) -> None:
-    """Register a domain-specific validation function."""
+    """Register a domain-specific validation function.
+
+    *fn* is called as ``fn(name, args)`` with the evaluated arguments: a
+    numeric column arrives as a tuple of floats (a sequence, not a numpy
+    array), a string column as a list, and a literal or an aggregate as
+    a scalar.  It returns a bool (a validator) or a number (an
+    aggregate).
+    """
     if name in FUNCTIONS:
         raise AverEvalError(f"function already registered: {name!r}")
     FUNCTIONS[name] = fn

@@ -7,8 +7,9 @@ pooled from prior commits, plus the shared
 :class:`~repro.check.suite.DetectorSuite`) and exposes
 ``no_regression(metric)`` as a contextual Aver function: the pipeline
 builds one per run and passes its :meth:`functions` mapping into
-``check_all``, so validations and perf gating share one language
-exactly as the ISSUE asks.
+``check_all``, so validations and perf gating share one language.
+The detectors, and numpy with them, are imported only when a
+``no_regression`` assertion is evaluated.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.aver.ast import Column, String
-from repro.check.detectors import Degradation
-from repro.check.suite import DetectorSuite, default_suite
 from repro.common.errors import AverEvalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.detectors import Degradation
     from repro.check.profiles import Profile
+    from repro.check.suite import DetectorSuite
 
 __all__ = ["RegressionContext"]
 
@@ -34,7 +35,8 @@ class RegressionContext:
     scopes series-key resolution.  With no baseline every
     ``no_regression`` assertion passes vacuously — a repository's first
     profiled run cannot regress against anything — and the vacuous pass
-    is recorded in :attr:`notes` so reports can say so.
+    is recorded in :attr:`notes` so reports can say so.  Without a
+    *suite*, the first comparison builds ``default_suite()``.
 
     After evaluation, :attr:`verdicts` holds every detector verdict the
     assertions triggered, for journaling alongside the pass/fail.
@@ -43,11 +45,11 @@ class RegressionContext:
     def __init__(
         self,
         baseline: "Profile | None",
-        suite: DetectorSuite | None = None,
+        suite: "DetectorSuite | None" = None,
         experiment: str | None = None,
     ) -> None:
         self.baseline = baseline
-        self.suite = suite or default_suite()
+        self.suite = suite
         self.experiment = experiment
         self.verdicts: list[Degradation] = []
         self.notes: list[str] = []
@@ -77,6 +79,10 @@ class RegressionContext:
                 f"{name}({metric}): no baseline profile yet — vacuous pass"
             )
             return True
+        from repro.check.suite import DetectorSuite, default_suite
+
+        if self.suite is None:
+            self.suite = default_suite()
         verdicts = self.suite.compare_samples(baseline, current, metric=metric)
         self.verdicts.extend(verdicts)
         return not DetectorSuite.regressed(verdicts)

@@ -11,8 +11,10 @@ the property that makes regression baselines stable across code changes.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["derive_seed", "derive_rng", "SeedSequenceFactory"]
 
@@ -29,6 +31,8 @@ def derive_seed(root: int, *labels: str | int) -> int:
 
 def derive_rng(root: int, *labels: str | int) -> np.random.Generator:
     """A numpy Generator seeded from :func:`derive_seed`."""
+    import numpy as np
+
     return np.random.default_rng(derive_seed(root, *labels))
 
 

@@ -5,19 +5,19 @@ The Popper pipeline produces ``results.csv`` files; Aver assertions are
 evaluated against them; analysis scripts group and aggregate them.  A
 :class:`MetricsTable` is a small, dependency-free columnar table with just
 the operations those stages need: CSV round-trips, row filtering, column
-extraction, group-by and aggregate.  Numeric columns are materialized as
-numpy arrays so downstream statistics stay vectorized.
+extraction, group-by and aggregate.  Only :meth:`MetricsTable.aggregate`
+uses numpy, and imports it when called, so reading a table and
+validating it with Aver load no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
-
-import numpy as np
 
 __all__ = ["MetricsTable"]
 
@@ -128,17 +128,18 @@ class MetricsTable:
             raise KeyError(f"no such column: {name!r} (have {self.columns})")
         return [row[name] for row in self._rows]
 
-    def numeric(self, name: str) -> np.ndarray:
-        """One column as a float64 numpy array (None becomes NaN)."""
-        values = self.column(name)
-        out = np.empty(len(values), dtype=np.float64)
-        for i, value in enumerate(values):
+    def numeric(self, name: str) -> list[float]:
+        """One column as a list of floats (None becomes NaN).
+
+        A new list per call; wrap it in ``np.asarray`` to compute on it
+        with numpy.
+        """
+        out: list[float] = []
+        for i, value in enumerate(self.column(name)):
             if value is None:
-                out[i] = np.nan
-            elif isinstance(value, bool):
-                out[i] = 1.0 if value else 0.0
+                out.append(math.nan)
             elif isinstance(value, (int, float)):
-                out[i] = float(value)
+                out.append(float(value))
             else:
                 raise TypeError(
                     f"column {name!r} is not numeric: row {i} holds {value!r}"
@@ -207,10 +208,18 @@ class MetricsTable:
         self,
         by: Sequence[str],
         metric: str,
-        func: Callable[[np.ndarray], float] = np.mean,
+        func: Callable[[list[float]], float] | None = None,
         output: str | None = None,
     ) -> "MetricsTable":
-        """Group by *by* and reduce *metric* with *func* (mean by default)."""
+        """Group by *by* and reduce *metric* with *func*.
+
+        *func* gets each group's :meth:`numeric` list; the default is
+        ``numpy.mean``.
+        """
+        if func is None:
+            import numpy as np
+
+            func = np.mean
         output = output or metric
         out = MetricsTable(list(by) + [output])
         for key, group in self.group_by(*by).items():

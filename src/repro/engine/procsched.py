@@ -89,7 +89,6 @@ from repro.engine.graph import (
     TaskOutcome,
     TaskState,
 )
-from repro.engine.pool import WorkerPool
 from repro.engine.resilience import RetryPolicy
 from repro.engine.scheduler import RunOptions, Scheduler, ThreadedScheduler
 from repro.monitor.journal import RunJournal, load_journal, replay_events
@@ -297,10 +296,9 @@ class ProcessScheduler(Scheduler):
             if journal is not None
             else None
         )
-        pool = WorkerPool(
-            size=min(self.max_workers, len(graph)),
-            runner=partial(_WorkerRunner, str(shards) if shards else None),
-        )
+        # Built on the first task that misses the cache and the
+        # checkpoint: a cached graph neither imports the pool nor forks.
+        pool = None
         inflight: set[str] = set()
         done_records: dict[str, dict] = {}
         abort_error: BaseException | None = None
@@ -318,9 +316,9 @@ class ProcessScheduler(Scheduler):
             return ready.complete(task_id)
 
         def dispatch(task_ids: list[str]) -> None:
+            nonlocal abort_error, pool
             pending = list(task_ids)
             while pending:
-                nonlocal abort_error
                 tid = pending.pop(0)
                 if draining():
                     # Drain: hand out nothing new.  Undispatched tasks
@@ -358,8 +356,17 @@ class ProcessScheduler(Scheduler):
                     optional=task.optional,
                     faults=options.faults,
                 )
+                if pool is None:
+                    from repro.engine.pool import WorkerPool
+
+                    pool = WorkerPool(
+                        size=min(self.max_workers, len(graph)),
+                        runner=partial(
+                            _WorkerRunner, str(shards) if shards else None
+                        ),
+                    )
                 if not pool.workers:
-                    pool.start()  # the first miss: a cached graph forks nothing
+                    pool.start()
                 try:
                     pool.dispatch(job, tid)
                 except Exception as exc:
@@ -517,7 +524,8 @@ class ProcessScheduler(Scheduler):
                 if not records:
                     reap_dead_workers()
         finally:
-            pool.drain()
+            if pool is not None:
+                pool.drain()
             try:
                 merge_shards()
             finally:

@@ -17,14 +17,16 @@ are ordinary series to ``stats`` and ``figures``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import MonitorError
 from repro.common.tables import MetricsTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["Sample", "SeriesSummary", "MetricStore"]
 
@@ -97,7 +99,7 @@ class MetricStore:
         if not metric:
             raise MonitorError("metric name required")
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise MonitorError(f"non-finite sample for {metric!r}: {value}")
         frozen = _freeze_labels(labels)
         with self._lock:
@@ -144,6 +146,8 @@ class MetricStore:
         self, metric: str, labels: dict[str, Any] | None = None
     ) -> np.ndarray:
         """Sample values for a metric (filtered by label subset), in order."""
+        import numpy as np
+
         want = dict(_freeze_labels(labels))
         out = [
             s.value
@@ -162,6 +166,8 @@ class MetricStore:
         labels contain every given pair are included.  Use
         :meth:`summaries` for exact per-series grouping.
         """
+        import numpy as np
+
         values = self.values(metric, labels)
         if values.size == 0:
             raise MonitorError(f"no samples for metric {metric!r} with {labels}")
@@ -203,6 +209,8 @@ class MetricStore:
         any series containing the given labels), grouping here is exact:
         each sample contributes to exactly one summary.
         """
+        import numpy as np
+
         groups: dict[tuple[str, tuple[tuple[str, str], ...]], list[float]] = {}
         for sample in self._samples:
             if metric is not None and sample.metric != metric:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.rng import SeedSequenceFactory
 from repro.common.tables import MetricsTable
 from repro.monitor.tracing import current_tracer
@@ -88,8 +90,8 @@ def _append_run(
 def variability_stats(table: MetricsTable, noise: bool) -> VariabilityStats:
     """Summarize one noise setting's series."""
     sub = table.where_equals(noise=noise)
-    wall = sub.numeric("wall_time")
-    fractions = sub.numeric("mpi_fraction")
+    wall = np.asarray(sub.numeric("wall_time"))
+    fractions = np.asarray(sub.numeric("mpi_fraction"))
     return VariabilityStats(
         noise=noise,
         runs=len(sub),

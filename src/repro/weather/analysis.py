@@ -37,7 +37,8 @@ class AirTempAnalysis:
         sub = self.seasonal_zonal.where_equals(season=season).sort_by("lat")
         if len(sub) == 0:
             raise ReproError(f"unknown season {season!r}")
-        return sub.numeric("lat"), sub.numeric("temperature")
+        lats = np.asarray(sub.numeric("lat"))
+        return lats, np.asarray(sub.numeric("temperature"))
 
 
 def analyze_air_temperature(air: LabeledArray) -> AirTempAnalysis:

@@ -143,6 +143,21 @@ class TestRowWiseSemantics:
         )
         assert check("expect used / total <= 0.5", table).passed
 
+    def test_unequal_length_vectors_fail_the_group(self):
+        register_function("first_two", lambda name, args: args[0][:2])
+        table = MetricsTable(["v"], [{"v": 1.0}, {"v": 2.0}, {"v": 3.0}])
+        try:
+            compared = check("expect first_two(v) < v", table)
+            added = check("expect first_two(v) + v > 0", table)
+        finally:
+            del FUNCTIONS["first_two"]
+        assert compared.groups[0].detail == (
+            "comparison of unequal-length vectors (2 vs 3)"
+        )
+        assert added.groups[0].detail == (
+            "arithmetic on unequal-length vectors (2 vs 3)"
+        )
+
     def test_non_boolean_expectation_fails_gracefully(self):
         table = MetricsTable(["a"], [{"a": 1}])
         result = check("expect a + 1", table)
@@ -224,9 +239,41 @@ class TestFunctions:
         finally:
             del FUNCTIONS["always_holds"]
 
+    def test_registered_function_may_return_a_numpy_bool(self, table):
+        register_function("numpy_holds", lambda name, args: np.bool_(True))
+        try:
+            assert check("expect numpy_holds()", table).passed
+            assert check("expect numpy_holds() and count() = 4", table).passed
+        finally:
+            del FUNCTIONS["numpy_holds"]
+
     def test_register_duplicate_rejected(self):
         with pytest.raises(AverEvalError):
             register_function("avg", lambda n, a: 0)
+
+    @pytest.mark.parametrize(
+        "source, detail",
+        [
+            ("expect avg(machine) > 1", "avg(): argument 0 is not numeric"),
+            (
+                "expect sublinear(machine, time)",
+                "sublinear(): argument 0 is not numeric",
+            ),
+            (
+                "expect percentile(time, machine) > 0",
+                "percentile(): argument 1 is not numeric",
+            ),
+            ("expect within(time, 'lo', 9)", "within(): argument 1 is not numeric"),
+        ],
+    )
+    def test_string_argument_fails_the_group(self, source, detail):
+        table = MetricsTable(
+            ["machine", "time"],
+            [{"machine": "cpu", "time": 2.0}, {"machine": "mem", "time": 1.0}],
+        )
+        result = check(source, table)
+        assert not result.passed
+        assert result.groups[0].detail == detail
 
 
 class TestLogicAndCheckAll:

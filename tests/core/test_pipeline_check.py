@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import PopperError, ValidationFailure
 from repro.common.fsutil import write_text
 from repro.core.check import check_repository
+from repro.core.cli import main
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.repo import PopperRepository
 from repro.monitor.metrics import MetricStore
@@ -78,6 +79,18 @@ class TestPipeline:
         result = ExperimentPipeline(repo, "x").run(strict=False)
         assert not result.validated
         assert "VALIDATION FAILURES" in result.report_text()
+
+    def test_builtin_over_a_string_column_is_a_failed_validation(self, repo):
+        repo.add_experiment("torpor", "x")
+        fast_vars(repo, "x")
+        write_text(
+            repo.experiment_dir("x") / "validations.aver",
+            "expect speedup > 1\nexpect avg(class) > 1\n",
+        )
+        assert main(["-C", str(repo.root), "run", "x"]) == 1
+        report = (repo.experiment_dir("x") / "validation_report.txt").read_text()
+        assert "[FAIL] <all rows> (avg(): argument 0 is not numeric)" in report
+        assert report.endswith("VALIDATION FAILURES\n")
 
     def test_setup_playbook_failure_aborts(self, repo):
         repo.add_experiment("torpor", "x")

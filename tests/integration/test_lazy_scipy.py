@@ -7,9 +7,11 @@ pool starts, and the pool module only when a sweep needs workers.  A
 warm ``popper run --all`` asks for neither, nor for the fuzz, serve or
 store self-check code that only ``popper selftest`` runs, nor for the
 doctor, nor for the stage code a cached experiment never executes.
-Importing the CLI loads no numpy at all.
+Importing the CLI loads no numpy at all, and neither does a warm sweep:
+Aver validates the cached results on plain floats.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,10 +19,25 @@ from pathlib import Path
 
 import pytest
 
+from repro.common import minyaml
 from repro.core.cli import main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-TORPOR_VARS = "runner: torpor-variability\nruns: 2\nseed: 11\n"
+
+#: One experiment per paper template, shrunk as in
+#: ``benchmarks/bench_cache.py``; their validations use every trend
+#: validator the templates ship and ``count()``.
+TEMPLATES = {
+    "gassyfs": {
+        "node_counts": [1, 2, 4],
+        "sites": ["cloudlab-wisc"],
+        "workloads": ["git-compile"],
+        "workload_scale": 0.1,
+    },
+    "torpor": {"runs": 2},
+    "mpi-comm-variability": {"iterations": 10, "runs": 5},
+    "jupyter-bww": {},
+}
 
 #: Modules only a cold stage, a ``-j N`` pool or another command runs.
 COLD_ONLY = (
@@ -39,19 +56,13 @@ COLD_ONLY = (
     "repro.check.smoke",
 )
 
+#: A warm sweep in a fresh interpreter; the last line of its output is
+#: the sorted names of every module it loaded.
 WARM_SWEEP = (
-    "import sys\n"
+    "import json, sys\n"
     "from repro.core.cli import main\n"
-    "code = main(['-C', sys.argv[1], 'run', '--all'])\n"
-    "lazy = ('scipy', 'multiprocessing')\n"
-    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in lazy)\n"
-    "print('lazy modules:', loaded)\n"
-    "checks = ('repro.fuzz', 'repro.serve', 'repro.store.smoke',\n"
-    "          'repro.store.doctor')\n"
-    "print('self-check modules:', [m for m in checks if m in sys.modules])\n"
-    f"cold = {COLD_ONLY!r}\n"
-    "print('cold-only modules:', sorted(\n"
-    "    m for m in sys.modules if m.startswith(cold)))\n"
+    "code = main(['-C', sys.argv[1], 'run', '--all', *sys.argv[2:]])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
 
@@ -68,29 +79,61 @@ def fresh_python(*args):
     )
 
 
+def loaded(modules, *names):
+    """The *modules* that are one of *names* or inside one of them."""
+    inside = tuple(name + "." for name in names)
+    return sorted(m for m in modules if m in names or m.startswith(inside))
+
+
 @pytest.fixture(scope="module")
-def warm_sweep(tmp_path_factory):
-    """The output of a warm ``popper run --all`` in a fresh interpreter."""
+def warm_repo(tmp_path_factory):
+    """A repository with one experiment per template, swept once cold."""
     repo = tmp_path_factory.mktemp("lazy") / "repo"
     repo.mkdir()
     assert main(["-C", str(repo), "init"]) == 0
-    assert main(["-C", str(repo), "add", "torpor", "one"]) == 0
-    (repo / "experiments" / "one" / "vars.yml").write_text(TORPOR_VARS)
+    for template, overrides in TEMPLATES.items():
+        assert main(["-C", str(repo), "add", template, template]) == 0
+        path = repo / "experiments" / template / "vars.yml"
+        doc = minyaml.load_file(path)
+        doc.update(overrides, seed=11)
+        path.write_text(minyaml.dumps(doc))
     assert main(["-C", str(repo), "run", "--all"]) == 0  # cold: primes the cache
+    return repo
 
-    proc = fresh_python("-c", WARM_SWEEP, str(repo))
+
+def warm_sweep_modules(repo, *flags):
+    """The modules a warm ``popper run --all *flags`` loads."""
+    proc = fresh_python("-c", WARM_SWEEP, str(repo), *flags)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "(cached)" in proc.stdout
-    return proc.stdout
+    *output, modules = proc.stdout.splitlines()
+    assert sum("(cached)" in line for line in output) == len(TEMPLATES)
+    return json.loads(modules)
+
+
+@pytest.fixture(scope="module")
+def warm_sweep(warm_repo):
+    return warm_sweep_modules(warm_repo)
 
 
 def test_warm_sweep_in_a_fresh_interpreter_loads_no_scipy(warm_sweep):
-    assert "lazy modules: []" in warm_sweep, warm_sweep
-    assert "self-check modules: []" in warm_sweep, warm_sweep
+    assert loaded(warm_sweep, "scipy", "multiprocessing") == []
+    assert loaded(
+        warm_sweep, "repro.fuzz", "repro.serve", "repro.store.smoke",
+        "repro.store.doctor",
+    ) == []
 
 
 def test_warm_sweep_loads_no_cold_stage_code(warm_sweep):
-    assert "cold-only modules: []" in warm_sweep, warm_sweep
+    assert loaded(warm_sweep, *COLD_ONLY) == []
+
+
+def test_warm_sweep_over_every_template_loads_no_numpy(warm_sweep):
+    assert loaded(warm_sweep, "numpy") == []
+
+
+def test_warm_parallel_sweep_loads_no_pool_and_no_numpy(warm_repo):
+    modules = warm_sweep_modules(warm_repo, "-j", "2")
+    assert loaded(modules, "repro.engine.pool", "multiprocessing", "numpy") == []
 
 
 def test_importing_the_cli_loads_no_numpy_and_no_pipeline():
