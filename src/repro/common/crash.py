@@ -2,18 +2,14 @@
 
 The fault plan in :mod:`repro.engine.faults` makes *payloads* fail; this
 module makes the *toolchain itself* die mid-write, which is the failure
-class crash consistency is about.  Every durable write goes through one
-of two primitives, and each fires two crash points named from the
-label its caller passes for the write site:
+class crash consistency is about.  Every file ``src/`` writes goes
+through one of two primitives, and each fires two crash points named
+from the label its caller passes for the write site:
 
 :func:`~repro.common.fsutil.atomic_write` (whole files)::
 
     <label>.tmp      temp file written, rename not yet issued
     <label>.rename   renamed in, parent directory not yet fsynced
-
-    labels: cas.ingest, cas.materialize, index.record, pack.write,
-    pack.index, refs.update, vcs.index, vcs.clock, vcs.checkout,
-    fuzz.corpus.meta, doctor.rewrite
 
 :class:`~repro.common.groupcommit.GroupCommitWriter` (JSONL ledgers)::
 
@@ -21,8 +17,11 @@ label its caller passes for the write site:
                      records are lost whole, no tear)
     <label>.torn     half a record flushed to disk
 
-    labels: runstate.append, journal.append, queue.append,
-    profiles.attach, profiles.index, fuzz.coverage, fuzz.corpus
+:data:`CRASH_LABELS` is the one table of labels: each label's primitive
+and whether a cold ``popper run --all`` reaches it.  The crash points a
+sweep consults (:data:`RUN_CRASH_POINTS`), the fuzzer's crash grammar
+and the label table in ``docs/robustness.md`` all follow from it, and a
+test keeps every label a write site passes in it.
 
 With no plan installed the hook is a cheap no-op.  A :class:`CrashPlan`
 (``popper run --inject-crash SPEC``) matches site names against globbed
@@ -55,6 +54,9 @@ from fnmatch import fnmatchcase
 from repro.common.errors import EngineError
 
 __all__ = [
+    "CRASH_LABELS",
+    "CrashLabel",
+    "RUN_CRASH_POINTS",
     "EXIT_CRASH",
     "SimulatedCrash",
     "CrashSpec",
@@ -70,6 +72,86 @@ __all__ = [
 EXIT_CRASH = 70
 
 _MODES = ("at", "rate")
+
+#: The two points each primitive fires, in the order it fires them.
+_POINT_SUFFIXES = {
+    "atomic_write": ("tmp", "rename"),
+    "GroupCommitWriter": ("window", "torn"),
+}
+
+
+@dataclass(frozen=True)
+class CrashLabel:
+    """One write site's label: its primitive and whether a cold
+    ``popper run --all`` reaches it."""
+
+    name: str
+    primitive: str
+    sweep: bool = False
+
+    @property
+    def points(self) -> tuple[str, ...]:
+        return tuple(f"{self.name}.{s}" for s in _POINT_SUFFIXES[self.primitive])
+
+
+_AW, _GC = "atomic_write", "GroupCommitWriter"
+
+#: Every crash label a write site in ``src/`` passes.  The primitives
+#: accept any label (tests and benchmarks pass their own); a test keeps
+#: this table and the write sites in step.
+CRASH_LABELS: tuple[CrashLabel, ...] = (
+    # A sweep: the outputs, the store's objects and records, the ledgers.
+    CrashLabel("pipeline.results", _AW, sweep=True),
+    CrashLabel("postprocess.figure", _AW, sweep=True),
+    CrashLabel("pipeline.report", _AW, sweep=True),
+    CrashLabel("cas.ingest", _AW, sweep=True),
+    CrashLabel("index.record", _AW, sweep=True),
+    CrashLabel("runstate.append", _GC, sweep=True),
+    CrashLabel("journal.append", _GC, sweep=True),
+    CrashLabel("profiles.attach", _GC, sweep=True),
+    CrashLabel("profiles.index", _GC, sweep=True),
+    # The store off the cold path: warm hits, repacks, doctor.
+    CrashLabel("cas.materialize", _AW),
+    CrashLabel("pack.write", _AW),
+    CrashLabel("pack.index", _AW),
+    CrashLabel("doctor.rewrite", _AW),
+    # Repository state.
+    CrashLabel("config.save", _AW),
+    CrashLabel("repo.scaffold", _AW),
+    CrashLabel("paper.build", _AW),
+    CrashLabel("baseline.store", _AW),
+    CrashLabel("refs.update", _AW),
+    CrashLabel("vcs.index", _AW),
+    CrashLabel("vcs.clock", _AW),
+    CrashLabel("vcs.checkout", _AW),
+    CrashLabel("bundle.write", _AW),
+    CrashLabel("bundle.extract", _AW),
+    CrashLabel("datapkg.descriptor", _AW),
+    CrashLabel("datapkg.install", _AW),
+    CrashLabel("notebook.save", _AW),
+    # General helpers, and the substrates' own files.
+    CrashLabel("fsutil.text", _AW),
+    CrashLabel("tables.csv", _AW),
+    CrashLabel("yaml.dump", _AW),
+    CrashLabel("container.image", _AW),
+    CrashLabel("container.mount", _AW),
+    CrashLabel("playbook.fetch", _AW),
+    CrashLabel("gassyfs.checkpoint", _AW),
+    CrashLabel("weather.array", _AW),
+    # The serve queue and the fuzzer.
+    CrashLabel("queue.append", _GC),
+    CrashLabel("fuzz.sandbox", _AW),
+    CrashLabel("fuzz.corpus.files", _AW),
+    CrashLabel("fuzz.corpus.meta", _AW),
+    CrashLabel("fuzz.corpus", _GC),
+    CrashLabel("fuzz.coverage", _GC),
+)
+
+#: Every crash point a cold ``popper run --all`` consults: the crash ->
+#: doctor -> resume matrix.
+RUN_CRASH_POINTS: tuple[str, ...] = tuple(
+    point for label in CRASH_LABELS if label.sweep for point in label.points
+)
 
 
 class SimulatedCrash(BaseException):

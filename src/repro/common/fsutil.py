@@ -6,9 +6,13 @@ parent-directory fsync, so a file is either absent or complete *and
 durable* after a crash).  The other half, the one way JSONL ledgers
 grow, is :class:`~repro.common.groupcommit.GroupCommitWriter`.  Both
 name their :func:`~repro.common.crash.crashpoint` hazards from the
-caller's label, so every write site is a crash point by construction
-and the crash-injection harness can kill the process exactly where a
-real power cut would bite.
+caller's label (the labels are tabled in
+:data:`~repro.common.crash.CRASH_LABELS`), so every write site is a
+crash point by construction and the crash-injection harness can kill
+the process exactly where a real power cut would bite.  Lock files are
+the one exception: :mod:`repro.common.locking` rewrites their holder
+metadata in place, because a rename would hand a second process a
+fresh inode to lock while the holder still holds the old one.
 """
 
 from __future__ import annotations
@@ -44,11 +48,9 @@ def ensure_dir(path: str | os.PathLike) -> Path:
 
 
 def write_text(path: str | os.PathLike, text: str) -> Path:
-    """Write *text* to *path*, creating parent directories."""
-    target = Path(path)
-    ensure_dir(target.parent)
-    target.write_text(text, encoding="utf-8")
-    return target
+    """Write *text* to *path* (UTF-8) through :func:`atomic_write`."""
+    atomic_write(path, text.encode("utf-8"), crash_label="fsutil.text")
+    return Path(path)
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -84,12 +86,13 @@ def atomic_write(
 ) -> None:
     """Write *data* so readers never observe a partial file.
 
-    The temporary file gets a unique dot-name (``mkstemp``) in the
-    target's directory, so concurrent writers to the same target cannot
+    The temporary file gets a unique dot-name in the target's
+    directory, so concurrent writers to the same target cannot
     interleave partial writes — the last complete ``os.replace`` wins.
     The name carries a fixed marker (:func:`is_atomic_temp`), so
     ``popper doctor`` sweeps the temp a crash leaves behind and a commit
-    never stages it.
+    never stages it.  The file gets the mode ``open(path, "w")`` gives
+    a new file, 0666 less the umask.
 
     *crash_label* names the write site: the crash points
     ``<label>.tmp`` (temp written, rename not yet issued) and
@@ -100,17 +103,20 @@ def atomic_write(
     rename and the parent directory after it, so after a crash the
     target holds either the old or the new content *on disk*, never a
     cached-only rename that a power cut would undo.  Pass
-    ``durable=False`` on hot paths writing disposable data (workspace
-    checkouts, scratch materialization) where the ~0.5 ms per-write
-    fsync cost buys nothing.
-    """
-    import tempfile
+    ``durable=False`` where the artifact store holds the durable copy
+    or a re-run rebuilds the file (run outputs, checkouts, materialized
+    artifacts): the ~0.5 ms per-write fsync cost buys nothing there.
 
+    A non-durable write whose target already holds *data* returns at
+    once: no temp, no rename, no crash point.  A durable write always
+    writes, because an earlier non-durable copy of the same bytes may
+    not be on disk yet.
+    """
     target = Path(path)
+    if not durable and _holds(target, data):
+        return
     ensure_dir(target.parent)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{target.name}.", suffix=_TEMP_MARKER, dir=str(target.parent)
-    )
+    fd, tmp_name = _create_temp(target)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -129,6 +135,30 @@ def atomic_write(
     except BaseException:
         Path(tmp_name).unlink(missing_ok=True)
         raise
+
+
+def _create_temp(target: Path) -> tuple[int, str]:
+    """Create and open a fresh temp file beside *target*.
+
+    Like ``mkstemp`` (a random name, ``O_EXCL``), but with mode 0666
+    for the umask to narrow, where ``mkstemp`` forces 0600.
+    """
+    while True:
+        name = target.with_name(f".{target.name}.{os.urandom(4).hex()}{_TEMP_MARKER}")
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), str(name)
+        except FileExistsError:
+            continue
+
+
+def _holds(target: Path, data: bytes) -> bool:
+    """Whether the file *target* exists and holds exactly *data*."""
+    try:
+        if target.stat().st_size != len(data):
+            return False
+        return target.read_bytes() == data
+    except OSError:
+        return False
 
 
 def is_atomic_temp(name: str) -> bool:

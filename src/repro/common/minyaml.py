@@ -536,5 +536,6 @@ def dumps(value: Any) -> str:
 
 def dump_file(value: Any, path: Any) -> None:
     """Serialize *value* to the file at *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(value))
+    from repro.common.fsutil import atomic_write
+
+    atomic_write(path, dumps(value).encode("utf-8"), crash_label="yaml.dump")

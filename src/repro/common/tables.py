@@ -19,6 +19,8 @@ import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
+from repro.common.fsutil import atomic_write
+
 __all__ = ["MetricsTable"]
 
 
@@ -283,9 +285,9 @@ class MetricsTable:
         return table
 
     def save_csv(self, path: str | os.PathLike) -> None:
-        """Write the table to *path* as CSV."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_csv())
+        """Write the table to *path* as CSV, through
+        :func:`~repro.common.fsutil.atomic_write`."""
+        atomic_write(path, self.to_csv().encode("utf-8"), crash_label="tables.csv")
 
     @classmethod
     def load_csv(cls, path: str | os.PathLike) -> "MetricsTable":

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from repro.common.errors import ContainerError
+from repro.common.fsutil import atomic_write
 from repro.container.image import Image, ImageConfig, Layer
 
 __all__ = ["save_image", "load_image", "image_history"]
@@ -46,7 +47,7 @@ def save_image(image: Image, path: str | Path | None = None) -> str:
     }
     text = json.dumps(doc, indent=1, sort_keys=True)
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        atomic_write(path, text.encode("utf-8"), crash_label="container.image")
     return text
 
 

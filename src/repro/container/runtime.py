@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.common.errors import ContainerError
+from repro.common.fsutil import atomic_write
 from repro.container.image import TOMBSTONE, Image, Layer
 
 __all__ = [
@@ -329,8 +330,7 @@ class Container:
         if mount is not None:
             prefix, host = mount
             target = host / path[len(prefix):].lstrip("/")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
+            atomic_write(target, data, durable=False, crash_label="container.mount")
             return
         self._fs[path] = data
         self._deleted.discard(path)

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.baseliner.fingerprint import BaselineProfile, compare, run_battery
 from repro.common.errors import PopperError
+from repro.common.fsutil import atomic_write
 from repro.common.rng import SeedSequenceFactory
 from repro.platform.noise import QUIET
 from repro.platform.sites import Site
@@ -74,7 +75,10 @@ def check_baseline(
     current = _fingerprint(machine, seed)
     stored_path = directory / BASELINE_FILE
     if not stored_path.is_file():
-        stored_path.write_text(current.to_json(), encoding="utf-8")
+        atomic_write(
+            stored_path, current.to_json().encode("utf-8"), durable=False,
+            crash_label="baseline.store",
+        )
         message = f"stored new baseline fingerprint for {machine}"
         journal_event(fresh=True, verdict="stored", message=message)
         return True, message

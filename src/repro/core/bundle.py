@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from repro.common.errors import PopperError
+from repro.common.fsutil import atomic_write
 from repro.common.hashing import sha256_text
 from repro.core.repo import PopperRepository
 from repro.vcs.repository import Repository
@@ -56,7 +57,7 @@ def create_bundle(
         indent=1,
         sort_keys=True,
     )
-    Path(path).write_text(document, encoding="utf-8")
+    atomic_write(path, document.encode("utf-8"), crash_label="bundle.write")
     return manifest
 
 
@@ -84,9 +85,12 @@ def unbundle(path: str | Path, target: str | Path) -> PopperRepository:
         raise PopperError(f"unbundle target not empty: {target}")
     target.mkdir(parents=True, exist_ok=True)
     for rel, encoded in body["tree"].items():
-        file_path = target / rel
-        file_path.parent.mkdir(parents=True, exist_ok=True)
-        file_path.write_bytes(base64.b64decode(encoded))
+        atomic_write(
+            target / rel,
+            base64.b64decode(encoded),
+            durable=False,
+            crash_label="bundle.extract",
+        )
     repo = Repository.init(target)
     repo.add_all()
     repo.commit(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.common import minyaml
 from repro.common.errors import PopperError
+from repro.common.fsutil import atomic_write
 
 __all__ = ["PopperConfig", "CONFIG_NAME"]
 
@@ -68,7 +69,7 @@ class PopperConfig:
     # -- file I/O ----------------------------------------------------------------------
     def save(self, repo_root: str | Path) -> Path:
         path = Path(repo_root) / CONFIG_NAME
-        path.write_text(self.to_yaml(), encoding="utf-8")
+        atomic_write(path, self.to_yaml().encode("utf-8"), crash_label="config.save")
         return path
 
     @classmethod

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 from repro.aver.evaluator import ValidationResult, check_all
 from repro.common import minyaml
 from repro.common.errors import PopperError, ValidationFailure
+from repro.common.fsutil import atomic_write
 from repro.common.hashing import sha256_text
 from repro.common.tables import MetricsTable
 from repro.core.postprocess import PROCESS_SCRIPT, run_postprocess
@@ -203,7 +204,12 @@ class ExperimentPipeline:
         table = run_experiment_runner(runner, variables)
         if len(table) == 0:
             raise PopperError(f"{self.experiment}: runner produced no rows")
-        table.save_csv(self.directory / "results.csv")
+        atomic_write(
+            self.directory / "results.csv",
+            table.to_csv().encode("utf-8"),
+            durable=False,
+            crash_label="pipeline.results",
+        )
         return table
 
     def _run_notebook(self, table: MetricsTable) -> None:
@@ -558,9 +564,7 @@ class ExperimentPipeline:
             baseline_message=baseline_message,
             degraded_stages=recap.degraded,
         )
-        (self.directory / "validation_report.txt").write_text(
-            result.report_text(), encoding="utf-8"
-        )
+        self._write_report(result)
         for validation in validations:
             if journal is not None:
                 journal.event(
@@ -675,9 +679,18 @@ class ExperimentPipeline:
         result = ExperimentResult(
             experiment=self.experiment, results=table, validations=validations
         )
-        (self.directory / "validation_report.txt").write_text(
-            result.report_text(), encoding="utf-8"
-        )
+        self._write_report(result)
         if result.validated:
             self._attach_profile(result, None)
         return result
+
+    def _write_report(self, result: ExperimentResult) -> None:
+        """Write ``validation_report.txt``.  Not durable: a re-run or a
+        re-validation rebuilds it, and a warm hit that restored the same
+        bytes writes nothing."""
+        atomic_write(
+            self.directory / "validation_report.txt",
+            result.report_text().encode("utf-8"),
+            durable=False,
+            crash_label="pipeline.report",
+        )

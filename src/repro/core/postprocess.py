@@ -18,6 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.common.errors import PopperError
+from repro.common.fsutil import atomic_write
 from repro.common.tables import MetricsTable
 
 __all__ = ["run_postprocess", "PROCESS_SCRIPT"]
@@ -69,6 +70,11 @@ def run_postprocess(directory: Path, results: MetricsTable) -> dict[str, Path]:
         if "/" in name or not name:
             raise PopperError(f"bad figure name from {PROCESS_SCRIPT}: {name!r}")
         path = directory / f"{name}.csv"
-        table.save_csv(path)
+        atomic_write(
+            path,
+            table.to_csv().encode("utf-8"),
+            durable=False,
+            crash_label="postprocess.figure",
+        )
         written[name] = path
     return written

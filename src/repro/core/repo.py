@@ -25,7 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.common.errors import PopperError
-from repro.common.fsutil import ensure_dir, write_text
+from repro.common.fsutil import atomic_write, ensure_dir
 from repro.core.config import CONFIG_NAME, PopperConfig
 from repro.store import ArtifactStore
 from repro.vcs.repository import Repository
@@ -106,12 +106,12 @@ class PopperRepository:
         ensure_dir(root / "experiments")
         ensure_dir(root / "paper")
         if not (root / "README.md").exists():
-            write_text(
+            _scaffold(
                 root / "README.md",
                 "# A Popperized article\n\nInitialized with `popper init`.\n",
             )
         if not (root / ".travis.yml").exists():
-            write_text(root / ".travis.yml", DEFAULT_TRAVIS)
+            _scaffold(root / ".travis.yml", DEFAULT_TRAVIS)
         repo.add_all()
         repo.commit("popper init", author=author)
         return cls(root)
@@ -178,7 +178,7 @@ class PopperRepository:
         if target.exists():
             raise PopperError(f"directory already exists: {target}")
         for rel, content in template.files:
-            write_text(target / rel, content)
+            _scaffold(target / rel, content)
         self.config.experiments[experiment_name] = template_name
         self.config.save(self.root)
         if commit:
@@ -213,7 +213,7 @@ class PopperRepository:
                 f"available: {sorted(PAPER_TEMPLATES)}"
             )
         for rel, content in PAPER_TEMPLATES[template_name].items():
-            write_text(self.root / rel, content)
+            _scaffold(self.root / rel, content)
         self.config.paper_template = template_name
         self.config.save(self.root)
         if commit:
@@ -237,5 +237,20 @@ class PopperRepository:
             status = "results available" if results.is_file() else "not yet run"
             chunks.append(f"- experiment `{name}`: {status}\n")
         output = self.paper_dir / "output.pdf"
-        output.write_text("".join(chunks), encoding="utf-8")
+        atomic_write(
+            output, "".join(chunks).encode("utf-8"), durable=False,
+            crash_label="paper.build",
+        )
         return output
+
+
+def _scaffold(path: Path, text: str) -> None:
+    """Write one file of the layout ``init`` and the templates create.
+
+    Not durable: ``init``, ``add`` and ``paper add`` commit what they
+    write, so the VCS store holds the durable copy (a caller passing
+    ``commit=False`` commits, or discards, the files itself).
+    """
+    atomic_write(
+        path, text.encode("utf-8"), durable=False, crash_label="repo.scaffold"
+    )

@@ -15,10 +15,10 @@ directories holding flat resource copies) remain installable.
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
 from repro.common.errors import DataPackageError, IntegrityError
+from repro.common.fsutil import atomic_write
 from repro.common.hashing import sha256_file
 from repro.datapkg.descriptor import Descriptor, Resource, parse_spec, version_key
 from repro.store import ContentStore
@@ -87,7 +87,7 @@ class PackageRegistry:
                     f"publishing (descriptor {resource.sha256[:12]}, "
                     f"ingested {ingest.oid[:12]})"
                 )
-        (target / DESCRIPTOR_NAME).write_text(descriptor.to_json(), encoding="utf-8")
+        _write_descriptor(target, descriptor)
         return descriptor
 
     # -- query -------------------------------------------------------------------
@@ -135,7 +135,6 @@ class PackageRegistry:
         target.mkdir(parents=True)
         for resource in descriptor.resources:
             dest = target / resource.path
-            dest.parent.mkdir(parents=True, exist_ok=True)
             if self.store.contains(resource.sha256):
                 self.store.materialize(resource.sha256, dest)
             else:
@@ -145,10 +144,21 @@ class PackageRegistry:
                         f"{descriptor.spec}: resource {resource.path} is in "
                         "neither the content pool nor the version directory"
                     )
-                shutil.copyfile(legacy, dest)
-        (target / DESCRIPTOR_NAME).write_text(descriptor.to_json(), encoding="utf-8")
+                atomic_write(
+                    dest, legacy.read_bytes(), durable=False,
+                    crash_label="datapkg.install",
+                )
+        _write_descriptor(target, descriptor)
         verify_tree(target)
         return descriptor
+
+
+def _write_descriptor(directory: Path, descriptor: Descriptor) -> None:
+    atomic_write(
+        directory / DESCRIPTOR_NAME,
+        descriptor.to_json().encode("utf-8"),
+        crash_label="datapkg.descriptor",
+    )
 
 
 def verify_tree(package_dir: str | Path) -> Descriptor:

@@ -9,42 +9,25 @@ interesting variants under ``.pvcs/fuzz/``, and delta-debugs failures
 down to minimal runnable reproducers.  See ``docs/robustness.md``.
 """
 
-from repro.fuzz.campaign import FuzzCampaign, FuzzReport
-from repro.fuzz.corpus import Corpus, CorpusEntry, FUZZ_DIR
-from repro.fuzz.coverage import CoverageMap, coverage_keys_from_events
-from repro.fuzz.executor import ExecutionResult, VariantRunner
-from repro.fuzz.minimize import MinimizationResult, minimize
-from repro.fuzz.mutators import (
-    MUTATION_RULES,
-    Mutation,
-    apply_chain,
-    apply_mutation,
-    generate_mutation,
-)
-from repro.fuzz.oracle import Observation, OracleVerdict, judge
-from repro.fuzz.scenario import Scenario
-from repro.fuzz.smoke import fuzz_smoke
+from repro import lazy_exports
 
-__all__ = [
-    "Corpus",
-    "CorpusEntry",
-    "CoverageMap",
-    "ExecutionResult",
-    "FUZZ_DIR",
-    "FuzzCampaign",
-    "FuzzReport",
-    "MinimizationResult",
-    "MUTATION_RULES",
-    "Mutation",
-    "Observation",
-    "OracleVerdict",
-    "Scenario",
-    "VariantRunner",
-    "apply_chain",
-    "apply_mutation",
-    "coverage_keys_from_events",
-    "fuzz_smoke",
-    "generate_mutation",
-    "judge",
-    "minimize",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "campaign": ("FuzzCampaign", "FuzzReport"),
+        "corpus": ("Corpus", "CorpusEntry", "FUZZ_DIR"),
+        "coverage": ("CoverageMap", "coverage_keys_from_events"),
+        "executor": ("ExecutionResult", "VariantRunner"),
+        "minimize": ("MinimizationResult", "minimize"),
+        "mutators": (
+            "MUTATION_RULES",
+            "Mutation",
+            "apply_chain",
+            "apply_mutation",
+            "generate_mutation",
+        ),
+        "oracle": ("Observation", "OracleVerdict", "judge"),
+        "scenario": ("Scenario",),
+        "smoke": ("fuzz_smoke",),
+    },
+)

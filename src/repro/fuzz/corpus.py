@@ -99,7 +99,9 @@ class Corpus:
         """Persist one entry; idempotent per variant id."""
         target = self.directory / entry.variant[:16]
         ensure_dir(target)
-        entry.scenario.write_files(target / EXPERIMENT_DIR)
+        entry.scenario.write_files(
+            target / EXPERIMENT_DIR, True, crash_label="fuzz.corpus.files"
+        )
         # meta.json last: a directory without it is a partial entry the
         # doctor sweeps, never a half-readable one.
         atomic_write(

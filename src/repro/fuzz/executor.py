@@ -36,7 +36,7 @@ from pathlib import Path
 from repro.ci.config import CIConfig
 from repro.common.crash import CrashPlan, SimulatedCrash, install_crash_plan
 from repro.common.errors import ReproError
-from repro.common.fsutil import rmtree_quiet
+from repro.common.fsutil import atomic_write, rmtree_quiet
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.repo import PopperRepository
 from repro.engine import FaultPlan, RetryPolicy
@@ -109,10 +109,14 @@ class VariantRunner:
     def _materialize(self, scenario: Scenario, sandbox: Path) -> PopperRepository:
         rmtree_quiet(sandbox)
         repo = PopperRepository.init(sandbox)
-        scenario.write_files(repo.experiment_dir(scenario.name))
+        # The sandbox is scratch: the scenario rebuilds it on every run.
+        scenario.write_files(
+            repo.experiment_dir(scenario.name), False, crash_label="fuzz.sandbox"
+        )
         if scenario.travis is not None:
-            (sandbox / ".travis.yml").write_text(
-                scenario.travis, encoding="utf-8"
+            atomic_write(
+                sandbox / ".travis.yml", scenario.travis.encode("utf-8"),
+                durable=False, crash_label="fuzz.sandbox",
             )
         repo.config.experiments[scenario.name] = "fuzz"
         repo.config.save(repo.root)

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from repro.common import minyaml
+from repro.common.crash import RUN_CRASH_POINTS
 from repro.common.errors import FuzzError, YamlError
 from repro.fuzz.scenario import Scenario
 
@@ -93,10 +94,7 @@ _FAULT_CLAUSES = (
 #: The crash points one variant's pipeline run consults (the run crash
 #: points of the crash -> doctor -> resume matrix) plus globs over them.
 _CRASH_TARGETS = (
-    "cas.ingest.tmp", "cas.ingest.rename", "index.record.tmp",
-    "index.record.rename", "runstate.append.torn", "journal.append.torn",
-    "runstate.append.window", "journal.append.window", "profiles.attach.torn",
-    "profiles.index.torn", "profiles.attach.window", "profiles.index.window",
+    *RUN_CRASH_POINTS,
     "cas.*", "profiles.*", "*.torn", "*.window", "index.*", "*",
 )
 _CRASH_CLAUSES = ("at:{t}:1", "at:{t}:2", "at:{t}:3", "rate:{t}:0.5",

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.common import minyaml
 from repro.common.errors import FuzzError
+from repro.common.fsutil import atomic_write
 from repro.common.hashing import sha256_text
 
 __all__ = ["Scenario", "SCENARIO_FILES"]
@@ -124,12 +125,16 @@ class Scenario:
         return sha256_text(json.dumps(self.to_json(), sort_keys=True))
 
     # -- materialization -----------------------------------------------------
-    def write_files(self, directory: str | Path) -> Path:
-        """Write the experiment file set under *directory*."""
+    def write_files(
+        self, directory: str | Path, durable: bool, *, crash_label: str
+    ) -> Path:
+        """Write the experiment file set under *directory* (the last two
+        arguments go to :func:`~repro.common.fsutil.atomic_write`)."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for rel, content in sorted(self.files.items()):
-            target = directory / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(content, encoding="utf-8")
+            atomic_write(
+                directory / rel, content.encode("utf-8"), durable,
+                crash_label=crash_label,
+            )
         return directory

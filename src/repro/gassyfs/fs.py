@@ -376,7 +376,8 @@ class GassyFS:
 
     def _write_image(self, path: str) -> None:
         import json
-        from pathlib import Path as _Path
+
+        from repro.common.fsutil import atomic_write
 
         def dump(node: _Inode) -> dict:
             if node.is_dir:
@@ -392,7 +393,10 @@ class GassyFS:
                 }
             }
 
-        _Path(path).write_text(json.dumps(dump(self._root)), encoding="utf-8")
+        atomic_write(
+            path, json.dumps(dump(self._root)).encode("utf-8"),
+            crash_label="gassyfs.checkpoint",
+        )
 
     def restore(self, path: str) -> float:
         """Reload a checkpoint image (after ``fail_node``, typically).

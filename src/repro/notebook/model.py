@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.fsutil import atomic_write
 
 __all__ = ["Cell", "Notebook", "NotebookError"]
 
@@ -99,7 +100,7 @@ class Notebook:
         return cls(cells=cells, metadata=doc.get("metadata") or {})
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        atomic_write(path, self.to_json().encode("utf-8"), crash_label="notebook.save")
 
     @classmethod
     def load(cls, path: str | Path) -> "Notebook":

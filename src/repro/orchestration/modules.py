@@ -125,11 +125,9 @@ def _mod_fetch(connection: Any, args: dict[str, Any]) -> TaskResult:
         return TaskResult(failed=True, msg=str(exc))
     text = data.decode("utf-8", errors="replace")
     if "dest" in args:
-        from pathlib import Path
+        from repro.common.fsutil import atomic_write
 
-        target = Path(args["dest"])
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        atomic_write(args["dest"], data, durable=False, crash_label="playbook.fetch")
     return TaskResult(changed=False, data={"content": text})
 
 

@@ -13,7 +13,7 @@ ledger        torn JSONL line         crash mid-append to a journal   drop each 
                                       or run-state (a resumed writer  debris (the interrupted task
                                       seals it off, appends after it) has no record and re-runs)
 temp file     orphan temp file        crash inside ``atomic_write``,  unlink (content is elsewhere
-              (any dot-file in        between mkstemp and os.replace  or will be re-produced)
+              (any dot-file in        between its temp and rename     or will be re-produced)
               ``.pvcs/``; elsewhere,
               ``is_atomic_temp``)
 lock          stale lock metadata     holder died while holding a     truncate the lock file
@@ -173,7 +173,7 @@ def _ledger(path: Path) -> Finding | None:
 
 
 def _temp(path: Path, now: float, tmp_age_s: float) -> Finding | None:
-    """An orphan temp a crash left between mkstemp and publish."""
+    """An orphan temp a crash left between its creation and publish."""
     age = _age(path, now)
     if age is None or age < tmp_age_s:
         # Could belong to a live writer; the age gate keeps doctor safe

@@ -83,8 +83,8 @@ class Repository:
         ensure_dir(meta / "objects")
         refs = RefStore(meta)
         refs.set_head_branch(branch)
-        (meta / "clock").write_text("0\n", encoding="utf-8")
-        (meta / "index").write_text("", encoding="utf-8")
+        atomic_write(meta / "clock", b"0\n", crash_label="vcs.clock")
+        atomic_write(meta / "index", b"", crash_label="vcs.index")
         return cls(root)
 
     @classmethod
@@ -314,14 +314,7 @@ class Repository:
                 victim = self.root / rel
                 if victim.exists():
                     victim.unlink()
-        # Materialize target contents.
-        for rel, (oid, mode) in new_entries.items():
-            blob = self.store.get_blob(oid)
-            target = self.root / rel
-            ensure_dir(target.parent)
-            target.write_bytes(blob.data)
-            if mode == MODE_EXEC:
-                target.chmod(target.stat().st_mode | 0o111)
+        self.store.checkout_tree(commit.tree, self.root)
         self.index.replace_all(new_entries)
         self.index.save()
         if self.refs.read_branch(ref) is not None:

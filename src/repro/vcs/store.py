@@ -24,7 +24,17 @@ from repro.common.errors import (
 )
 from repro.common.fsutil import atomic_write
 from repro.store.cas import ContentStore
-from repro.vcs.objects import AnyObject, Blob, Commit, Tag, Tree, deserialize, serialize
+from repro.vcs.objects import (
+    MODE_EXEC,
+    AnyObject,
+    Blob,
+    Commit,
+    Tag,
+    Tree,
+    TreeEntry,
+    deserialize,
+    serialize,
+)
 
 __all__ = ["ObjectStore"]
 
@@ -134,13 +144,19 @@ class ObjectStore:
     # -- tree walking ------------------------------------------------------------
     def walk_tree(self, tree_oid: str, prefix: str = "") -> Iterator[tuple[str, str]]:
         """Yield ``(path, blob-oid)`` for every file under a tree, sorted."""
+        for path, entry in self._walk_entries(tree_oid, prefix):
+            yield path, entry.oid
+
+    def _walk_entries(
+        self, tree_oid: str, prefix: str = ""
+    ) -> Iterator[tuple[str, TreeEntry]]:
         tree = self.get_tree(tree_oid)
         for entry in tree.entries:
             path = f"{prefix}{entry.name}"
             if entry.is_dir:
-                yield from self.walk_tree(entry.oid, path + "/")
+                yield from self._walk_entries(entry.oid, path + "/")
             else:
-                yield path, entry.oid
+                yield path, entry
 
     def read_path(self, tree_oid: str, path: str) -> bytes:
         """Contents of the file at *path* inside the tree *tree_oid*."""
@@ -163,21 +179,25 @@ class ObjectStore:
         raise AssertionError("unreachable")
 
     def checkout_tree(self, tree_oid: str, dest: str | Path) -> int:
-        """Write every file under a tree into *dest*; returns bytes written.
+        """Write every file under a tree into *dest*; returns its bytes.
 
         The one materialization path shared by working-copy checkouts
-        and CI job workspaces — payloads come out of the pool verified,
-        and each file lands atomically.
+        (``Repository.checkout``, ``merge`` and ``clone``) and CI job
+        workspaces — payloads come out of the pool verified, each file
+        lands atomically, and a file committed executable is checked
+        out executable.  A file that already holds the blob's bytes is
+        left as it is.
         """
         written = 0
         dest = Path(dest)
-        for path, blob_oid in self.walk_tree(tree_oid):
-            data = self.get_blob(blob_oid).data
+        for path, entry in self._walk_entries(tree_oid):
+            data = self.get_blob(entry.oid).data
+            target = dest / path
             # Checkouts are rebuildable from the pool, so skip the
             # per-file fsync tax — durability matters for the metadata
             # that *references* content, not the scratch materialization.
-            atomic_write(
-                dest / path, data, durable=False, crash_label="vcs.checkout"
-            )
+            atomic_write(target, data, durable=False, crash_label="vcs.checkout")
+            if entry.mode == MODE_EXEC:
+                target.chmod(target.stat().st_mode | 0o111)
             written += len(data)
         return written

@@ -9,6 +9,7 @@ save/load for dataset packaging.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.common.errors import ReproError
+from repro.common.fsutil import atomic_write
 
 __all__ = ["LabeledArray"]
 
@@ -188,8 +190,12 @@ class LabeledArray:
 
     # -- serialization -----------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Persist as ``.npz`` (data + coords) with a JSON header."""
+        """Persist as ``.npz`` (data + coords) with a JSON header,
+        through :func:`~repro.common.fsutil.atomic_write`.  As with
+        ``np.savez``, a *path* not ending in ``.npz`` gains the suffix."""
         path = Path(path)
+        if not path.name.endswith(".npz"):
+            path = path.with_name(path.name + ".npz")
         header = {
             "name": self.name,
             "dims": list(self.dims),
@@ -198,7 +204,9 @@ class LabeledArray:
         arrays = {"__data__": self.data}
         for dim, coord in self.coords.items():
             arrays[f"coord_{dim}"] = coord
-        np.savez_compressed(path, header=json.dumps(header), **arrays)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, header=json.dumps(header), **arrays)
+        atomic_write(path, buffer.getvalue(), crash_label="weather.array")
 
     @classmethod
     def load(cls, path: str | Path) -> "LabeledArray":

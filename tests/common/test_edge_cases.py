@@ -1,8 +1,12 @@
 """Edge-case coverage across the common and substrate layers."""
 
+import os
+import stat
+
 import pytest
 
 from repro.common import minyaml
+from repro.common.crash import CrashPlan, SimulatedCrash, install_crash_plan
 from repro.common.errors import VcsError, YamlError
 from repro.common.fsutil import atomic_write, walk_files
 from repro.common.units import format_size
@@ -55,6 +59,37 @@ class TestFsUtil:
         atomic_write(target, b"two", crash_label="test.file")
         assert target.read_bytes() == b"two"
         assert [p.name for p in target.parent.iterdir()] == ["file.bin"]
+
+    def test_atomic_write_skips_identical_bytes_unless_durable(self, tmp_path):
+        target = tmp_path / "results.csv"
+        atomic_write(target, b"a,b\n1,2\n", durable=False, crash_label="test.file")
+        inode = target.stat().st_ino
+        install_crash_plan(CrashPlan.parse("rate:*:1"))
+        try:
+            # The same bytes, not durable: no temp, no rename, no point.
+            atomic_write(
+                target, b"a,b\n1,2\n", durable=False, crash_label="test.file"
+            )
+            assert target.stat().st_ino == inode
+            # A durable write of the same bytes still writes.
+            with pytest.raises(SimulatedCrash, match="test.file.tmp"):
+                atomic_write(target, b"a,b\n1,2\n", crash_label="test.file")
+        finally:
+            install_crash_plan(None)
+        assert target.stat().st_ino == inode
+        # Other bytes replace the file.
+        atomic_write(target, b"a,b\n1,3\n", durable=False, crash_label="test.file")
+        assert target.read_bytes() == b"a,b\n1,3\n"
+        assert target.stat().st_ino != inode
+
+    def test_atomic_write_gives_a_new_file_the_umask_mode(self, tmp_path):
+        """The mode ``open(path, "w")`` gives, not ``mkstemp``'s 0600."""
+        previous = os.umask(0o022)
+        try:
+            atomic_write(tmp_path / "README.md", b"x", crash_label="test.file")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "README.md").stat().st_mode) == 0o644
 
     def test_walk_files_sorted(self, tmp_path):
         for name in ("b/z.txt", "b/a.txt", "a.txt"):

@@ -6,6 +6,7 @@ Also covers the CLI surface (``--inject-crash``, ``--crash-smoke``,
 ``doctor`` exit codes) and signal-driven cancellation of a live sweep.
 """
 
+import ast
 import json
 import os
 import re
@@ -18,39 +19,20 @@ from pathlib import Path
 import pytest
 
 from repro.common.crash import (
+    CRASH_LABELS,
     EXIT_CRASH,
+    RUN_CRASH_POINTS,
     CrashPlan,
     SimulatedCrash,
     install_crash_plan,
 )
+from repro.common.fsutil import is_atomic_temp
 from repro.core.cli import main
 from repro.core.repo import PopperRepository
 from repro.engine import EXIT_SIGTERM
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 TORPOR_VARS = "runner: torpor-variability\nruns: 2\nseed: 11\n"
-
-#: Every crash point a plain sweep exercises.  ``refs.update.*`` and
-#: ``vcs.index.*`` fire on commits and staging, not runs — covered
-#: separately below.
-RUN_CRASH_POINTS = [
-    # Whole files through atomic_write: the objects, then their record.
-    "cas.ingest.tmp",
-    "cas.ingest.rename",
-    "index.record.tmp",
-    "index.record.rename",
-    "runstate.append.torn",
-    "journal.append.torn",
-    # Group-commit windows: the crash fires before the window's bytes
-    # land, losing the buffered event(s) whole — never a torn prefix.
-    "runstate.append.window",
-    "journal.append.window",
-    # The run's profile line, then its index line.
-    "profiles.attach.torn",
-    "profiles.index.torn",
-    "profiles.attach.window",
-    "profiles.index.window",
-]
 
 
 def make_repo(path, names=("one",)):
@@ -117,6 +99,30 @@ class TestCrashDoctorResume:
         assert main([*args, "cache", "verify"]) == 0
 
 
+def _writes_a_file(call):
+    """Whether *call* is a plain whole-file write (see the scan below)."""
+    func = call.func
+    name = getattr(func, "attr", getattr(func, "id", None))
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if owner == "shutil":
+        return name.startswith("copy")
+    if name not in ("open", "fdopen") or owner == "os" and name == "open":
+        return False
+    # A method ``path.open(mode)`` takes the mode first; ``open(path,
+    # mode)``, ``os.fdopen(fd, mode)`` and ``io.open`` second.
+    position = 1 if isinstance(func, ast.Name) or owner in ("os", "io") else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    return (
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and any(flag in mode.value for flag in "wax")
+    )
+
+
 class TestCrashPointCoverage:
     def test_a_sweep_consults_exactly_the_run_crash_points(
         self, repo_dir, monkeypatch
@@ -147,7 +153,12 @@ class TestCrashPointCoverage:
         """Whole files go through atomic_write and ledgers through
         GroupCommitWriter; each names its crash points from its label.
         A hand-rolled temp file, fsync or crash point elsewhere in the
-        package is a write site the crash matrix cannot see."""
+        package is a write site the crash matrix cannot see, and so is a
+        plain write: ``write_text``/``write_bytes``, ``open``/``fdopen``
+        in a ``w``, ``a`` or ``x`` mode, or ``shutil.copy*``.  The source
+        is parsed, not grepped: templates hold notebook code strings that
+        write files.  Lock files stay out by construction (``os.open``,
+        and doctor's ``r+b``): they must keep their inode."""
         package = SRC / "repro"
         primitives = {
             package / "common" / "fsutil.py",
@@ -158,14 +169,61 @@ class TestCrashPointCoverage:
         for path in sorted(package.rglob("*.py")):
             if path in primitives:
                 continue
-            for number, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1
-            ):
+            source = path.read_text(encoding="utf-8")
+            for number, line in enumerate(source.splitlines(), start=1):
                 if path.name == "crash.py" and line.startswith("def crashpoint("):
                     continue
                 if pattern.search(line):
                     offenders.append(f"{path.relative_to(SRC)}:{number}")
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno}"
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and _writes_a_file(node)
+            ]
         assert offenders == []
+
+    def test_every_crash_label_is_in_the_table_and_used(self):
+        """Each label a write site passes (as ``crash_label=`` or as the
+        default of a ``crash_label`` parameter) is tabled in
+        ``repro.common.crash``, and each tabled label is passed."""
+        used = set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    used |= {
+                        kw.value.value
+                        for kw in node.keywords
+                        if kw.arg == "crash_label"
+                        and isinstance(kw.value, ast.Constant)
+                    }
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                    defaults = [None] * (
+                        len(args.posonlyargs) + len(args.args) - len(args.defaults)
+                    ) + [*args.defaults, *args.kw_defaults]
+                    used |= {
+                        default.value
+                        for param, default in zip(params, defaults)
+                        if param.arg == "crash_label"
+                        and isinstance(default, ast.Constant)
+                    }
+        tabled = [label.name for label in CRASH_LABELS]
+        assert len(tabled) == len(set(tabled))
+        assert used == set(tabled)
+
+    def test_the_docs_table_lists_the_crash_labels(self):
+        """docs/robustness.md tables every label with its primitive."""
+        docs = (SRC.parent / "docs" / "robustness.md").read_text(encoding="utf-8")
+        rows = docs.split("| label | primitive | write site |\n|---|---|---|\n")[1]
+        documented = {}
+        for row in rows.split("\n\n")[0].splitlines():
+            labels, primitive = row.split("|")[1:3]
+            for label in re.findall(r"`([^`]+)`", labels):
+                documented[label] = primitive.strip().strip("`")
+        assert documented == {
+            label.name: label.primitive for label in CRASH_LABELS
+        }
 
 
 class TestTornLedgerWithoutDoctor:
@@ -255,6 +313,8 @@ class TestMaterializeCrash:
         staging the tree never picks it up."""
         args = ["-C", str(repo_dir)]
         assert main([*args, "run", "--all"]) == 0
+        # A warm hit leaves a file that already holds its bytes alone.
+        (repo_dir / "experiments" / "one" / "results.csv").unlink()
         crash = ["--inject-crash", "at:cas.materialize.tmp:1"]
         assert main([*args, "run", "--all", *crash]) == EXIT_CRASH
         exp_dir = repo_dir / "experiments" / "one"
@@ -336,6 +396,25 @@ class TestVcsIndexCrash:
             p for p in index_path.parent.iterdir() if p.name.startswith(".index.")
         ]
         assert main([*args, "--dry-run"]) == 0
+
+
+class TestConfigCrash:
+    def test_crash_mid_config_save_keeps_the_experiment_list(self, repo_dir):
+        """``.popper.yml`` is replaced whole: a crash mid-save leaves the
+        old list (an emptied file used to read as "nothing to run")."""
+        config = repo_dir / ".popper.yml"
+        before = config.read_bytes()
+        install_crash_plan(CrashPlan.parse("at:config.save.tmp:1"))
+        try:
+            with pytest.raises(SimulatedCrash):
+                PopperRepository.open(repo_dir).add_experiment("torpor", "two")
+        finally:
+            install_crash_plan(None)
+        assert config.read_bytes() == before
+        assert PopperRepository.open(repo_dir).experiments() == ["one"]
+        [temp] = [p for p in repo_dir.iterdir() if is_atomic_temp(p.name)]
+        assert main(["-C", str(repo_dir), "doctor", "--tmp-age", "0"]) == 0
+        assert not temp.exists()
 
 
 class TestDoctorRewriteCrash:

@@ -24,9 +24,9 @@ from repro.core.cli import main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: One experiment per paper template, shrunk as in
-#: ``benchmarks/bench_cache.py``; their validations use every trend
-#: validator the templates ship and ``count()``.
+#: One experiment per paper template, shrunk to run in seconds; their
+#: validations use every trend validator the templates ship and
+#: ``count()``.
 TEMPLATES = {
     "gassyfs": {
         "node_counts": [1, 2, 4],
@@ -145,3 +145,25 @@ def test_importing_the_cli_loads_no_numpy_and_no_pipeline():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_trace_of_a_fuzz_campaign_loads_no_campaign_code(tmp_path):
+    """``popper trace --fuzz`` reads the campaign's journal; it runs no
+    fuzzing, so it loads neither the campaign nor numpy."""
+    assert main(["-C", str(tmp_path), "init"]) == 0
+    journal = tmp_path / ".pvcs" / "fuzz" / "journal.jsonl"
+    journal.parent.mkdir(parents=True)
+    journal.write_text('{"event": "run_start", "seed": 5, "iterations": 1}\n')
+    proc = fresh_python(
+        "-c",
+        "import json, sys\n"
+        "from repro.core.cli import main\n"
+        "code = main(['-C', sys.argv[1], 'trace', '--fuzz'])\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "sys.exit(code)\n",
+        str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *output, modules = proc.stdout.splitlines()
+    assert "== fuzz campaign" in output[0]
+    assert loaded(json.loads(modules), "repro.fuzz.campaign", "numpy") == []

@@ -273,6 +273,21 @@ class TestCloneAndFsck:
         assert (other.root / "a.txt").read_text() == "alpha"
         assert other.resolve("v1") == repo.resolve("v1")
 
+    def test_every_checkout_keeps_the_exec_bit(self, repo, tmp_path):
+        """A clone and a workspace checkout write through one writer,
+        so a file committed executable comes out executable from both."""
+        (repo.root / "run.sh").write_text("#!/bin/sh\n")
+        (repo.root / "run.sh").chmod(0o755)
+        write(repo, "vars.yml", "runs: 2\n")
+        repo.add_all()
+        commit = repo.store.get_commit(repo.commit("c1"))
+        workspace = tmp_path / "workspace"
+        repo.store.checkout_tree(commit.tree, workspace)
+        clone = repo.clone(tmp_path / "clone")
+        for root in (workspace, clone.root):
+            assert (root / "run.sh").stat().st_mode & 0o111, root
+            assert not (root / "vars.yml").stat().st_mode & 0o111, root
+
     def test_clone_into_nonempty_rejected(self, repo, tmp_path):
         target = tmp_path / "dst"
         target.mkdir()

@@ -117,6 +117,29 @@ class TestLabeledArray:
         np.testing.assert_array_equal(again.data, arr.data)
         np.testing.assert_array_equal(again.coords["lat"], arr.coords["lat"])
 
+    def test_save_adds_the_npz_suffix_as_numpy_does(self, tmp_path):
+        small_array().save(tmp_path / "air")
+        assert [p.name for p in tmp_path.iterdir()] == ["air.npz"]
+
+    def test_a_crash_mid_save_keeps_the_old_archive(self, tmp_path):
+        from repro.common.crash import (
+            CrashPlan,
+            SimulatedCrash,
+            install_crash_plan,
+        )
+
+        path = tmp_path / "air.npz"
+        arr = small_array()
+        arr.save(path)
+        before = path.read_bytes()
+        install_crash_plan(CrashPlan.parse("at:weather.array.tmp:1"))
+        try:
+            with pytest.raises(SimulatedCrash):
+                (arr * 2).save(path)
+        finally:
+            install_crash_plan(None)
+        assert path.read_bytes() == before
+
 
 class TestSeasonOfDay:
     @pytest.mark.parametrize(
