@@ -22,18 +22,31 @@ records them to ``BENCH_durability.json`` at the repository root:
   ``popper fuzz`` and result sweeps actually write.
 
 Payload sizes mirror the real call sites: refs and index records are
-tiny, journal lines are a few hundred bytes.  Run standalone
-(``python benchmarks/bench_durability.py``) or via pytest
-(``pytest benchmarks/bench_durability.py``).
+tiny, journal lines are a few hundred bytes.  One write is cheap next
+to the host's other I/O, so a single run says little: ten rounds time
+300 writes of every per-write mode, the order rotating each round, and
+each mode records its per-round values with their median and quartiles
+(each ``cost_vs_fast`` is the durable/fast ratio within a round).  The
+object store model takes about 12 s a round and runs 3 rounds.  The
+record also carries the commit, ``cpu_count`` and the Python version.
+Run standalone (``python benchmarks/bench_durability.py``) or via
+pytest (``pytest benchmarks/bench_durability.py``).
 """
 
 import json
+import os
+import sys
 import time
+from functools import partial
 from pathlib import Path
+
+from conftest import commit, summary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_durability.json"
 
+ROUNDS = 10
+STORE_ROUNDS = 3
 WRITES = 300
 PAYLOAD = b'{"task": "run", "outputs": ["results.csv"], "seconds": 1.25}\n' * 4
 LINE = json.dumps({"seq": 1, "event": "task_finished", "task": "exp-one"})
@@ -88,7 +101,7 @@ OBJECTS_10K = 10_000
 
 
 def bench_object_store(base: Path) -> dict:
-    """10k-object ingest/read/repack/read suite (microseconds each)."""
+    """10k-object ingest/read/repack/read suite (seconds each, and counts)."""
     import hashlib
 
     from repro.store.cas import ContentStore
@@ -119,15 +132,10 @@ def bench_object_store(base: Path) -> dict:
     read_packed = time.perf_counter() - started
 
     return {
-        "objects": OBJECTS_10K,
-        "ingest_micros_per_object": round(ingest / OBJECTS_10K * 1e6, 1),
-        "read_loose_micros_per_object": round(
-            read_loose / OBJECTS_10K * 1e6, 1
-        ),
-        "repack_seconds": round(repack, 2),
-        "read_packed_micros_per_object": round(
-            read_packed / OBJECTS_10K * 1e6, 1
-        ),
+        "ingest": ingest,
+        "read_loose": read_loose,
+        "repack": repack,
+        "read_packed": read_packed,
         "delta_objects": report.deltas,
         "bytes_loose": report.bytes_before,
         "bytes_packed": report.bytes_after,
@@ -145,44 +153,78 @@ def bench_lock(base: Path) -> float:
     return (time.perf_counter() - started) / WRITES
 
 
-def run_bench(base: Path) -> dict:
-    def mode(seconds_per_write, baseline=None):
-        entry = {"micros_per_write": round(seconds_per_write * 1e6, 1)}
-        if baseline:
-            entry["cost_vs_fast"] = round(seconds_per_write / baseline, 1)
-        return entry
+#: Every per-write mode, as (group, name) in the record: seconds per write
+#: in a fresh directory.
+MODES = {
+    ("atomic_write", "fast"): partial(bench_atomic_write, durable=False),
+    ("atomic_write", "durable"): partial(bench_atomic_write, durable=True),
+    ("per_line_append", "fast"): partial(bench_per_line_append, durable=False),
+    ("per_line_append", "durable"): partial(bench_per_line_append, durable=True),
+    ("group_commit", "durable_stream"): partial(bench_group_commit, batched=False),
+    ("group_commit", "durable_batched"): partial(bench_group_commit, batched=True),
+    ("repo_lock_round_trip", None): bench_lock,
+}
 
-    aw_fast = bench_atomic_write(base, durable=False)
-    aw_durable = bench_atomic_write(base, durable=True)
-    line_fast = bench_per_line_append(base, durable=False)
-    line_durable = bench_per_line_append(base, durable=True)
-    gc_stream = bench_group_commit(base, batched=False)
-    gc_batched = bench_group_commit(base, batched=True)
-    lock_s = bench_lock(base)
-    store_10k = bench_object_store(base)
+#: The fast mode each durable mode is priced against.  Group commit is
+#: durable, except that a power cut can lose the one unsynced window;
+#: it is priced against the same buffered baseline as per_line_append.
+BASELINES = {
+    ("atomic_write", "durable"): ("atomic_write", "fast"),
+    ("per_line_append", "durable"): ("per_line_append", "fast"),
+    ("group_commit", "durable_stream"): ("per_line_append", "fast"),
+    ("group_commit", "durable_batched"): ("per_line_append", "fast"),
+}
+
+
+def run_bench(base: Path) -> dict:
+    order = list(MODES)
+    seconds = {mode: [] for mode in MODES}
+    for round_no in range(ROUNDS):
+        shift = round_no % len(order)
+        for mode in order[shift:] + order[:shift]:
+            directory = base / f"round-{round_no}" / "-".join(filter(None, mode))
+            directory.mkdir(parents=True)
+            seconds[mode].append(MODES[mode](directory))
+    stores = [bench_object_store(base / f"store-{n}") for n in range(STORE_ROUNDS)]
+
+    modes: dict = {}
+    for (group, name), samples in seconds.items():
+        entry = {"micros_per_write": summary([s * 1e6 for s in samples], digits=1)}
+        if (group, name) in BASELINES:
+            fast = seconds[BASELINES[group, name]]
+            entry["cost_vs_fast"] = summary(
+                [durable / buffered for durable, buffered in zip(samples, fast)],
+                digits=2,
+            )
+        if name is None:
+            modes[group] = entry
+        else:
+            modes.setdefault(group, {})[name] = entry
+
+    counts = {key: stores[0][key] for key in ("delta_objects", "bytes_loose", "bytes_packed")}
+    assert all(store[key] == value for store in stores for key, value in counts.items())
+    per_object = {
+        f"{phase}_micros_per_object": summary(
+            [store[phase] / OBJECTS_10K * 1e6 for store in stores], digits=1
+        )
+        for phase in ("ingest", "read_loose", "read_packed")
+    }
+    modes["object_store_10k"] = {
+        "objects": OBJECTS_10K,
+        "rounds": STORE_ROUNDS,
+        **per_object,
+        "repack_seconds": summary([store["repack"] for store in stores], digits=2),
+        **counts,
+    }
 
     report = {
         "benchmark": "crash-consistency-durability",
         "writes_per_mode": WRITES,
-        "modes": {
-            "atomic_write": {
-                "fast": mode(aw_fast),
-                "durable": mode(aw_durable, baseline=aw_fast),
-            },
-            "per_line_append": {
-                "fast": mode(line_fast),
-                "durable": mode(line_durable, baseline=line_fast),
-            },
-            "group_commit": {
-                # Durable, except that a power cut can lose the one
-                # unsynced window; priced against the same buffered
-                # baseline as per_line_append.
-                "durable_stream": mode(gc_stream, baseline=line_fast),
-                "durable_batched": mode(gc_batched, baseline=line_fast),
-            },
-            "repo_lock_round_trip": mode(lock_s),
-            "object_store_10k": store_10k,
-        },
+        "rounds": ROUNDS,
+        "modes": modes,
+        "cpu_count": os.cpu_count() or 1,
+        "python": sys.version.split()[0],
+        "commit": commit(),
     }
     BENCH_FILE.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
@@ -191,12 +233,13 @@ def run_bench(base: Path) -> dict:
 def test_bench_durability(tmp_path):
     report = run_bench(tmp_path)
     modes = report["modes"]
-    assert modes["atomic_write"]["durable"]["micros_per_write"] > 0
-    assert modes["per_line_append"]["fast"]["micros_per_write"] > 0
-    assert modes["repo_lock_round_trip"]["micros_per_write"] > 0
+    assert len(modes["atomic_write"]["fast"]["micros_per_write"]["samples"]) == ROUNDS
+    assert modes["atomic_write"]["durable"]["micros_per_write"]["median"] > 0
+    assert modes["per_line_append"]["fast"]["micros_per_write"]["median"] > 0
+    assert modes["repo_lock_round_trip"]["micros_per_write"]["median"] > 0
     # The acceptance bar for the group-commit work: durable appends at
     # under 10x the buffered cost (per-line fsync paid >100x).
-    assert modes["group_commit"]["durable_stream"]["cost_vs_fast"] < 10
+    assert modes["group_commit"]["durable_stream"]["cost_vs_fast"]["median"] < 10
     store = modes["object_store_10k"]
     assert store["objects"] == OBJECTS_10K
     assert store["bytes_packed"] < store["bytes_loose"]
@@ -204,7 +247,6 @@ def test_bench_durability(tmp_path):
 
 
 if __name__ == "__main__":
-    import sys
     import tempfile
 
     sys.path.insert(0, str(REPO_ROOT / "src"))

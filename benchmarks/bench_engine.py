@@ -27,11 +27,12 @@ Run standalone (``python benchmarks/bench_engine.py``) or via pytest
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from conftest import commit, summary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_engine.json"
@@ -101,28 +102,6 @@ def sweep(root: Path, args: list[str], log: Path) -> tuple[float, float]:
         + log.read_text(errors="replace")
     )
     return wall, usage.ru_utime + usage.ru_stime
-
-
-def summary(samples: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(samples, n=4)
-    return {
-        "samples": [round(s, 4) for s in samples],
-        "median": round(statistics.median(samples), 4),
-        "q1": round(q1, 4),
-        "q3": round(q3, 4),
-    }
-
-
-def commit() -> str:
-    """The measured commit; ``-dirty`` marks uncommitted changes."""
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(REPO_ROOT), "describe", "--always", "--dirty"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return out.stdout.strip()
 
 
 def run_bench(base: Path) -> dict:

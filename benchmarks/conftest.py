@@ -8,11 +8,14 @@ and registers headline numbers in the pytest-benchmark ``extra_info``
 so they appear in ``--benchmark-json`` exports.
 """
 
+import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,26 @@ def save_figure_data(table, name: str) -> Path:
     path = OUTPUT_DIR / f"{name}.csv"
     table.save_csv(path)
     return path
+
+
+def summary(samples: list[float], digits: int = 4) -> dict:
+    """Raw samples with their median and quartiles, for a record."""
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "samples": [round(s, digits) for s in samples],
+        "median": round(statistics.median(samples), digits),
+        "q1": round(q1, digits),
+        "q3": round(q3, digits),
+    }
+
+
+def commit() -> str:
+    """The measured commit; ``-dirty`` marks uncommitted changes."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()

@@ -13,10 +13,15 @@ ways to compare systems:
 and notes the common (bad) practice of "run 10 times on one machine and
 report averages".  This module implements all three, so a Popperized
 experiment can codify *which* reproducibility claim it makes.
+
+The quantiles behind the naive interval and the run planner are plain
+Python: the normal one is ``statistics.NormalDist``'s, and Student's t
+is solved by Newton's method on its closed-form distribution function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +156,6 @@ def naive_comparison(
     the returned interval is a plain t-based CI on the mean ratio and is
     labeled as such.
     """
-    from scipy import stats as sps  # slow to import; see repro.check.detectors
-
     a = _validate(times_a, "system A", minimum=2)
     b = _validate(times_b, "system B", minimum=2)
     point = float(np.mean(a) / np.mean(b))
@@ -161,7 +164,7 @@ def naive_comparison(
         (np.std(a, ddof=1) / np.mean(a)) ** 2 / a.size
         + (np.std(b, ddof=1) / np.mean(b)) ** 2 / b.size
     )
-    margin = sps.t.ppf(0.975, df=min(a.size, b.size) - 1) * se
+    margin = _t_quantile(0.975, min(a.size, b.size) - 1) * se
     return SpeedupEstimate(
         method="naive-mean-ratio",
         point=point,
@@ -183,13 +186,54 @@ def required_runs(
     planning number an experiment's ``vars.yml`` should justify its
     ``runs:`` with.
     """
-    from scipy import stats as sps  # slow to import; see repro.check.detectors
+    from statistics import NormalDist  # it imports fractions and decimal
 
     if cov <= 0 or detectable_effect <= 0:
         raise ComparisonError("cov and detectable_effect must be positive")
     if not (0.5 < confidence < 1.0 and 0.5 <= power < 1.0):
         raise ComparisonError("confidence in (0.5, 1), power in [0.5, 1)")
-    z_alpha = sps.norm.ppf(1 - (1 - confidence) / 2)
-    z_beta = sps.norm.ppf(power)
+    z_alpha = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
+    z_beta = NormalDist().inv_cdf(power)
     n = 2.0 * ((z_alpha + z_beta) * cov / detectable_effect) ** 2
     return int(np.ceil(n))
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The *p* quantile (``0.5 < p < 1``) of Student's t with integer *df*.
+
+    Newton's method on the closed-form central probability
+    ``P(|T| <= t)`` (Abramowitz & Stegun 26.7.3-4), taken as a function
+    of ``theta = atan(t / sqrt(df))``.  There its derivative is a
+    constant times ``cos(theta) ** (df - 1)``, so it is concave, and
+    Newton started below the root, at the normal quantile, climbs to it
+    without overshooting.
+    """
+    from statistics import NormalDist
+
+    target = 2 * p - 1
+    # The derivative's constant: 2 Gamma((df + 1) / 2) / (sqrt(pi) Gamma(df / 2)).
+    scale = 2 * math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2))
+    scale /= math.sqrt(math.pi)
+    theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
+    while True:
+        slope = scale * math.cos(theta) ** (df - 1)
+        step = (target - _t_central(theta, df)) / slope
+        theta += step
+        if step <= 1e-15 * theta:
+            return math.sqrt(df) * math.tan(theta)
+
+
+def _t_central(theta: float, df: int) -> float:
+    """``P(|T| <= sqrt(df) * tan(theta))`` for Student's t with integer *df*."""
+    odd = df % 2
+    sin2 = math.sin(theta) ** 2
+    term = math.cos(theta) if odd else 1.0
+    terms = []
+    for j in range(1, df // 2 + 1):
+        terms.append(term)
+        # times cos(theta) ** 2, as 1 - sin2: a rounded cos(theta) ** 2
+        # would put the same relative error in every power of it.
+        term *= (2 * j - 1 + odd) / (2 * j + odd)
+        term -= term * sin2
+    series = math.sin(theta) * math.fsum(terms)
+    return 2 / math.pi * (theta + series) if odd else series

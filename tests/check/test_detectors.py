@@ -120,6 +120,17 @@ class TestAverageAmount:
         )
         assert verdict.regressed
 
+    @pytest.mark.parametrize("higher_is_worse", [True, False])
+    def test_an_improvement_is_tested_in_its_own_direction(self, higher_is_worse):
+        """The one-sided test follows the medians, so a clear
+        improvement is as significant as a clear slowdown."""
+        before, after = noisy(10.0, label="i1"), noisy(6.5, label="i2")
+        if not higher_is_worse:
+            before, after = after, before
+        verdict = AverageAmountDetector(higher_is_worse=higher_is_worse).detect(before, after)
+        assert verdict.change is PerformanceChange.OPTIMIZATION
+        assert verdict.confidence > 0.99
+
     def test_alpha_validation(self):
         with pytest.raises(CheckError):
             AverageAmountDetector(alpha=2.0)

@@ -1,16 +1,18 @@
 """A ``popper`` process imports only the code its command runs.
 
-scipy costs about a second per fresh process and only the detectors'
-verdicts and the statistical comparisons use it, so it is imported at
-those call sites.  ``multiprocessing`` is imported only when a worker
-pool starts, and the pool module only when a sweep needs workers.  A
-warm ``popper run --all`` asks for neither, nor for the fuzz, serve or
-store self-check code that only ``popper selftest`` runs, nor for the
-doctor, nor for the stage code a cached experiment never executes.
-Importing the CLI loads no numpy at all, and neither does a warm sweep:
-Aver validates the cached results on plain floats.
+No module under ``src/`` imports scipy: the detectors' Mann-Whitney U
+test and the statistical comparisons' quantiles are plain Python, so
+not even ``popper selftest``, which asks the detectors for verdicts,
+loads it.  ``multiprocessing`` is imported only when a worker pool
+starts, and the pool module only when a sweep needs workers.  A warm
+``popper run --all`` asks for neither, nor for the fuzz, serve or store
+self-check code that only ``popper selftest`` runs, nor for the doctor,
+nor for the stage code a cached experiment never executes.  Importing
+the CLI loads no numpy at all, and neither does a warm sweep: Aver
+validates the cached results on plain floats.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -56,12 +58,12 @@ COLD_ONLY = (
     "repro.check.smoke",
 )
 
-#: A warm sweep in a fresh interpreter; the last line of its output is
-#: the sorted names of every module it loaded.
-WARM_SWEEP = (
+#: ``popper -C <repo> <args>`` in a fresh interpreter; the last line of
+#: its output is the sorted names of every module it loaded.
+COMMAND = (
     "import json, sys\n"
     "from repro.core.cli import main\n"
-    "code = main(['-C', sys.argv[1], 'run', '--all', *sys.argv[2:]])\n"
+    "code = main(['-C', *sys.argv[1:]])\n"
     "print(json.dumps(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
@@ -101,13 +103,20 @@ def warm_repo(tmp_path_factory):
     return repo
 
 
-def warm_sweep_modules(repo, *flags):
-    """The modules a warm ``popper run --all *flags`` loads."""
-    proc = fresh_python("-c", WARM_SWEEP, str(repo), *flags)
+def command_modules(repo, *args):
+    """The output lines of a fresh ``popper -C repo *args``, which must
+    exit 0, and the modules it loaded."""
+    proc = fresh_python("-c", COMMAND, str(repo), *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *output, modules = proc.stdout.splitlines()
+    return output, json.loads(modules)
+
+
+def warm_sweep_modules(repo, *flags):
+    """The modules a warm ``popper run --all *flags`` loads."""
+    output, modules = command_modules(repo, "run", "--all", *flags)
     assert sum("(cached)" in line for line in output) == len(TEMPLATES)
-    return json.loads(modules)
+    return modules
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +163,28 @@ def test_trace_of_a_fuzz_campaign_loads_no_campaign_code(tmp_path):
     journal = tmp_path / ".pvcs" / "fuzz" / "journal.jsonl"
     journal.parent.mkdir(parents=True)
     journal.write_text('{"event": "run_start", "seed": 5, "iterations": 1}\n')
-    proc = fresh_python(
-        "-c",
-        "import json, sys\n"
-        "from repro.core.cli import main\n"
-        "code = main(['-C', sys.argv[1], 'trace', '--fuzz'])\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-        "sys.exit(code)\n",
-        str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    *output, modules = proc.stdout.splitlines()
+    output, modules = command_modules(tmp_path, "trace", "--fuzz")
     assert "== fuzz campaign" in output[0]
-    assert loaded(json.loads(modules), "repro.fuzz.campaign", "numpy") == []
+    assert loaded(modules, "repro.fuzz.campaign", "numpy") == []
+
+
+def test_selftest_in_a_fresh_interpreter_loads_no_scipy(tmp_path):
+    """The perf check asks every detector for verdicts on two series."""
+    output, modules = command_modules(tmp_path, "selftest")
+    assert any("perf smoke ok" in line for line in output)
+    assert loaded(modules, "scipy") == []
+
+
+def test_no_module_under_src_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
