@@ -1,154 +1,230 @@
 """Automated performance-regression testing (§"Automated Validation").
 
-Characterizes the full ``repro.check`` detector battery under realistic
+Characterizes the ``repro.check`` detector battery under realistic
 run-to-run noise and records the result to ``BENCH_regression.json`` at
-the repository root:
+the repository root.  Each trial draws one baseline and one candidate
+series, and every detector judges that same pair, so the record says
+not only how often a detector is firm but how often it is the *only*
+firm detector: what it catches that the others miss.  The cases:
 
-* per-detector recall across injected slowdown magnitudes (does a 30 %
-  slowdown actually get caught, and by whom?),
-* per-detector false-positive rate on clean commit pairs (how often
-  would an innocent commit be flagged?),
-* per-detector latency of one verdict (paid on every CI build and every
-  ``no_regression`` assertion).
+* ``uniform`` — every candidate sample is slower by the magnitude
+  (0–50 %): per-detector recall (the ``roc``) and the false-positive
+  rate on clean commit pairs (the 0 % point);
+* ``growth`` — the candidate grows linearly along the sample index, by
+  the magnitude at its last sample: a change of scaling exponent, flat
+  to linear, that moves the mean by half the magnitude;
+* ``ramp`` — the candidate tilts from −m/2 to +m/2 around the
+  baseline level: a change of shape that keeps the mean;
+* ``stall`` — two of the ten candidate samples, at random positions,
+  stall by the magnitude (30–100 %).
 
-The firm-verdict rate is what is measured — a CI gate acts on firm
-degradations only — while ``suspicious_rate`` (firm + maybe) shows how
-much extra signal the graded vocabulary surfaces.  Run standalone
+For each case, magnitude and detector the record keeps the firm rate
+(what a CI gate acts on), the suspicious rate (firm + maybe) and the
+only-firm rate.  It also times one verdict per detector (paid on every
+CI build and every ``no_regression`` assertion): ten rounds, each on a
+fresh series pair with the detector order rotated, recorded as per-round
+samples with their median and quartiles, beside the commit, ``cpu_count``
+and the Python version.  Run standalone
 (``python benchmarks/bench_ci_regression.py``) or via pytest
 (``pytest benchmarks/bench_ci_regression.py``).
 """
 
 import json
+import os
+import sys
 import time
 from pathlib import Path
 
-from conftest import save_figure_data
+import numpy as np
+
+from conftest import commit, save_figure_data, summary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_regression.json"
 
+THRESHOLD = 0.10
 NOISE_COV = 0.03
 SAMPLES = 10
-TRIALS = 60
-SLOWDOWNS = (0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50)
-LATENCY_ROUNDS = 50
+STALLED = 2
+TRIALS = 200
+LATENCY_ROUNDS = 10
+CALLS_PER_ROUND = 50
+
+#: Position along the run, 0 at the first sample and 1 at the last.
+INDEX = np.linspace(0.0, 1.0, SAMPLES)
+
+
+def _stall(rng, magnitude):
+    factors = np.ones(SAMPLES)
+    factors[rng.choice(SAMPLES, STALLED, replace=False)] += magnitude
+    return factors
+
+
+#: case -> (candidate level per sample, relative to the baseline's; magnitudes)
+CASES = {
+    "uniform": (
+        lambda rng, m: np.full(SAMPLES, 1.0 + m),
+        (0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50),
+    ),
+    "growth": (lambda rng, m: 1.0 + m * INDEX, (0.10, 0.20, 0.30, 0.50)),
+    "ramp": (lambda rng, m: 1.0 + m * (INDEX - 0.5), (0.10, 0.20, 0.30, 0.50)),
+    "stall": (_stall, (0.30, 0.50, 1.00)),
+}
 
 
 def _detectors():
     from repro.check.detectors import default_detectors
 
-    return default_detectors(threshold=0.10)
+    return default_detectors(threshold=THRESHOLD)
 
 
-def _trial_series(rng, mean):
-    return mean * (1.0 + NOISE_COV * rng.standard_normal(SAMPLES))
+def _series(rng, levels):
+    return 10.0 * levels * (1.0 + NOISE_COV * rng.standard_normal(SAMPLES))
 
 
-def _characterize() -> dict:
-    """Firm / suspicious verdict rates per detector per slowdown."""
+def _judge(detectors, cases=CASES) -> dict:
+    """case -> magnitude -> one list of verdicts (one per detector) per trial."""
     from repro.common.rng import derive_rng
 
-    rates: dict[str, dict[float, dict[str, float]]] = {}
-    for detector in _detectors():
-        per_slowdown = {}
-        for slowdown in SLOWDOWNS:
-            rng = derive_rng(99, "gate", detector.name, str(slowdown))
-            firm = suspicious = 0
+    judged: dict = {}
+    for case, (levels, magnitudes) in cases.items():
+        for magnitude in magnitudes:
+            rng = derive_rng(99, "regression", case, str(magnitude))
+            trials = []
             for _ in range(TRIALS):
-                baseline = _trial_series(rng, 10.0)
-                current = _trial_series(rng, 10.0 * (1.0 + slowdown))
-                verdict = detector.detect(baseline, current)
-                firm += verdict.regressed
-                suspicious += verdict.suspicious
-            per_slowdown[slowdown] = {
-                "detection_rate": firm / TRIALS,
-                "suspicious_rate": suspicious / TRIALS,
+                baseline = _series(rng, np.ones(SAMPLES))
+                current = _series(rng, levels(rng, magnitude))
+                trials.append([d.detect(baseline, current) for d in detectors])
+            judged.setdefault(case, {})[magnitude] = trials
+    return judged
+
+
+def _rates(trials) -> list[dict[str, float]]:
+    """Per detector: firm, suspicious and only-firm rates over the trials."""
+    rates = []
+    for verdicts in zip(*trials):
+        firm = suspicious = only = 0
+        for verdict, trial in zip(verdicts, trials):
+            firm += verdict.regressed
+            suspicious += verdict.suspicious
+            only += verdict.regressed and sum(v.regressed for v in trial) == 1
+        rates.append(
+            {
+                "firm_rate": firm / len(trials),
+                "suspicious_rate": suspicious / len(trials),
+                "only_firm_rate": only / len(trials),
             }
-        rates[detector.name] = per_slowdown
+        )
     return rates
 
 
-def _latencies() -> dict[str, float]:
-    """Seconds per single verdict, per detector (median of rounds)."""
+def _characterize(detectors, cases=CASES) -> dict:
+    """case -> magnitude -> detector name -> rates."""
+    names = [d.name for d in detectors]
+    return {
+        case: {
+            magnitude: dict(zip(names, _rates(trials)))
+            for magnitude, trials in per_magnitude.items()
+        }
+        for case, per_magnitude in _judge(detectors, cases).items()
+    }
+
+
+def _latencies(detectors) -> dict[str, list[float]]:
+    """Microseconds per verdict, per detector, one value per round."""
     from repro.common.rng import derive_rng
 
-    out = {}
-    for detector in _detectors():
-        rng = derive_rng(1, "latency", detector.name)
-        baseline = _trial_series(rng, 10.0)
-        current = _trial_series(rng, 10.5)
-        detector.detect(baseline, current)  # warm-up (imports, caches)
-        samples = []
-        for _ in range(LATENCY_ROUNDS):
+    rng = derive_rng(1, "latency")
+    micros: dict[str, list[float]] = {d.name: [] for d in detectors}
+    for round_no in range(LATENCY_ROUNDS):
+        baseline = _series(rng, np.ones(SAMPLES))
+        current = _series(rng, np.full(SAMPLES, 1.05))
+        shift = round_no % len(detectors)
+        for detector in detectors[shift:] + detectors[:shift]:
+            detector.detect(baseline, current)  # warm-up (imports, caches)
             started = time.perf_counter()
-            detector.detect(baseline, current)
-            samples.append(time.perf_counter() - started)
-        samples.sort()
-        out[detector.name] = samples[len(samples) // 2]
-    return out
+            for _ in range(CALLS_PER_ROUND):
+                detector.detect(baseline, current)
+            elapsed = time.perf_counter() - started
+            micros[detector.name].append(elapsed / CALLS_PER_ROUND * 1e6)
+    return micros
 
 
-def _roc_table(rates: dict):
+def _pct(magnitude: float) -> str:
+    return f"{100 * magnitude:.0f}%"
+
+
+def _roc_table(uniform: dict):
     from repro.common.tables import MetricsTable
 
     table = MetricsTable(
         ["detector", "slowdown_pct", "detection_rate", "suspicious_rate"]
     )
-    for detector, per_slowdown in rates.items():
-        for slowdown, entry in per_slowdown.items():
+    for detector in uniform[0.0]:
+        for slowdown, per_detector in uniform.items():
             table.append(
                 {
                     "detector": detector,
                     "slowdown_pct": 100 * slowdown,
-                    "detection_rate": entry["detection_rate"],
-                    "suspicious_rate": entry["suspicious_rate"],
+                    "detection_rate": per_detector[detector]["firm_rate"],
+                    "suspicious_rate": per_detector[detector]["suspicious_rate"],
                 }
             )
     return table
 
 
 def run_bench() -> dict:
-    rates = _characterize()
-    latencies = _latencies()
+    detectors = _detectors()
+    rates = _characterize(detectors)
+    latencies = _latencies(detectors)
+    uniform = rates["uniform"]
     report = {
         "benchmark": "regression-detector-suite",
         "trials_per_point": TRIALS,
         "samples_per_series": SAMPLES,
         "noise_cov": NOISE_COV,
-        "threshold": 0.10,
+        "threshold": THRESHOLD,
         "detectors": {
             name: {
-                "false_positive_rate": per_slowdown[0.0]["detection_rate"],
-                "suspicious_false_positive_rate": per_slowdown[0.0][
+                "false_positive_rate": uniform[0.0][name]["firm_rate"],
+                "suspicious_false_positive_rate": uniform[0.0][name][
                     "suspicious_rate"
                 ],
-                "recall_at_30pct": per_slowdown[0.30]["detection_rate"],
-                "recall_at_50pct": per_slowdown[0.50]["detection_rate"],
-                "suspicious_at_30pct": per_slowdown[0.30]["suspicious_rate"],
-                "suspicious_at_50pct": per_slowdown[0.50]["suspicious_rate"],
-                "micros_per_check": round(latencies[name] * 1e6, 1),
+                "recall_at_30pct": uniform[0.30][name]["firm_rate"],
+                "recall_at_50pct": uniform[0.50][name]["firm_rate"],
+                "suspicious_at_30pct": uniform[0.30][name]["suspicious_rate"],
+                "suspicious_at_50pct": uniform[0.50][name]["suspicious_rate"],
+                "micros_per_check": summary(latencies[name], digits=1),
                 "roc": {
-                    f"{100 * slowdown:.0f}%": entry["detection_rate"]
-                    for slowdown, entry in per_slowdown.items()
+                    _pct(slowdown): per_detector[name]["firm_rate"]
+                    for slowdown, per_detector in uniform.items()
                 },
             }
-            for name, per_slowdown in rates.items()
+            for name in latencies
         },
+        "cases": {
+            case: {_pct(m): per_detector for m, per_detector in per_magnitude.items()}
+            for case, per_magnitude in rates.items()
+        },
+        "latency_rounds": LATENCY_ROUNDS,
+        "calls_per_round": CALLS_PER_ROUND,
+        "cpu_count": os.cpu_count() or 1,
+        "python": sys.version.split()[0],
+        "commit": commit(),
     }
     BENCH_FILE.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    save_figure_data(_roc_table(rates), "table_ci_regression_roc")
+    save_figure_data(_roc_table(uniform), "table_ci_regression_roc")
     return report
 
 
 def test_bench_detector_suite():
     report = run_bench()
     detectors = report["detectors"]
-    assert set(detectors) == {
+    assert list(detectors) == [
         "average-amount",
-        "best-model",
         "integral",
         "exclusive-time-outliers",
-    }
+    ]
     # the gating detector keeps the historical contract: quiet on clean
     # pairs, near-certain on a 30% slowdown
     gate = detectors["average-amount"]
@@ -156,29 +232,43 @@ def test_bench_detector_suite():
     assert gate["recall_at_30pct"] > 0.95
     # no detector fires firm on identical distributions more than rarely
     assert all(d["false_positive_rate"] <= 0.10 for d in detectors.values())
-    # every detector at least suspects a 50% slowdown most of the time
-    # (best-model is shape-focused and grades level moves as "maybe",
-    # so firm recall is asserted only on the location detectors)
+    # every detector catches a 50% slowdown most of the time
     assert all(d["suspicious_at_50pct"] > 0.6 for d in detectors.values())
-    for name in ("integral", "exclusive-time-outliers"):
-        assert detectors[name]["recall_at_50pct"] > 0.6
+    assert all(d["recall_at_50pct"] > 0.6 for d in detectors.values())
     # a verdict is cheap enough to run on every build
-    assert all(d["micros_per_check"] < 100_000 for d in detectors.values())
+    for d in detectors.values():
+        assert len(d["micros_per_check"]["samples"]) == LATENCY_ROUNDS
+        assert d["micros_per_check"]["median"] < 100_000
+    # every point of every case rates every detector on shared trials
+    for case, (_, magnitudes) in CASES.items():
+        assert list(report["cases"][case]) == [_pct(m) for m in magnitudes]
+        for per_detector in report["cases"][case].values():
+            assert list(per_detector) == list(detectors)
+            for entry in per_detector.values():
+                assert entry["only_firm_rate"] <= entry["firm_rate"]
+                assert entry["firm_rate"] <= entry["suspicious_rate"]
+    # a detector stays in the battery only while it catches what the
+    # others miss: each is the only firm one on some trials of some case
+    for name in detectors:
+        assert any(
+            per_detector[name]["only_firm_rate"] > 0
+            for per_magnitude in report["cases"].values()
+            for per_detector in per_magnitude.values()
+        ), f"{name} is never the only firm detector"
     assert BENCH_FILE.is_file()
 
 
 def test_gate_detection_curve_is_monotone():
     """More slowdown, more detections — per detector, modulo noise."""
-    rates = _characterize()
-    for name, per_slowdown in rates.items():
-        curve = [per_slowdown[s]["detection_rate"] for s in SLOWDOWNS]
+    detectors = _detectors()
+    uniform = _characterize(detectors, {"uniform": CASES["uniform"]})["uniform"]
+    for detector in detectors:
+        curve = [point[detector.name]["firm_rate"] for point in uniform.values()]
         assert all(
             b >= a - 0.10 for a, b in zip(curve, curve[1:])
-        ), f"{name} detection curve not monotone: {curve}"
+        ), f"{detector.name} detection curve not monotone: {curve}"
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.path.insert(0, str(REPO_ROOT / "src"))
     print(json.dumps(run_bench(), indent=2))

@@ -4,7 +4,7 @@ The performance-regression subsystem the ROADMAP asks for, modeled on
 Perun's ``perun/check``: :mod:`~repro.check.profiles` attaches per-stage
 timing profiles to VCS commits under ``.pvcs/profiles/``;
 :mod:`~repro.check.detectors` grades baseline-vs-candidate series with
-four statistical methods; :mod:`~repro.check.suite` batteries them for
+three statistical methods; :mod:`~repro.check.suite` batteries them for
 the three consumers (the advisory verdicts of a passed ``popper ci``
 build, Aver's ``no_regression`` via :mod:`~repro.check.context`, and
 the ``popper perf`` subcommand).
@@ -20,7 +20,6 @@ __all__, __getattr__ = lazy_exports(
             "Degradation",
             "Detector",
             "AverageAmountDetector",
-            "BestModelDetector",
             "IntegralDetector",
             "ExclusiveTimeOutliersDetector",
             "default_detectors",

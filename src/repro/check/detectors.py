@@ -10,15 +10,12 @@ no-change / optimization) with a confidence rating — instead of a bare
 boolean, so consumers (the CI gate, Aver's ``no_regression``, ``popper
 perf``) can apply their own severity policy.
 
-The four implementations:
+The three implementations:
 
 * :class:`AverageAmountDetector` — Perun's average-amount threshold,
   hardened with a Mann-Whitney U significance test: the median ratio
   must exceed the threshold *and* the distribution shift must be
   statistically significant.
-* :class:`BestModelDetector` — Perun's best-model order equality: fit
-  both series against a small model basis (:mod:`repro.stats.models`)
-  and compare the winning shapes and their predicted levels.
 * :class:`IntegralDetector` — Perun's integral comparison: the area
   under the two best-fit curves, normalized to a mean height, compared
   against the threshold.
@@ -45,7 +42,6 @@ __all__ = [
     "Degradation",
     "Detector",
     "AverageAmountDetector",
-    "BestModelDetector",
     "IntegralDetector",
     "ExclusiveTimeOutliersDetector",
     "default_detectors",
@@ -70,8 +66,8 @@ class Degradation:
     ``rate`` is the relative change of the detector's location estimate
     (``+0.30`` = 30 % slower); ``confidence`` is in ``[0, 1]`` and its
     meaning is named by ``confidence_kind`` (``p_value`` confidence for
-    the significance-tested detector, ``r_squared`` for the model
-    detectors, ``outlier_fraction`` for the fence detector) — see
+    the significance-tested detector, ``integral_ratio`` for the integral
+    detector, ``outlier_fraction`` for the fence detector) — see
     ``docs/regression.md`` for the exact semantics per detector.
     """
 
@@ -303,63 +299,6 @@ def _u_counts(m: int, n: int, upto: int) -> list[int]:
     return counts
 
 
-class BestModelDetector(_BaseDetector):
-    """Compare the best-fit models of the two series.
-
-    Both series are fitted against the model basis of
-    :mod:`repro.stats.models` over their sample index (the within-run
-    time axis).  A change of winning shape — a flat series turning
-    linear, say — is flagged even when medians still agree; when the
-    shapes agree, the models' mean levels are compared against the
-    threshold.  Confidence is the weaker of the two fits' R².
-    """
-
-    name = "best-model"
-
-    def detect(self, baseline, current, metric: str = "runtime") -> Degradation:
-        from repro.stats.models import fit_best_model, model_integral
-
-        baseline, current = self._validate(baseline, current)
-        base_fit = fit_best_model(np.arange(baseline.size), baseline)
-        curr_fit = fit_best_model(np.arange(current.size), current)
-        from_value = model_integral(base_fit)
-        to_value = model_integral(curr_fit)
-        rate = (to_value - from_value) / from_value if from_value else 0.0
-        effect = self._effect(from_value, to_value)
-        confidence = min(base_fit.r_squared, curr_fit.r_squared)
-
-        if base_fit.kind != curr_fit.kind:
-            # The shape changed; direction comes from where the new
-            # model is heading relative to the old level, and a shape
-            # change alone is never a firm verdict.
-            trend_effect = effect
-            if abs(trend_effect) <= self.threshold / 2:
-                end = float(curr_fit.predict([float(current.size - 1)])[0])
-                trend_effect = self._effect(from_value, end)
-            if trend_effect > self.threshold / 2:
-                change = PerformanceChange.MAYBE_DEGRADATION
-            elif trend_effect < -self.threshold / 2:
-                change = PerformanceChange.MAYBE_OPTIMIZATION
-            else:
-                # Noise routinely promotes a flat series to a weak
-                # sloped fit; a shape change with no level movement is
-                # not a signal.
-                change = PerformanceChange.NO_CHANGE
-        else:
-            change = self._classify(effect, certain=confidence >= 0.5 or base_fit.kind == "constant")
-        return Degradation(
-            metric=metric,
-            detector=self.name,
-            change=change,
-            from_value=from_value,
-            to_value=to_value,
-            rate=rate,
-            confidence=confidence,
-            confidence_kind="r_squared",
-            detail=f"model {base_fit.kind} -> {curr_fit.kind}",
-        )
-
-
 class IntegralDetector(_BaseDetector):
     """Compare the integrals (mean heights) of the two best-fit curves.
 
@@ -476,16 +415,11 @@ def default_detectors(
     higher_is_worse: bool = True,
     min_samples: int = 3,
 ) -> list[Detector]:
-    """The standard four-detector battery, shared by every consumer."""
+    """The standard three-detector battery, shared by every consumer."""
     return [
         AverageAmountDetector(
             threshold=threshold,
             alpha=alpha,
-            higher_is_worse=higher_is_worse,
-            min_samples=min_samples,
-        ),
-        BestModelDetector(
-            threshold=threshold,
             higher_is_worse=higher_is_worse,
             min_samples=min_samples,
         ),

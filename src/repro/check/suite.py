@@ -134,7 +134,7 @@ def default_suite(
     higher_is_worse: bool = True,
     min_samples: int = 3,
 ) -> DetectorSuite:
-    """The standard four-detector suite every consumer shares."""
+    """The standard three-detector suite every consumer shares."""
     return DetectorSuite(
         default_detectors(
             threshold=threshold,

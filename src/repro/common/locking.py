@@ -14,9 +14,8 @@ can name the holder.  The kernel releases a ``flock`` the instant its
 holder dies, so a crashed process can never wedge the repository; what
 a crash *does* leave is stale metadata in the lock file, which
 ``popper doctor`` detects (dead PID on this host, lock acquirable) and
-clears.  On platforms without ``fcntl`` the lock degrades to an
-``O_EXCL`` lock file where stale-holder breaking (dead PID, or metadata
-older than ``stale_s``) is load-bearing rather than cosmetic.
+clears.  The module needs ``fcntl`` and ``os.uname``, so it runs on
+POSIX hosts only.
 
 Locks are reentrant per instance (a holder may call code that takes
 the same lock again) and thread-safe: one ``threading.RLock``
@@ -30,6 +29,7 @@ of the repository format — see ``docs/robustness.md``.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -37,13 +37,6 @@ import time
 from pathlib import Path
 
 from repro.common.errors import LockError, LockTimeout
-
-try:  # pragma: no cover - always available on the platforms we test
-    import fcntl
-
-    _HAVE_FCNTL = True
-except ImportError:  # pragma: no cover - windows fallback
-    _HAVE_FCNTL = False
 
 __all__ = ["LockInfo", "RepoLock", "ScopedLock"]
 
@@ -115,16 +108,11 @@ class RepoLock:
         label: str = "",
         timeout_s: float = 30.0,
         poll_s: float = 0.02,
-        stale_s: float = 3600.0,
     ) -> None:
         self.path = Path(path)
         self.label = label or self.path.stem
         self.timeout_s = float(timeout_s)
         self.poll_s = float(poll_s)
-        #: Fallback (no-fcntl) mode only: metadata older than this with a
-        #: dead or unknown holder is broken.  With flock the kernel does
-        #: the breaking and this is never consulted.
-        self.stale_s = float(stale_s)
         self._rlock = threading.RLock()
         self._depth = 0
         self._fd: int | None = None
@@ -165,11 +153,7 @@ class RepoLock:
             self._depth += 1
             return self
         try:
-            self._fd = (
-                self._acquire_flock(deadline_s)
-                if _HAVE_FCNTL
-                else self._acquire_exclusive(deadline_s)
-            )
+            self._fd = self._acquire_flock(deadline_s)
             self._write_holder(self._fd)
             self._depth = 1
         except BaseException:
@@ -190,11 +174,8 @@ class RepoLock:
                     # Clear the metadata before letting go: an empty lock
                     # file is the "released cleanly" marker doctor trusts.
                     os.ftruncate(fd, 0)
-                    if _HAVE_FCNTL:
-                        fcntl.flock(fd, fcntl.LOCK_UN)
+                    fcntl.flock(fd, fcntl.LOCK_UN)
                     os.close(fd)
-                if not _HAVE_FCNTL:  # pragma: no cover - windows fallback
-                    self.path.unlink(missing_ok=True)
         finally:
             self._rlock.release()
 
@@ -208,7 +189,7 @@ class RepoLock:
     def held(self) -> bool:
         return self._depth > 0
 
-    # -- backends -----------------------------------------------------------------
+    # -- flock --------------------------------------------------------------------
     def _open(self) -> int:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         return os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
@@ -233,35 +214,6 @@ class RepoLock:
         except BaseException:
             os.close(fd)
             raise
-
-    def _acquire_exclusive(self, deadline_s: float) -> int:  # pragma: no cover
-        """O_EXCL fallback for platforms without ``fcntl``.
-
-        The lock *file's existence* is the lock, so a crashed holder
-        leaves it behind; breaking (dead PID on this host, or metadata
-        past ``stale_s``) is what keeps the repository usable.
-        """
-        deadline = time.monotonic() + deadline_s
-        while True:
-            try:
-                return os.open(
-                    self.path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644
-                )
-            except FileExistsError:
-                holder = self.holder()
-                stale = holder is None or not holder.alive() or (
-                    holder.created
-                    and time.time() - holder.created > self.stale_s
-                )
-                if stale:
-                    self.path.unlink(missing_ok=True)
-                    continue
-                if time.monotonic() >= deadline:
-                    raise LockTimeout(
-                        f"lock {self.path} not acquired within {deadline_s:g}s"
-                        + (f"; held by {holder.describe()}" if holder else "")
-                    ) from None
-                time.sleep(self.poll_s)
 
 
 def ScopedLock(

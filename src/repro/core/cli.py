@@ -934,7 +934,7 @@ def _cmd_perf(args) -> int:
     """``popper perf <rev1> [rev2]``: detector verdicts between commits.
 
     Loads the commit-attached profiles of both revisions from
-    ``.pvcs/profiles/``, runs the four-detector suite over every shared
+    ``.pvcs/profiles/``, runs the three-detector suite over every shared
     series, and prints the verdict table.  Exit status: 0 when no firm
     degradation, 1 when at least one detector is certain, 2 on usage
     errors (unknown revision, missing profile).

@@ -26,11 +26,9 @@ in-flight tasks drain and checkpoint, then the run raises
 :class:`~repro.engine.shutdown.RunCancelled`.
 
 Cross-run memoization (see ``docs/caching.md``) rides on the same
-bundle: a payload implementing
-:class:`~repro.engine.cache.CacheAwarePayload` (usually via
-:class:`~repro.engine.cache.MemoizedPayload`) is consulted against
-``RunOptions.artifact_store`` before executing; a hit materializes the
-stored outputs and completes the task as
+bundle: a :class:`~repro.engine.cache.MemoizedPayload` is consulted
+against ``RunOptions.artifact_store`` before executing; a hit
+materializes the stored outputs and completes the task as
 :attr:`~repro.engine.graph.TaskState.CACHED`.
 """
 
@@ -58,7 +56,7 @@ __all__, __getattr__ = lazy_exports(
         "procsched": ("ProcessScheduler", "audit_pickle_safety"),
         "resilience": ("RetryPolicy", "NO_RETRY", "call_with_timeout"),
         "faults": ("FaultPlan", "FaultSpec"),
-        "cache": ("CacheAwarePayload", "MemoizedPayload"),
+        "cache": ("MemoizedPayload",),
         "runstate": ("RUN_STATE_FILE", "RunStateStore", "task_fingerprint"),
         "shutdown": (
             "EXIT_SIGINT",

@@ -1,16 +1,15 @@
 """Cross-run memoization: the engine side of the artifact store.
 
-A payload that implements :class:`CacheAwarePayload` tells the scheduler
-how to skip itself: what its cache key is, which files it produces,
-where they live, and how to rebuild its Python value from the recorded
-metadata once those files are back on disk.  Before executing such a
-task the scheduler consults the run's
-:class:`~repro.store.ArtifactStore`; a fingerprint hit materializes the
-outputs from the content pool (a copy) and completes the task
-as :attr:`~repro.engine.graph.TaskState.CACHED`, journaling a ``cache``
-event with the bytes it did not have to recompute.  A miss executes the
-payload normally and then files the produced outputs, so the *next* run
-hits.
+A :class:`MemoizedPayload` tells the scheduler how to skip itself:
+what its cache key is, which files it produces, where they live, and
+how to rebuild its Python value from the recorded metadata once those
+files are back on disk.  Before executing such a task the scheduler
+consults the run's :class:`~repro.store.ArtifactStore`; a fingerprint
+hit materializes the outputs from the content pool (a copy) and
+completes the task as :attr:`~repro.engine.graph.TaskState.CACHED`,
+journaling a ``cache`` event with the bytes it did not have to
+recompute.  A miss executes the payload normally and then files the
+produced outputs, so the *next* run hits.
 
 This is what turns ``--resume`` from same-run checkpointing into
 cross-run memoization: the run-state file still short-circuits within
@@ -18,25 +17,28 @@ one interrupted sweep, while the artifact index short-circuits across
 fresh runs, branches and checkouts — as long as the fingerprint (task
 identity + parameter hash) matches, the stored artifact stands in for
 the re-execution.
-
-:class:`MemoizedPayload` is the concrete wrapper most call sites use; a
-payload may also implement the protocol itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Mapping
 
 from repro.common.errors import EngineError
 
-__all__ = ["CacheAwarePayload", "MemoizedPayload"]
+__all__ = ["MemoizedPayload"]
 
 
-@runtime_checkable
-class CacheAwarePayload(Protocol):
-    """What a payload must answer for the scheduler to memoize it.
+@dataclass
+class MemoizedPayload:
+    """A plain payload plus what the scheduler needs to memoize it.
+
+    ``outputs`` maps the task's value to the files it produced (these
+    are what get content-addressed); ``restore`` rebuilds the value from
+    the recorded metadata on a hit (defaulting to the metadata itself);
+    ``meta`` extracts the metadata to persist (defaulting to ``{}``;
+    return ``None`` to veto caching for this particular value).
 
     The scheduler calls, in order:
 
@@ -46,40 +48,6 @@ class CacheAwarePayload(Protocol):
     * on the *miss* path: the payload executes normally, then
       :meth:`cache_meta` (``None`` vetoes caching — e.g. a run whose
       validations failed) and :meth:`cache_outputs` name what to file.
-    """
-
-    def __call__(self, ctx: Any) -> Any: ...
-
-    def cache_key(self) -> str:
-        """The task fingerprint this payload memoizes under."""
-        ...
-
-    def cache_root(self) -> Path:
-        """Directory output paths are recorded relative to."""
-        ...
-
-    def cache_outputs(self, value: Any) -> Mapping[str, Path]:
-        """Logical name → produced file, evaluated after execution."""
-        ...
-
-    def cache_meta(self, value: Any) -> dict | None:
-        """JSON metadata persisted with the record; ``None`` = don't cache."""
-        ...
-
-    def cache_restore(self, meta: dict) -> Any:
-        """Rebuild the task's value after outputs are materialized."""
-        ...
-
-
-@dataclass
-class MemoizedPayload:
-    """A plain payload plus the answers the cache protocol needs.
-
-    ``outputs`` maps the task's value to the files it produced (these
-    are what get content-addressed); ``restore`` rebuilds the value from
-    the recorded metadata on a hit (defaulting to the metadata itself);
-    ``meta`` extracts the metadata to persist (defaulting to ``{}``;
-    return ``None`` to veto caching for this particular value).
     """
 
     fn: Callable[[Any], Any]

@@ -22,10 +22,6 @@ The spec grammar is a comma-separated list of clauses::
 ``host/*``).  Counters are per-plan and per-task, guarded by a lock so
 the threaded scheduler sees the same deterministic sequence as the
 serial one.
-
-For host-level chaos, :class:`repro.orchestration.connection.FlakyConnection`
-wraps a live connection behind N unreachable attempts; see
-``docs/robustness.md``.
 """
 
 from __future__ import annotations

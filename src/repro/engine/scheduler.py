@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.common.errors import EngineError
-from repro.engine.cache import CacheAwarePayload
+from repro.engine.cache import MemoizedPayload
 from repro.engine.faults import FaultPlan
 from repro.engine.graph import (
     GraphResult,
@@ -89,9 +89,8 @@ class RunOptions:
       ``fingerprint`` are checkpointed into it and, on resume, restored
       from it instead of re-executing;
     * ``artifact_store`` — an :class:`~repro.store.ArtifactStore`; tasks
-      whose payload implements
-      :class:`~repro.engine.cache.CacheAwarePayload` consult its
-      artifact index before executing, and a fingerprint hit
+      whose payload is a :class:`~repro.engine.cache.MemoizedPayload`
+      consult its artifact index before executing, and a fingerprint hit
       materializes the recorded outputs instead of running the payload
       (cross-run memoization; the task completes as ``CACHED``);
     * ``cancel`` — a :class:`~repro.engine.shutdown.CancelToken`; the
@@ -327,7 +326,7 @@ class Scheduler:
         """
         store = options.artifact_store
         payload = task.payload
-        if store is None or not isinstance(payload, CacheAwarePayload):
+        if store is None or not isinstance(payload, MemoizedPayload):
             return None
         started = time.perf_counter()
         try:
@@ -371,7 +370,7 @@ class Scheduler:
             store is None
             or outcome.state is not TaskState.OK
             or outcome.restored
-            or not isinstance(payload, CacheAwarePayload)
+            or not isinstance(payload, MemoizedPayload)
         ):
             return
         try:

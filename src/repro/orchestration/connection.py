@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import Any
 
-import threading
-
 from repro.common.errors import OrchestrationError, UnreachableHostError
 from repro.container.image import Image, scratch
 from repro.container.runtime import BinaryRegistry, Container, ExecResult
 
-__all__ = ["ContainerConnection", "UnreachableConnection", "FlakyConnection"]
+__all__ = ["ContainerConnection", "UnreachableConnection"]
 
 
 class ContainerConnection:
@@ -109,51 +107,3 @@ class UnreachableConnection:
 
     def facts(self) -> dict[str, Any]:
         raise UnreachableHostError(f"{self.name}: host unreachable")
-
-
-class FlakyConnection:
-    """A connection that is unreachable for its first N operations.
-
-    The host-level analog of the engine's ``flaky`` fault clause: any
-    operation (``run``, ``facts``, file transfer) raises
-    :class:`~repro.common.errors.UnreachableHostError` until
-    ``fail_attempts`` operations have been tried, then every call
-    delegates to *inner*.  Deterministic, so playbook retry behavior is
-    testable without real network flakiness.
-    """
-
-    def __init__(self, inner: Any, fail_attempts: int = 1) -> None:
-        self.inner = inner
-        self.fail_attempts = int(fail_attempts)
-        self.name = getattr(inner, "name", "flaky")
-        self._attempts = 0
-        self._lock = threading.Lock()
-
-    def _maybe_fail(self) -> None:
-        with self._lock:
-            self._attempts += 1
-            if self._attempts <= self.fail_attempts:
-                raise UnreachableHostError(
-                    f"{self.name}: host unreachable "
-                    f"(attempt {self._attempts} of {self.fail_attempts} doomed)"
-                )
-
-    def run(self, command: str) -> ExecResult:
-        self._maybe_fail()
-        return self.inner.run(command)
-
-    def put_file(self, path: str, data: bytes) -> None:
-        self._maybe_fail()
-        self.inner.put_file(path, data)
-
-    def fetch_file(self, path: str) -> bytes:
-        self._maybe_fail()
-        return self.inner.fetch_file(path)
-
-    def file_exists(self, path: str) -> bool:
-        self._maybe_fail()
-        return self.inner.file_exists(path)
-
-    def facts(self) -> dict[str, Any]:
-        self._maybe_fail()
-        return self.inner.facts()

@@ -187,10 +187,8 @@ def _temp(path: Path, now: float, tmp_age_s: float) -> Finding | None:
 def _lock(path: Path) -> Finding | None:
     """A lock file whose recorded holder is dead: stale metadata.
 
-    With flock the kernel already released the lock — the metadata is
-    cosmetic but misleading ("held by pid N" for a pid that no longer
-    exists); in the O_EXCL fallback the file itself wedges writers, so
-    clearing it is load-bearing.
+    The kernel already released the flock — the metadata is cosmetic
+    but misleading ("held by pid N" for a pid that no longer exists).
     """
     try:
         text = path.read_text(encoding="utf-8")

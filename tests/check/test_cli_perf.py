@@ -57,9 +57,8 @@ class TestPopperPerf:
         out = capsys.readouterr().out
         assert code == 1
         assert "DEGRADATION in 1 metric(s): one/results/runtime_s" in out
-        # all four detectors appear in the table
-        for name in ("average-amount", "best-model", "integral",
-                     "exclusive-time-outliers"):
+        # all three detectors appear in the table
+        for name in ("average-amount", "integral", "exclusive-time-outliers"):
             assert name in out
 
     def test_all_verdicts_shows_quiet_rows(self, repo, capsys):

@@ -1,12 +1,10 @@
 """Each detector judged on synthetic degrading / noisy / improving
 histories — the acceptance criterion for the ``repro.check`` suite."""
 
-import numpy as np
 import pytest
 
 from repro.check.detectors import (
     AverageAmountDetector,
-    BestModelDetector,
     Degradation,
     Detector,
     ExclusiveTimeOutliersDetector,
@@ -26,7 +24,6 @@ def noisy(mean, n=12, cov=0.03, label="x"):
 
 DETECTORS = [
     AverageAmountDetector,
-    BestModelDetector,
     IntegralDetector,
     ExclusiveTimeOutliersDetector,
 ]
@@ -136,23 +133,6 @@ class TestAverageAmount:
             AverageAmountDetector(alpha=2.0)
 
 
-class TestBestModel:
-    def test_reports_model_kinds(self):
-        verdict = BestModelDetector().detect(
-            noisy(10.0, label="k1"), noisy(10.0, label="k2")
-        )
-        assert verdict.confidence_kind == "r_squared"
-        assert "->" in verdict.detail
-
-    def test_flat_series_turning_linear_is_flagged(self):
-        """A shape change heading upward is at least a maybe, even when
-        the medians still overlap."""
-        baseline = noisy(10.0, n=16, label="flat")
-        drift = 10.0 + 0.35 * np.arange(16) + noisy(0.001, n=16, label="eps")
-        verdict = BestModelDetector(threshold=0.10).detect(baseline, drift)
-        assert verdict.suspicious
-
-
 class TestIntegral:
     def test_confidence_scales_with_effect(self):
         det = IntegralDetector(threshold=0.10)
@@ -217,11 +197,10 @@ class TestDegradationVerdict:
         assert not clean.regressed and not clean.suspicious
 
 
-def test_default_detectors_is_the_four_battery():
+def test_default_detectors_is_the_three_battery():
     battery = default_detectors(threshold=0.2)
     assert [d.name for d in battery] == [
         "average-amount",
-        "best-model",
         "integral",
         "exclusive-time-outliers",
     ]

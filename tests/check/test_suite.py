@@ -21,6 +21,19 @@ def test_compare_samples_runs_every_detector():
     assert DetectorSuite.regressed(verdicts)
 
 
+def test_flat_series_turning_linear_is_firm():
+    """A flat stage that starts growing along the run: the drift moves
+    the mean by about a quarter, so every detector is certain."""
+    suite = default_suite(threshold=0.10)
+    baseline = noisy(10, n=16, label="flat")
+    eps = noisy(0.001, n=16, label="eps")
+    drift = [10.0 + 0.35 * i + e for i, e in enumerate(eps)]
+    verdicts = suite.compare_samples(baseline, drift)
+    assert [v.detector for v in verdicts if v.regressed] == [
+        d.name for d in suite.detectors
+    ]
+
+
 def test_short_samples_become_unknown_not_an_exception():
     verdicts = default_suite().compare_samples([1.0], [2.0], metric="tiny")
     assert all(v.change is PerformanceChange.UNKNOWN for v in verdicts)

@@ -1,10 +1,9 @@
-"""Tests for cross-run memoization: CacheAwarePayload + the schedulers."""
+"""Tests for cross-run memoization: MemoizedPayload + the schedulers."""
 
 import pytest
 
 from repro.common.errors import EngineError
 from repro.engine import (
-    CacheAwarePayload,
     MemoizedPayload,
     RunOptions,
     SerialScheduler,
@@ -68,12 +67,6 @@ class TestMemoizedPayload:
                 fn=lambda ctx: None, key="", root=workdir, outputs=lambda v: {}
             )
 
-    def test_satisfies_protocol(self, workdir):
-        payload = counting_payload(workdir, [])
-        assert isinstance(payload, CacheAwarePayload)
-        # A plain function is not cache-aware: the scheduler skips it.
-        assert not isinstance(lambda ctx: None, CacheAwarePayload)
-
     def test_default_restore_returns_meta(self, workdir):
         payload = MemoizedPayload(
             fn=lambda ctx: None, key=KEY, root=workdir, outputs=lambda v: {}
@@ -109,6 +102,20 @@ class TestSchedulerMemoization:
         recap = scheduler.run(graph_with(other), options=options)
         assert recap.outcome("work").state is TaskState.OK
         assert runs == [1, 1]
+
+    def test_plain_callable_skips_the_store(self, scheduler, store, workdir):
+        """Only a MemoizedPayload is looked up or filed; a plain callable
+        runs every time and leaves the store untouched."""
+        runs, looked_up = [], []
+        options = RunOptions(artifact_store=store)
+        plain = counting_payload(workdir, runs).fn
+        store.lookup = looked_up.append
+        for _ in range(2):
+            recap = scheduler.run(graph_with(plain), options=options)
+            assert recap.outcome("work").state is TaskState.OK
+        assert runs == [1, 1]
+        assert looked_up == []
+        assert list(store.index.entries()) == []
 
     def test_no_store_always_executes(self, scheduler, workdir):
         runs = []
