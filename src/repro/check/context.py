@@ -14,7 +14,7 @@ The detectors, and numpy with them, are imported only when a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aver.ast import Column, String
 from repro.common.errors import AverEvalError
@@ -31,12 +31,15 @@ class RegressionContext:
     """Run-scoped state behind ``no_regression(metric)``.
 
     *baseline* is the pooled profile of prior commits (None when the
-    history is empty — first run ever, or a fresh clone); *experiment*
-    scopes series-key resolution.  With no baseline every
-    ``no_regression`` assertion passes vacuously — a repository's first
-    profiled run cannot regress against anything — and the vacuous pass
-    is recorded in :attr:`notes` so reports can say so.  Without a
-    *suite*, the first comparison builds ``default_suite()``.
+    history is empty — first run ever, or a fresh clone), or a
+    zero-argument callable that returns it: the first ``no_regression``
+    evaluation calls it, once, so validations that never ask read no
+    history.  *experiment* scopes series-key resolution.  With no
+    baseline every ``no_regression`` assertion passes vacuously — a
+    repository's first profiled run cannot regress against anything —
+    and the vacuous pass is recorded in :attr:`notes` so reports can say
+    so.  Without a *suite*, the first comparison builds
+    ``default_suite()``.
 
     After evaluation, :attr:`verdicts` holds every detector verdict the
     assertions triggered, for journaling alongside the pass/fail.
@@ -44,15 +47,22 @@ class RegressionContext:
 
     def __init__(
         self,
-        baseline: "Profile | None",
+        baseline: "Profile | Callable[[], Profile | None] | None",
         suite: "DetectorSuite | None" = None,
         experiment: str | None = None,
     ) -> None:
-        self.baseline = baseline
+        self._baseline = baseline
         self.suite = suite
         self.experiment = experiment
         self.verdicts: list[Degradation] = []
         self.notes: list[str] = []
+
+    @property
+    def baseline(self) -> "Profile | None":
+        """The pooled baseline, resolved on first use."""
+        if callable(self._baseline):
+            self._baseline = self._baseline()
+        return self._baseline
 
     def functions(self):
         """The contextual-function mapping for the Aver evaluator."""

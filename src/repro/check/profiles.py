@@ -120,6 +120,26 @@ class Profile:
         return cls(commit=commit, series=series, meta=meta)
 
 
+def _same_samples(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Equal sample lists, where NaN (a missing result cell) equals NaN."""
+    return a == b or (
+        len(a) == len(b)
+        and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+    )
+
+
+def _holds(
+    held: Mapping[str, Sequence[float]], series: Mapping[str, Sequence[float]]
+) -> bool:
+    """True when *held* has every series of *series*, each with the same
+    samples in the same order."""
+    for key, values in series.items():
+        other = held.get(key)
+        if not isinstance(other, list) or not _same_samples(other, values):
+            return False
+    return True
+
+
 def harvest_profile(
     commit: str,
     store: "MetricStore | None" = None,
@@ -172,6 +192,11 @@ class ProfileHistory:
     A crash can tear only the last line of a ledger or the index;
     readers skip it and ``popper doctor`` truncates it.  Any other
     undecodable line raises :class:`CheckError`.
+
+    Each stored sample list counts once.  A cache replay checks
+    :meth:`holds` and attaches nothing when the commit has its samples
+    already, and :meth:`get` skips a line that an earlier one holds
+    (copies appended before replays checked, or by two replays racing).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -184,7 +209,8 @@ class ProfileHistory:
         """Append *profile* to its commit's ledger; return the ledger path.
 
         Reads nothing: :meth:`get` folds the ledger lines back into one
-        profile, so re-profiling a commit still merges its samples.
+        profile, so a cold re-run at a commit adds its samples.  A
+        replay asks :meth:`holds` first.
         """
         path = self._ledger_for(profile.commit)
         line = json.dumps(profile.to_json(), sort_keys=True, separators=(",", ":"))
@@ -207,13 +233,44 @@ class ProfileHistory:
         return path
 
     # -- read --------------------------------------------------------------------
+    def holds(self, profile: Profile) -> bool:
+        """True when one line of *profile*'s commit ledger has every
+        series of *profile*, each with the same samples in the same order.
+
+        The check a cache replay makes before it attaches.  It decodes
+        only the lines that contain every series' JSON text as
+        :meth:`attach` writes it; a line that does not decode (a crash's
+        torn tail) holds nothing.
+        """
+        series = profile.to_json()["series"]
+        needles = [
+            json.dumps({key: values}, separators=(",", ":"))[1:-1].encode("ascii")
+            for key, values in series.items()
+        ]
+        try:
+            text = self._ledger_for(profile.commit).read_bytes()
+        except FileNotFoundError:
+            return False
+        for line in text.split(b"\n"):
+            if not all(needle in line for needle in needles):
+                continue
+            try:
+                held = json.loads(line).get("series")
+            except (ValueError, AttributeError):
+                continue
+            if isinstance(held, dict) and _holds(held, series):
+                return True
+        return False
+
     def get(self, commit: str) -> Profile | None:
         """The profile attached to *commit*, or None.
 
         Folds the legacy ``<commit>.json``, if any, and then every ledger
         line, in attach order, into one profile: shared series
         concatenate and later metadata wins, as :meth:`Profile.merged`
-        would, in one pass.
+        would, in one pass.  A line that an earlier line (or the legacy
+        document) holds, by the rule of :meth:`holds`, is skipped whole:
+        its samples are already counted.
         """
         legacy = self._path_for(commit)
         ledger = self._ledger_for(commit)
@@ -228,8 +285,12 @@ class ProfileHistory:
             return None
         series: dict[str, list[float]] = {}
         meta: dict[str, object] = {}
+        counted: list[dict[str, list[float]]] = []
         for payload in payloads:
             run = Profile.from_json(payload)
+            if any(_holds(earlier, run.series) for earlier in counted):
+                continue
+            counted.append(run.series)
             for key, values in run.series.items():
                 series.setdefault(key, []).extend(values)
             meta.update(run.meta)

@@ -36,6 +36,7 @@ and a critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.aver.evaluator import ValidationResult, check_all
@@ -253,7 +254,8 @@ class ExperimentPipeline:
         repository's profile history, so ``expect
         no_regression(metric)`` judges the current results against the
         pooled baseline of prior commits (vacuously passing on a history
-        with no baseline yet).
+        with no baseline yet).  That baseline is read only when a
+        statement calls ``no_regression``.
         """
         path = self.directory / "validations.aver"
         if not path.is_file():
@@ -264,20 +266,36 @@ class ExperimentPipeline:
         return check_all(path.read_text(encoding="utf-8"), table, context=functions)
 
     def _regression_context(self):
-        """Bind ``no_regression`` to the prior commits' pooled profiles."""
+        """Bind ``no_regression`` to the prior commits' pooled profiles.
+
+        Building it reads nothing but HEAD: the first-parent history and
+        the pooled baseline are resolved on the first ``no_regression``
+        evaluation, once per validation.  Without a HEAD commit there is
+        no context, and the stateless ``no_regression`` says it needs
+        one.  The resolver holds the repository, not the pipeline: the
+        pipeline keeps the context, and a cycle between them would keep
+        every finished pipeline alive until the garbage collector runs.
+        """
         from repro.check.context import RegressionContext
 
-        try:
-            head = self.repo.vcs.head_commit()
-        except Exception:
-            return None
+        head = self._head
         if head is None:
             return None
-        prior = [
-            entry.oid for entry in self.repo.vcs.log("HEAD") if entry.oid != head
-        ]
-        baseline = self.repo.profile_history.baseline_for(list(reversed(prior)))
-        return RegressionContext(baseline, experiment=self.experiment)
+        vcs, history = self.repo.vcs, self.repo.profile_history
+
+        def prior_baseline():
+            prior = [entry.oid for entry in vcs.log("HEAD") if entry.oid != head]
+            return history.baseline_for(list(reversed(prior)))
+
+        return RegressionContext(prior_baseline, experiment=self.experiment)
+
+    @cached_property
+    def _head(self) -> str | None:
+        """HEAD's commit id, resolved once per pipeline (None if unborn)."""
+        try:
+            return self.repo.vcs.head_commit()
+        except Exception:
+            return None
 
     # -- the whole pipeline -------------------------------------------------------------
     def run(self, strict: bool = False, resume: bool = False) -> ExperimentResult:
@@ -608,23 +626,23 @@ class ExperimentPipeline:
             )
         return result
 
-    def _attach_profile(self, result: ExperimentResult, journal) -> None:
+    def _attach_profile(
+        self, result: ExperimentResult, journal, replay: bool = False
+    ) -> None:
         """Attach this run's performance profile to the HEAD commit.
 
         Harvests stage timings from the metric store and numeric result
         columns from the results table (keys
         ``<experiment>/stage/<stage>`` and ``<experiment>/results/<col>``
-        — the keys ``no_regression`` and ``popper perf`` resolve).
-        Attachment failures are journaled, not raised: a completed run
-        is worth more than its profile.
+        — the keys ``no_regression`` and ``popper perf`` resolve).  A
+        *replay* attaches nothing when HEAD's ledger already holds its
+        samples.  Attachment failures are journaled, not raised: a
+        completed run is worth more than its profile.
         """
         from repro.check.profiles import harvest_profile
         from repro.common.errors import ReproError
 
-        try:
-            head = self.repo.vcs.head_commit()
-        except Exception:
-            return
+        head = self._head
         if head is None:
             return
         try:
@@ -642,7 +660,10 @@ class ExperimentPipeline:
                 profile.series.setdefault(key, []).extend(
                     float(v) for v in values
                 )
-            path = self.repo.profile_history.attach(profile)
+            history = self.repo.profile_history
+            if replay and history.holds(profile):
+                return
+            path = history.attach(profile)
             if journal is not None:
                 journal.event(
                     "profile_attached",
@@ -661,13 +682,18 @@ class ExperimentPipeline:
         hit or ``--validate-only`` after an edit to ``validations.aver``
         never leaves the old verdict on disk.
 
-        A validated result still attaches its result-column series to
-        HEAD: cache-restored runs (the common case for commits that do
-        not touch ``vars.yml``) are byte-identical replays, so their
-        results are a legitimate performance claim for the new commit —
-        without this, only cache-miss commits would ever be profiled
-        and ``popper perf`` would have nothing to compare.  Stage
-        timings are not harvested here (nothing was timed).
+        This is the path of every whole-experiment cache hit.  A replay
+        re-runs nothing, so it adds no sample HEAD already holds: when
+        one line of HEAD's profile ledger has every result-column series
+        of the replay, sample for sample, it attaches nothing, and a
+        warm sweep at a commit that has run before makes no durable
+        write.  Otherwise a validated result attaches its result-column
+        series to HEAD once: cache-restored runs (the common case for
+        commits that do not touch ``vars.yml``) are byte-identical
+        replays, so their results are a legitimate performance claim for
+        a new commit — without this, only cache-miss commits would ever
+        be profiled and ``popper perf`` would have nothing to compare.
+        Stage timings are not harvested here (nothing was timed).
         """
         path = self.directory / "results.csv"
         if not path.is_file():
@@ -681,7 +707,7 @@ class ExperimentPipeline:
         )
         self._write_report(result)
         if result.validated:
-            self._attach_profile(result, None)
+            self._attach_profile(result, None, replay=True)
         return result
 
     def _write_report(self, result: ExperimentResult) -> None:

@@ -51,11 +51,6 @@ class ModelFit:
         design = _design(self.kind, x)
         return design @ np.asarray(self.coefficients, dtype=np.float64)
 
-    @property
-    def complexity(self) -> int:
-        """Position in :data:`MODEL_KINDS` (simpler models rank lower)."""
-        return MODEL_KINDS.index(self.kind)
-
 
 def fit_model(x: np.ndarray | list[float], y: np.ndarray | list[float], kind: str) -> ModelFit:
     """Least-squares fit of one model *kind* over ``(x, y)``."""

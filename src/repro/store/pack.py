@@ -106,19 +106,40 @@ class PackedObject:
 
 
 def _affix_split(base: bytes, data: bytes) -> tuple[int, int, bytes]:
-    """Longest shared prefix/suffix of *data* against *base*."""
+    """Longest shared prefix/suffix of *data* against *base*.
+
+    The suffix is sought only in what the prefix leaves of the shorter
+    input, so the two never overlap.  Each length is searched over slice
+    comparisons, which run in C: "the first (last) n bytes agree" holds
+    for every n up to the answer and for none beyond it.
+    """
     limit = min(len(base), len(data))
-    prefix = 0
-    while prefix < limit and base[prefix] == data[prefix]:
-        prefix += 1
-    suffix = 0
-    rest = limit - prefix
-    while (
-        suffix < rest
-        and base[len(base) - 1 - suffix] == data[len(data) - 1 - suffix]
-    ):
-        suffix += 1
+    prefix = _longest(lambda n: base[:n] == data[:n], limit)
+    suffix = _longest(
+        lambda n: base[len(base) - n :] == data[len(data) - n :], limit - prefix
+    )
     return prefix, suffix, data[prefix : len(data) - suffix]
+
+
+def _longest(agree, limit: int) -> int:
+    """The largest ``n <= limit`` with ``agree(n)``, for a predicate
+    that holds from 0 up to its answer and fails beyond it.
+
+    Probes 1, 2, 4, ... until one fails, then bisects the last step, so
+    a short answer costs a few short comparisons."""
+    low, high, probe = 0, limit, 1
+    while probe <= limit:
+        if not agree(probe):
+            high = probe - 1
+            break
+        low, probe = probe, probe * 2
+    while low < high:
+        mid = (low + high + 1) // 2
+        if agree(mid):
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def _encode_payload(

@@ -218,3 +218,75 @@ class TestProfileHistory:
         assert history.baseline_for(["c0", "c1"]) is None
         with pytest.raises(CheckError):
             history.baseline_for(["c0"], window=0)
+
+
+class TestEachSampleListCountsOnce:
+    """A cache replay re-attaches result columns a commit already holds;
+    ``holds`` lets the replay skip the append, and ``get`` skips copies
+    that ledgers written before that check already carry."""
+
+    COLD = {"e/stage/run": [0.5], "e/results/t": [1.0, 2.0], "e/results/n": [3.0]}
+    REPLAY = {"e/results/t": [1.0, 2.0], "e/results/n": [3.0]}
+
+    def test_cold_line_and_three_replay_copies_read_as_the_cold_line(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series=self.COLD, meta={"run": "cold"}))
+        for copy in range(3):
+            history.attach(Profile("c1", series=self.REPLAY, meta={"run": copy}))
+        assert len(history._ledger_for("c1").read_text().splitlines()) == 4
+        assert history.require("c1") == Profile(
+            "c1", series=self.COLD, meta={"run": "cold"}
+        )
+
+    def test_a_line_with_new_samples_still_counts(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series=self.COLD))
+        history.attach(Profile("c1", series={"e/results/t": [2.0, 1.0]}))
+        history.attach(Profile("c1", series={**self.REPLAY, "e/results/x": [9.0]}))
+        assert history.require("c1").series == {
+            "e/stage/run": [0.5],
+            "e/results/t": [1.0, 2.0, 2.0, 1.0, 1.0, 2.0],
+            "e/results/n": [3.0, 3.0],
+            "e/results/x": [9.0],
+        }
+
+    def test_a_copy_of_the_legacy_document_is_skipped(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.dir.mkdir()
+        history._path_for("c1").write_text(
+            json.dumps(Profile("c1", series=self.COLD).to_json(), indent=2),
+            encoding="utf-8",
+        )
+        history.attach(Profile("c1", series=self.REPLAY))
+        assert history.require("c1").series == self.COLD
+
+    def test_holds_needs_one_line_with_every_series(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        assert not history.holds(Profile("c1", series=self.REPLAY))
+        history.attach(Profile("c1", series={"e/results/t": [1.0, 2.0]}))
+        history.attach(Profile("c1", series={"e/results/n": [3.0]}))
+        # Each series is on some line, but no one line has both.
+        assert not history.holds(Profile("c1", series=self.REPLAY))
+        history.attach(Profile("c1", series=self.COLD))
+        assert history.holds(Profile("c1", series=self.REPLAY))
+        assert history.holds(Profile("c1", series={"e/results/t": [1, 2]}))
+        assert not history.holds(Profile("c1", series={"e/results/t": [2.0, 1.0]}))
+        assert not history.holds(Profile("c1", series={"e/results/t": [1.0]}))
+        assert not history.holds(Profile("c2", series=self.REPLAY))
+
+    def test_missing_cells_match_as_nan(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        series = {"e/results/t": [1.0, float("nan")]}
+        history.attach(Profile("c1", series=series))
+        assert history.holds(Profile("c1", series=series))
+        history.attach(Profile("c1", series=series))
+        assert len(history.require("c1").series["e/results/t"]) == 2
+
+    def test_a_torn_line_holds_nothing(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series=self.COLD))
+        ledger = history._ledger_for("c1")
+        line = ledger.read_text(encoding="utf-8")
+        # Cut after the series text: every needle is there, the JSON is not.
+        ledger.write_text(line[: line.index('"version"')], encoding="utf-8")
+        assert not history.holds(Profile("c1", series=self.REPLAY))

@@ -5,6 +5,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.check.smoke
 import repro.fuzz
@@ -17,6 +19,7 @@ from repro.store.doctor import diagnose, repair
 from repro.store.pack import (
     PackError,
     PackReader,
+    _affix_split,
     pack_name,
     rebuild_index,
     write_pack,
@@ -92,6 +95,47 @@ class TestPackFormat:
         with pytest.raises(PackError):
             rebuild_index(pack)
         assert sorted(PackReader(idx).verify()) == sorted(blobs)
+
+
+def loop_affix_split(base, data):
+    """The byte-at-a-time loop ``_affix_split`` replaced: the reference."""
+    limit = min(len(base), len(data))
+    prefix = 0
+    while prefix < limit and base[prefix] == data[prefix]:
+        prefix += 1
+    suffix = 0
+    rest = limit - prefix
+    while (
+        suffix < rest
+        and base[len(base) - 1 - suffix] == data[len(data) - 1 - suffix]
+    ):
+        suffix += 1
+    return prefix, suffix, data[prefix : len(data) - suffix]
+
+
+#: Chunks over a three-byte alphabet, so the inputs share affixes by
+#: construction and agree by accident at the seams.
+chunks = st.binary(max_size=48).map(lambda raw: bytes(b % 3 for b in raw))
+
+
+class TestAffixSplit:
+    @settings(max_examples=500, deadline=None)
+    @given(chunks, chunks, chunks, chunks)
+    def test_matches_the_byte_loop(self, head, base_mid, data_mid, tail):
+        base, data = head + base_mid + tail, head + data_mid + tail
+        assert _affix_split(base, data) == loop_affix_split(base, data)
+        assert _affix_split(data, base) == loop_affix_split(data, base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64), st.binary(max_size=64))
+    def test_matches_the_byte_loop_on_unrelated_inputs(self, base, data):
+        assert _affix_split(base, data) == loop_affix_split(base, data)
+
+    def test_identical_and_empty_inputs(self):
+        blob = b"abcabc" * 100
+        assert _affix_split(blob, blob) == (len(blob), 0, b"")
+        assert _affix_split(b"", blob) == (0, 0, blob)
+        assert _affix_split(blob, b"") == (0, 0, b"")
 
 
 class TestStoreTransparency:
