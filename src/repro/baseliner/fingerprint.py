@@ -83,9 +83,6 @@ class SpeedupProfile:
     target: str
     speedups: tuple[tuple[str, float], ...]
 
-    def speedups_dict(self) -> dict[str, float]:
-        return dict(self.speedups)
-
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.speedups], dtype=np.float64)
 

@@ -1,24 +1,28 @@
 """The CI service: builds, jobs, steps and build history.
 
 A :class:`CIServer` watches a :class:`~repro.vcs.Repository`; triggering a
-build checks out the commit into per-job scratch workspaces, parses the
-repo's ``.travis.yml``, expands the env matrix into jobs, and runs each
-job's steps through a command executor (a container by default).  Build
-records accumulate into a history that answers "is this repository
-currently passing?" — the integrity half of the paper's
-automated-validation story.
+build parses the repo's ``.travis.yml``, expands the env matrix into jobs,
+and runs each job's steps in its own scratch checkout through a command
+executor (a container by default).  Build records accumulate into a
+history that answers "is this repository currently passing?" — the
+integrity half of the paper's automated-validation story.
 
-Matrix jobs are independent nodes of a :class:`~repro.engine.TaskGraph`:
-``CIServer(..., jobs=N)`` (the CLI's ``popper ci -j N``) schedules up to
-N of them concurrently through the shared execution engine; each job
-gets its own checkout and its own executor (via ``executor.clone()``
-when available) so concurrent jobs cannot observe each other's builds.
+Matrix jobs are independent nodes of a :class:`~repro.engine.TaskGraph`,
+scheduled by the rule ``popper run -j`` follows
+(:func:`~repro.engine.resolve_backend`): ``CIServer(..., jobs=1)`` (the
+CLI's ``popper ci``) runs them one after another in this process, and
+``jobs=N`` runs them on N worker processes of the supervised pool.  Each
+job is a picklable :class:`MatrixJob` that checks the commit out and runs
+its steps in whatever process runs it, so concurrent jobs share no
+stdout, environment or crash plan, as hosted CI runs each matrix job in
+its own VM.  A worker that dies mid-job fails that job alone.
 
 Every build is traced and journaled: the server opens a span per build
 (``ci/build/<n>``), per job and per step, and writes the events to a
 per-build JSONL journal artifact under ``.pvcs/ci-journals/`` so a
 failed CI run can be debugged after the fact (which check ran, how long,
-with what exit code) without re-triggering it.
+with what exit code) without re-triggering it.  A build is numbered one
+past the highest journal there, so no build overwrites another's.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from repro.ci.config import CIConfig
 from repro.engine import (
     RunOptions,
     RunStateStore,
-    SerialScheduler,
     TaskGraph,
-    ThreadedScheduler,
+    TaskOutcome,
+    resolve_backend,
     task_fingerprint,
 )
 from repro.monitor.journal import RunJournal
-from repro.monitor.tracing import Tracer
+from repro.monitor.tracing import Tracer, current_tracer
 from repro.vcs.repository import Repository
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "BuildRecord",
     "BuildStatus",
     "ContainerExecutor",
+    "MatrixJob",
     "CIServer",
 ]
 
@@ -87,6 +92,9 @@ class JobResult:
     #: True when the job was skipped because a previous build already
     #: passed it for the same commit and env (``popper ci --resume``).
     restored: bool = False
+    #: Why the job failed without a step to blame: its payload raised,
+    #: or its worker process died (the reason names the exit code).
+    error: str = ""
 
     @property
     def ok(self) -> bool:
@@ -114,14 +122,6 @@ class BuildRecord:
     def ok(self) -> bool:
         return self.status == BuildStatus.PASSED
 
-    @property
-    def perf_regressed(self) -> bool:
-        """Any firm degradation verdict among the perf comparisons."""
-        return any(
-            getattr(v, "change", None) is not None and v.regressed
-            for v in self.perf
-        )
-
 
 Executor = Callable[[str, dict[str, str], Path], ExecResult]
 
@@ -142,14 +142,6 @@ class ContainerExecutor:
         self.binaries = binaries
         self._container: Container | None = None
 
-    def clone(self) -> "ContainerExecutor":
-        """A fresh executor sharing config but no container state.
-
-        Concurrent matrix jobs each get their own clone, so one job's
-        container environment can never leak into another's.
-        """
-        return ContainerExecutor(image=self.image, binaries=self.binaries)
-
     def reset(self, workspace: Path) -> None:
         """Fresh container per job (CI's clean-environment guarantee)."""
         self._container = Container(
@@ -168,8 +160,95 @@ class ContainerExecutor:
         return self._container.run(command)
 
 
+@dataclass(frozen=True)
+class MatrixJob:
+    """One matrix job: the build graph's picklable task payload.
+
+    It checks *commit* of the repository at *repo_root* out into
+    *workspace* and runs the job's steps with *executor*, in whatever
+    process runs it: the CI server's at ``-j 1``, a pool worker's at
+    ``-j N``.  Its spans go to that process's ambient tracer.
+    """
+
+    repo_root: Path
+    commit: str
+    config: CIConfig
+    env: dict[str, str]
+    workspace: Path
+    executor: Executor | ContainerExecutor
+
+    def __call__(self, ctx) -> JobResult:
+        store = Repository(self.repo_root).store
+        rmtree_quiet(self.workspace)
+        self.workspace.mkdir(parents=True)
+        # One materialization path for every workspace: blobs come out
+        # of the shared content pool verified, and land atomically.
+        store.checkout_tree(store.get_commit(self.commit).tree, self.workspace)
+        return self._run_steps()
+
+    def _run_steps(self) -> JobResult:
+        """Run the job's phases in its workspace; a failing step ends them."""
+        config, executor = self.config, self.executor
+        tracer = current_tracer()
+        job = JobResult(env=self.env)
+        if hasattr(executor, "reset"):
+            executor.reset(self.workspace)
+
+        def run_step(phase: str, command: str) -> StepResult:
+            with tracer.span("ci/step", phase=phase, command=command) as span:
+                result = executor(command, self.env, self.workspace)
+                span.attributes["exit_code"] = result.exit_code
+            step = StepResult(
+                phase=phase,
+                command=command,
+                exit_code=result.exit_code,
+                stdout=result.stdout,
+                stderr=result.stderr,
+            )
+            job.steps.append(step)
+            return step
+
+        with tracer.span("ci/job", env=self.env) as job_span:
+            phases = [
+                ("install", config.install),
+                ("before_script", config.before_script),
+                ("script", config.script),
+            ]
+            failed = False
+            for phase, commands in phases:
+                if failed:
+                    break
+                for command in commands:
+                    if not run_step(phase, command).ok:
+                        failed = True
+                        break
+            tail = config.after_failure if failed else config.after_script
+            for command in tail:
+                run_step("after_failure" if failed else "after_script", command)
+            job.status = BuildStatus.FAILED if failed else BuildStatus.PASSED
+            job_span.attributes["status"] = job.status.value
+        return job
+
+
+def _job_result(outcome: TaskOutcome, env: dict[str, str]) -> JobResult:
+    """The build record's entry for one job task, whatever ended it."""
+    if outcome.ok:
+        return outcome.value
+    error = outcome.error
+    return JobResult(
+        env=env,
+        status=BuildStatus.FAILED,
+        error=f"{type(error).__name__}: {error}",
+    )
+
+
 class CIServer:
-    """A hosted-CI stand-in bound to one repository."""
+    """A hosted-CI stand-in bound to one repository.
+
+    *jobs* picks the scheduler as ``popper run -j`` does: 1 runs matrix
+    jobs serially in this process, N > 1 on N worker processes, clamped
+    to the core count with :attr:`warning` saying so.
+    """
 
     def __init__(
         self,
@@ -185,12 +264,21 @@ class CIServer:
         self.config_path = config_path
         self.workspace_root = workspace_root or (repo.root / ".pvcs" / "ci-workspaces")
         self.journal_root = journal_root or (repo.root / ".pvcs" / "ci-journals")
-        self.jobs = max(1, int(jobs))
+        self.scheduler, _workers, self.warning = resolve_backend(jobs)
         self.history: list[BuildRecord] = []
 
     def journal_path(self, number: int) -> Path:
         """The JSONL journal artifact for build *number*."""
         return Path(self.journal_root) / f"build-{number}.jsonl"
+
+    def _next_number(self) -> int:
+        """One past the highest build journaled under :attr:`journal_root`."""
+        numbers = [
+            int(path.stem[len("build-"):])
+            for path in Path(self.journal_root).glob("build-*.jsonl")
+            if path.stem[len("build-"):].isdigit()
+        ]
+        return max(numbers, default=0) + 1
 
     @property
     def state_path(self) -> Path:
@@ -209,7 +297,7 @@ class CIServer:
         failed their steps are never cached.
         """
         commit = self.repo.resolve(ref)
-        number = len(self.history) + 1
+        number = self._next_number()
         started = time.perf_counter()
         journal = RunJournal(self.journal_path(number))
         tracer = Tracer(journal=journal)
@@ -235,23 +323,9 @@ class CIServer:
         config = CIConfig.from_yaml(config_text)
 
         # Each matrix job is an independent graph node with its own
-        # checkout and executor; the engine runs up to self.jobs at once.
+        # checkout; the scheduler runs them serially or on the pool.
         envs = config.expand_matrix()
         build_root = Path(self.workspace_root) / f"build-{number}"
-
-        def job_task(env: dict[str, str], index: int):
-            def payload(ctx):
-                workspace = self._checkout(
-                    commit, build_root / f"job-{index}"
-                )
-                executor = (
-                    self.executor.clone()
-                    if hasattr(self.executor, "clone")
-                    else self.executor
-                )
-                return self._run_job(config, env, workspace, tracer, executor)
-
-            return payload
 
         def job_restore(env: dict[str, str]):
             def restore(detail: dict) -> JobResult:
@@ -265,7 +339,14 @@ class CIServer:
         for index, env in enumerate(envs, start=1):
             graph.add(
                 f"job-{index}",
-                job_task(env, index),
+                MatrixJob(
+                    repo_root=self.repo.root,
+                    commit=commit,
+                    config=config,
+                    env=env,
+                    workspace=build_root / f"job-{index}",
+                    executor=self.executor,
+                ),
                 # The fingerprint covers commit + expanded env: a new
                 # commit (or a matrix edit) invalidates every checkpoint.
                 fingerprint=task_fingerprint(
@@ -281,22 +362,20 @@ class CIServer:
                 ),
                 restore=job_restore(env),
             )
-        # Threads: the job payloads close over the live server (unpicklable).
-        scheduler = (
-            ThreadedScheduler(max_workers=self.jobs)
-            if self.jobs > 1
-            else SerialScheduler()
-        )
         try:
             with RunStateStore(self.state_path, resume=resume) as store:
                 options = RunOptions(run_state=store)
                 with tracer.span(f"ci/build/{number}", commit=commit, ref=ref):
-                    recap = scheduler.run(graph, tracer=tracer, options=options)
-            recap.raise_first_error()
+                    recap = self.scheduler.run(
+                        graph, tracer=tracer, options=options
+                    )
         finally:
             rmtree_quiet(build_root)
         # Matrix order, not completion order, for the build record.
-        jobs = [recap.value(f"job-{i}") for i in range(1, len(envs) + 1)]
+        jobs = [
+            _job_result(recap.outcome(f"job-{index}"), env)
+            for index, env in enumerate(envs, start=1)
+        ]
 
         status = (
             BuildStatus.PASSED
@@ -349,64 +428,6 @@ class CIServer:
         if baseline is None:
             return []
         return default_suite().compare_series(baseline.series, candidate.series)
-
-    def _checkout(self, commit: str, workspace: Path) -> Path:
-        rmtree_quiet(workspace)
-        workspace.mkdir(parents=True)
-        commit_obj = self.repo.store.get_commit(commit)
-        # One materialization path for every workspace: blobs come out
-        # of the shared content pool verified, and land atomically.
-        self.repo.store.checkout_tree(commit_obj.tree, workspace)
-        return workspace
-
-    def _run_job(
-        self,
-        config: CIConfig,
-        env: dict[str, str],
-        workspace: Path,
-        tracer: Tracer | None = None,
-        executor: Executor | ContainerExecutor | None = None,
-    ) -> JobResult:
-        tracer = tracer if tracer is not None else Tracer()
-        executor = executor if executor is not None else self.executor
-        job = JobResult(env=env)
-        if hasattr(executor, "reset"):
-            executor.reset(workspace)
-
-        def run_step(phase: str, command: str) -> StepResult:
-            with tracer.span("ci/step", phase=phase, command=command) as span:
-                result = executor(command, env, workspace)
-                span.attributes["exit_code"] = result.exit_code
-            step = StepResult(
-                phase=phase,
-                command=command,
-                exit_code=result.exit_code,
-                stdout=result.stdout,
-                stderr=result.stderr,
-            )
-            job.steps.append(step)
-            return step
-
-        with tracer.span("ci/job", env=env) as job_span:
-            phases = [
-                ("install", config.install, True),
-                ("before_script", config.before_script, True),
-                ("script", config.script, True),
-            ]
-            failed = False
-            for phase, commands, fatal in phases:
-                if failed:
-                    break
-                for command in commands:
-                    if not run_step(phase, command).ok:
-                        failed = True
-                        break
-            tail = config.after_failure if failed else config.after_script
-            for command in tail:
-                run_step("after_failure" if failed else "after_script", command)
-            job.status = BuildStatus.FAILED if failed else BuildStatus.PASSED
-            job_span.attributes["status"] = job.status.value
-        return job
 
     # -- queries --------------------------------------------------------------------
     def latest(self) -> BuildRecord | None:

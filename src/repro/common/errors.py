@@ -22,9 +22,7 @@ __all__ = [
     "ContainerError",
     "ImageNotFound",
     "BuildError",
-    "ContainerStartError",
     "OrchestrationError",
-    "ModuleFailure",
     "UnreachableHostError",
     "CIError",
     "DataPackageError",
@@ -51,7 +49,6 @@ __all__ = [
     "FSError",
     "MPIError",
     "PopperError",
-    "ComplianceError",
     "TemplateNotFound",
     "ValidationFailure",
 ]
@@ -146,10 +143,6 @@ class BuildError(ContainerError):
     """A Containerfile instruction failed during image build."""
 
 
-class ContainerStartError(ContainerError, TransientError):
-    """A container failed to start for a transient reason (start race)."""
-
-
 # --- orchestration ----------------------------------------------------------
 class OrchestrationError(ReproError):
     """Playbook-level failure (unreachable host, undefined variable, ...)."""
@@ -157,15 +150,6 @@ class OrchestrationError(ReproError):
 
 class UnreachableHostError(OrchestrationError, TransientError):
     """A managed host cannot be contacted (provisioning / network fault)."""
-
-
-class ModuleFailure(OrchestrationError):
-    """A task module reported failure on a host."""
-
-    def __init__(self, host: str, module: str, msg: str) -> None:
-        self.host = host
-        self.module = module
-        super().__init__(f"[{host}] {module}: {msg}")
 
 
 # --- ci ---------------------------------------------------------------------
@@ -240,11 +224,11 @@ class TransientInjectedFault(InjectedFault, TransientError):
 class UnpicklablePayloadError(EngineError):
     """A payload (or its value) cannot cross a process boundary.
 
-    The process scheduler audits every payload before spawning workers
-    and demotes a graph holding a closure, lambda or otherwise
-    unpicklable payload to the threaded backend.  This error fails a
-    task whose *return value* cannot be pickled back to the parent —
-    the task executed, but its result cannot reach dependents.
+    The process scheduler fails a task with this error when its job (a
+    closure, a lambda, an unpicklable dependency value) cannot be sent
+    to a worker, and when its *return value* cannot be pickled back to
+    the parent: the task executed, but its result cannot reach
+    dependents.
     """
 
 
@@ -308,10 +292,6 @@ class MPIError(ReproError):
 # --- core (popper) ----------------------------------------------------------
 class PopperError(ReproError):
     """Popper convention engine failure."""
-
-
-class ComplianceError(PopperError):
-    """A repository or experiment violates the Popper convention."""
 
 
 class TemplateNotFound(PopperError):

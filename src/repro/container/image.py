@@ -51,9 +51,6 @@ class Layer:
         parts = [f"{path}:{sha256_bytes(data)}" for path, data in self.files]
         return combine_digests([sha256_text(self.created_by), *parts])
 
-    def as_dict(self) -> dict[str, bytes]:
-        return dict(self.files)
-
     def __len__(self) -> int:
         return len(self.files)
 
@@ -103,10 +100,6 @@ class Image:
         return combine_digests(
             [layer.digest for layer in self.layers] + [self.config.digest]
         )
-
-    @property
-    def short_digest(self) -> str:
-        return self.digest[:12]
 
     def flatten(self) -> dict[str, bytes]:
         """Materialize the union filesystem (later layers win; tombstones

@@ -353,15 +353,6 @@ class Container:
         return sorted(self._fs)
 
     # -- execution ------------------------------------------------------------------
-    def has_binary(self, name: str) -> bool:
-        """A binary is runnable if builtin or provided by an installed file."""
-        if name in _ALWAYS_AVAILABLE:
-            return self.binaries.get(name) is not None or name == "sh"
-        return (
-            f"/usr/bin/{name}" in self._fs
-            and self.binaries.get(name) is not None
-        ) or (self.binaries.get(name) is not None and f"/usr/bin/{name}" in self._fs)
-
     def run(self, command: str | list[str]) -> ExecResult:
         """Execute a command (string → shell semantics; list → direct exec)."""
         if isinstance(command, str):

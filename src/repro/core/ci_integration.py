@@ -4,10 +4,11 @@ The repository's ``.travis.yml`` scripts call ``popper check`` and
 ``popper run ...`` (category-1 integrity validation).  In hosted CI those
 commands execute inside the build environment; here,
 :class:`PopperExecutor` recognizes ``popper ...`` and ``aver ...``
-commands and runs them in-process against the checked-out workspace,
-delegating anything else to the container executor.  The result is a
-:class:`~repro.ci.runner.CIServer` that gates commits of a Popperized
-paper exactly the way the paper describes.
+commands and runs them in the process that runs the matrix job (the
+``popper ci`` process, or a pool worker at ``-j N``) against the
+checked-out workspace, delegating anything else to the container
+executor.  The result is a :class:`~repro.ci.runner.CIServer` that gates
+commits of a Popperized paper exactly the way the paper describes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import shlex
-import threading
 from pathlib import Path
 
 from repro.container.runtime import ExecResult
@@ -27,17 +27,8 @@ __all__ = ["PopperExecutor", "make_ci_server"]
 class PopperExecutor:
     """CI executor understanding the Popper toolchain's commands."""
 
-    # ``contextlib.redirect_stdout`` swaps the *process-wide* sys.stdout;
-    # concurrent jobs must serialize in-process command execution or
-    # their output would interleave into the wrong job's StepResult.
-    _INPROCESS_LOCK = threading.Lock()
-
     def __init__(self, fallback: ContainerExecutor | None = None) -> None:
         self.fallback = fallback or ContainerExecutor()
-
-    def clone(self) -> "PopperExecutor":
-        """A fresh executor for one concurrent matrix job."""
-        return PopperExecutor(fallback=self.fallback.clone())
 
     def reset(self, workspace: Path) -> None:
         # A CI checkout is a bare file tree; a hosted CI job would be
@@ -70,16 +61,17 @@ class PopperExecutor:
             return self._run_inprocess(aver_main, rewritten)
         return self.fallback(command, env, workspace)
 
-    @classmethod
-    def _run_inprocess(cls, entry, argv: list[str]) -> ExecResult:
+    @staticmethod
+    def _run_inprocess(entry, argv: list[str]) -> ExecResult:
+        # The redirect swaps the process-wide sys.stdout; a process runs
+        # one matrix job at a time, so no other job's output lands here.
         stdout = io.StringIO()
         stderr = io.StringIO()
-        with cls._INPROCESS_LOCK:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    code = int(entry(argv))
-                except SystemExit as exc:  # argparse errors
-                    code = int(exc.code or 0)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = int(entry(argv))
+            except SystemExit as exc:  # argparse errors
+                code = int(exc.code or 0)
         return ExecResult(
             exit_code=code, stdout=stdout.getvalue(), stderr=stderr.getvalue()
         )
@@ -88,8 +80,8 @@ class PopperExecutor:
 def make_ci_server(popper_repo, jobs: int = 1) -> "CIServer":
     """A CI server for a Popper repository with the integrated executor.
 
-    *jobs* bounds how many matrix jobs run concurrently (``popper ci
-    -j``).
+    *jobs* is ``popper ci -j``: 1 runs matrix jobs serially in this
+    process, N on N worker processes.
     """
     from repro.ci.runner import CIServer
 

@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run up to N matrix jobs concurrently (default 1)",
+        help="run matrix jobs on N worker processes, at most one per "
+        "CPU core (default 1: serially, in this process)",
     )
     ci.add_argument(
         "--resume",
@@ -355,11 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="skip pools holding fewer than N objects (default 2)",
-    )
-    cache_repack.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="store whole (zlib) payloads only; skip affix-delta encoding",
     )
 
     doctor = sub.add_parser(
@@ -1043,8 +1039,11 @@ def _cmd_ci(args) -> int:
 
     repo = PopperRepository.open(args.repo)
     server = make_ci_server(repo, jobs=args.jobs)
-    # Matrix jobs run `popper run ...` in-process; exporting POPPER_SEED
-    # is how one `--seed` reaches every job's fault/crash/fuzz surfaces.
+    if server.warning:
+        print(f"-- {server.warning}", file=sys.stderr)
+    # Matrix jobs run `popper run ...` in-process (this process, or a pool
+    # worker started from it); exporting POPPER_SEED is how one `--seed`
+    # reaches every job's fault/crash/fuzz surfaces.
     previous = os.environ.get("POPPER_SEED")
     if args.seed is not None:
         os.environ["POPPER_SEED"] = str(args.seed)
@@ -1063,6 +1062,8 @@ def _cmd_ci(args) -> int:
         if job.restored:
             verdict += " (cached)"
         print(f"   job [{env}]: {verdict}")
+        if job.error:
+            print(f"     {job.error}")
         for step in job.steps:
             marker = "ok " if step.ok else "ERR"
             print(f"     [{marker}] {step.phase}: {step.command}")
@@ -1155,13 +1156,10 @@ def _cmd_cache(args) -> int:
         )
         return 0
     if args.subcommand == "repack":
-        delta = not args.no_delta
-        report = store.repack(min_objects=args.min_objects, delta=delta)
+        report = store.repack(min_objects=args.min_objects)
         print(f"-- artifact cache ({store.root})")
         print("   " + report.describe().replace("\n", "\n   ").rstrip())
-        vcs_report = repo.vcs.store.cas.repack(
-            min_objects=args.min_objects, delta=delta
-        )
+        vcs_report = repo.vcs.store.cas.repack(min_objects=args.min_objects)
         print(f"-- vcs object pool ({repo.vcs.store.root})")
         print("   " + vcs_report.describe().replace("\n", "\n   ").rstrip())
         return 0

@@ -4,15 +4,13 @@ Pipeline stages, ``popper run --all`` sweeps, CI matrix jobs and
 playbook host fan-out all declare their work as a
 :class:`~repro.engine.graph.TaskGraph` and hand it to a
 :class:`~repro.engine.scheduler.Scheduler` —
-:class:`~repro.engine.scheduler.SerialScheduler` for deterministic
-debugging, :class:`~repro.engine.scheduler.ThreadedScheduler` for
-payloads that cannot leave the process (CI jobs, playbook hosts), or
-:class:`~repro.engine.procsched.ProcessScheduler` for true multi-core
-execution of pickle-safe payloads
-(:func:`~repro.engine.scheduler.resolve_backend` picks serial or
-processes from ``popper run -j``).  See ``docs/engine.md``.  The
-process backend and ``popper serve`` run on one supervised
-:class:`~repro.engine.pool.WorkerPool`.
+:class:`~repro.engine.scheduler.SerialScheduler`, one task at a time in
+the calling process, or :class:`~repro.engine.procsched.ProcessScheduler`
+for true multi-core execution of picklable payloads
+(:func:`~repro.engine.scheduler.resolve_backend` picks one from
+``popper run -j`` and ``popper ci -j``; playbook fan-out runs serially).
+See ``docs/engine.md``.  The process backend and ``popper serve`` run
+on one supervised :class:`~repro.engine.pool.WorkerPool`.
 
 The resilience layer (see ``docs/robustness.md``) rides on top:
 :class:`~repro.engine.resilience.RetryPolicy` and per-task deadlines,
@@ -53,7 +51,7 @@ __all__, __getattr__ = lazy_exports(
             "ThreadedScheduler",
             "resolve_backend",
         ),
-        "procsched": ("ProcessScheduler", "audit_pickle_safety"),
+        "procsched": ("ProcessScheduler",),
         "resilience": ("RetryPolicy", "NO_RETRY", "call_with_timeout"),
         "faults": ("FaultPlan", "FaultSpec"),
         "cache": ("MemoizedPayload",),

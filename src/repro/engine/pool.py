@@ -25,14 +25,19 @@ The crash-containment protocol lives here, once:
   crashing job costs one job, never the pool.
 * **bounded drain** — a sentinel down each live worker's own pipe, a
   join bounded by one deadline, then ``terminate`` for stragglers.
+* **nesting** — workers are not daemonic, so a job may start a pool of
+  its own (a CI matrix job running ``popper run -j 2`` or the serve
+  self-check).  ``multiprocessing`` joins such children when their
+  owner exits, so a pool its owner never drained is drained then.
 
 Workers fork where the platform can (cheapest, and a forked worker
 inherits the parent's installed crash plan), else spawn.  Jobs and
 records cross as pickles this program wrote.  ``multiprocessing`` is
 imported in :meth:`WorkerPool.start` and :meth:`WorkerPool.poll`, so
 importing this module starts nothing.  Importing :mod:`repro.engine`
-does not import it at all: only ``popper run -j N`` (through
-:mod:`~repro.engine.procsched`) and ``popper serve`` load the pool.
+does not import it at all: only ``popper run -j N`` and ``popper ci -j
+N`` (through :mod:`~repro.engine.procsched`) and ``popper serve`` load
+the pool.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ class WorkerPool:
 
     def _reset(self) -> None:
         self._ctx = None
+        self._at_exit = None  # drains the pool if its owner exits first
         self.workers: list = []
         self._conns: list = []  # parent ends; closed once reaped
         self._sent: dict[int, str] = {}  # worker -> key sent, not reported
@@ -91,6 +97,7 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
         import multiprocessing as mp
+        from multiprocessing.util import Finalize
 
         if self._ctx is not None:
             raise EngineError("worker pool already started")
@@ -100,6 +107,11 @@ class WorkerPool:
             self._ctx = mp.get_context("spawn")
         for _ in range(self.size):
             self._spawn()
+        # Runs at exit before multiprocessing joins the (non-daemonic)
+        # workers, which would otherwise wait for jobs forever.
+        self._at_exit = Finalize(
+            None, self.drain, kwargs={"timeout_s": 1.0}, exitpriority=10
+        )
 
     def _spawn(self) -> None:
         index = len(self.workers)
@@ -107,7 +119,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(self.runner, index, child),
-            daemon=True,
+            daemon=False,
             name=f"popper-worker-{index}",
         )
         proc.start()
@@ -217,6 +229,7 @@ class WorkerPool:
         """
         if self._ctx is None:
             return
+        self._at_exit.cancel()
         for conn in self._conns:
             try:
                 conn.send(None)

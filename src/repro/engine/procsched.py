@@ -1,20 +1,18 @@
 """The process-parallel scheduler: true multi-core graph execution.
 
-``ThreadedScheduler`` overlaps I/O but not computation — the experiment
-payloads are pure-Python and GIL-bound, so threads barely beat serial.
-``ProcessScheduler`` runs the same :class:`~repro.engine.graph.TaskGraph`
-contract on a pool of worker *processes*, so independent tasks use
-independent cores; ``popper run -j N`` (N > 1) runs on it.
+The experiment payloads are pure-Python and GIL-bound, so only worker
+*processes* let independent tasks use independent cores.
+``ProcessScheduler`` runs the :class:`~repro.engine.graph.TaskGraph`
+contract on a pool of them; ``popper run -j N`` and ``popper ci -j N``
+(N > 1) run on it.
 
 Design:
 
-* **Pickle-safety audit, then fallback.** Payloads must cross a process
-  boundary.  Before spawning anything the scheduler audits every task
-  (:func:`audit_pickle_safety`); closures and lambdas fail the audit and
-  the run demotes itself to the threaded backend, journaling a
-  ``scheduler_fallback`` event and warning.  A task whose *dependency
-  values* turn out unpicklable at dispatch time runs inline in the
-  parent instead.
+* **Picklable payloads, or a failed task.** Payloads must cross a
+  process boundary.  A task whose job cannot be pickled at dispatch (a
+  closure, a lambda, an unpicklable dependency value) fails with
+  :class:`~repro.common.errors.UnpicklablePayloadError`; its dependents
+  are skipped and independent branches run on, as for any failure.
 * **A pool started on the first miss.** The worker pool starts when the
   first task misses both the artifact store and the checkpoint, so a
   fully cached or fully restored graph forks nothing.
@@ -68,7 +66,6 @@ import pickle
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -90,11 +87,11 @@ from repro.engine.graph import (
     TaskState,
 )
 from repro.engine.resilience import RetryPolicy
-from repro.engine.scheduler import RunOptions, Scheduler, ThreadedScheduler
+from repro.engine.scheduler import RunOptions, Scheduler
 from repro.monitor.journal import RunJournal, load_journal, replay_events
 from repro.monitor.tracing import SPAN_METRIC, Span, Tracer
 
-__all__ = ["ProcessScheduler", "audit_pickle_safety"]
+__all__ = ["ProcessScheduler"]
 
 
 def _executable(payload: Any) -> Any:
@@ -107,17 +104,6 @@ def _executable(payload: Any) -> Any:
     if isinstance(payload, MemoizedPayload):
         return payload.fn
     return payload
-
-
-def audit_pickle_safety(graph: TaskGraph) -> dict[str, str]:
-    """task id -> reason, for every payload that cannot be dispatched."""
-    problems: dict[str, str] = {}
-    for task in graph:
-        try:
-            pickle.dumps(_executable(task.payload))
-        except Exception as exc:
-            problems[task.id] = f"{type(exc).__name__}: {exc}"
-    return problems
 
 
 @dataclass
@@ -263,31 +249,6 @@ class ProcessScheduler(Scheduler):
         if len(graph) == 0:
             return
         journal = tracer.journal
-        problems = audit_pickle_safety(graph)
-        if problems:
-            detail = "; ".join(
-                f"{tid}: {reason}" for tid, reason in sorted(problems.items())
-            )
-            demoted = ThreadedScheduler(max_workers=self.max_workers)
-            if journal is not None:
-                journal.event(
-                    "scheduler_fallback",
-                    requested="process",
-                    using=demoted.backend,
-                    reason="unpicklable payloads",
-                    tasks=sorted(problems),
-                )
-            warnings.warn(
-                f"process backend: {len(problems)} payload(s) are not "
-                f"pickle-safe ({detail}); falling back to the "
-                f"{demoted.backend} scheduler",
-                stacklevel=3,
-            )
-            return demoted._execute(graph, result, tracer, parent, options)
-        self._run_pool(graph, result, tracer, parent, options)
-
-    def _run_pool(self, graph, result, tracer, parent, options):
-        journal = tracer.journal
         cancel = options.cancel
         parent_id = parent.span_id if parent is not None else None
         ready = ReadySet(graph)
@@ -316,7 +277,7 @@ class ProcessScheduler(Scheduler):
             return ready.complete(task_id)
 
         def dispatch(task_ids: list[str]) -> None:
-            nonlocal abort_error, pool
+            nonlocal pool
             pending = list(task_ids)
             while pending:
                 tid = pending.pop(0)
@@ -370,24 +331,22 @@ class ProcessScheduler(Scheduler):
                 try:
                     pool.dispatch(job, tid)
                 except Exception as exc:
-                    # A dependency value that cannot cross the boundary:
-                    # run this one task in the parent instead.
-                    if journal is not None:
-                        journal.event(
-                            "scheduler_fallback",
-                            requested="process",
-                            using="inline",
-                            reason=f"{type(exc).__name__}: {exc}",
-                            tasks=[tid],
-                        )
-                    try:
-                        outcome = self._run_task(
-                            task, result, tracer, parent, options
-                        )
-                    except BaseException as aborted:
-                        abort_error = aborted
-                        continue
+                    # A payload or dependency value that cannot cross
+                    # the boundary fails its task; nothing runs it here.
+                    outcome = TaskOutcome(
+                        task_id=tid,
+                        state=(
+                            TaskState.DEGRADED
+                            if task.optional
+                            else TaskState.FAILED
+                        ),
+                        error=UnpicklablePayloadError(
+                            f"task {tid!r} cannot cross the process "
+                            f"boundary ({type(exc).__name__}: {exc})"
+                        ),
+                    )
                     result.outcomes[tid] = outcome
+                    self._record_state(task, outcome, options)
                     pending.extend(advance(tid, outcome))
                     continue
                 inflight.add(tid)

@@ -1,19 +1,25 @@
 """Schedulers: execute a :class:`~repro.engine.graph.TaskGraph`.
 
-Two interchangeable backends run the same graph:
+Interchangeable backends run the same graph:
 
 * :class:`SerialScheduler` — one task at a time, in deterministic
-  (insertion, dependency-respecting) order.  The debugging backend: a
+  (insertion, dependency-respecting) order, in the calling process.  A
   failure's traceback is exactly where it happened and journals read
   top-to-bottom.
+* :class:`~repro.engine.procsched.ProcessScheduler` — independent tasks
+  on worker processes, one per core at most.  :func:`resolve_backend`
+  picks it or :class:`SerialScheduler` for ``popper run -j`` and
+  ``popper ci -j``.
 * :class:`ThreadedScheduler` — a ``concurrent.futures`` thread pool of
-  ``max_workers``; every task whose dependencies are satisfied runs
-  concurrently with its peers.  Because the simulated workloads are
-  deterministic functions of their seeds, both backends produce
-  bit-identical experiment results — only wall-clock and journal event
-  interleaving differ.
+  ``max_workers``.  No command runs on it: the payloads are GIL-bound,
+  and it was slower than serial for playbook fan-out.  It stays while
+  the end-to-end benchmark's layer table wraps ``ThreadedScheduler.run``.
 
-Semantics shared by both backends:
+Because the simulated workloads are deterministic functions of their
+seeds, every backend produces bit-identical experiment results — only
+wall-clock and journal event interleaving differ.
+
+Semantics shared by every backend:
 
 * **Tracing** — every task executes inside a ``task/<id>`` span.  The
   span's parent is the span that was active on the *calling* thread when
@@ -588,7 +594,7 @@ class ThreadedScheduler(Scheduler):
 
 
 def resolve_backend(jobs: int = 1) -> tuple[Scheduler, int, str | None]:
-    """Pick the scheduler for ``popper run -j JOBS``.
+    """Pick the scheduler for ``popper run -j JOBS`` and ``popper ci -j JOBS``.
 
     Returns ``(scheduler, effective_workers, warning)``; *warning* is a
     human-readable line (or ``None``) the CLI prints.  ``-j 1`` runs

@@ -57,7 +57,6 @@ EVENT_KINDS = (
     "task_restored",
     "task_aborted",
     "cache",
-    "scheduler_fallback",
     "degradation",
     "profile_attached",
     "profile_error",

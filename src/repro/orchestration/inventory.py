@@ -25,9 +25,6 @@ class Host:
     variables: dict[str, Any] = field(default_factory=dict)
     connection: Any = None  # duck-typed: .run/.put_file/.fetch_file/.facts
 
-    def get_var(self, key: str, default: Any = None) -> Any:
-        return self.variables.get(key, default)
-
 
 class Inventory:
     """Hosts organized into groups."""
@@ -103,11 +100,6 @@ class Inventory:
 
     def groups(self) -> list[str]:
         return sorted(self._groups)
-
-    def group_members(self, group: str) -> list[Host]:
-        if group not in self._groups:
-            raise OrchestrationError(f"unknown group: {group!r}")
-        return [self._hosts[n] for n in self._groups[group]]
 
     def effective_vars(self, host: Host) -> dict[str, Any]:
         """Group vars (in group order) overlaid by host vars."""

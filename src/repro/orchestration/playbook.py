@@ -4,11 +4,11 @@ A playbook is a list of plays; a play targets a host pattern and runs an
 ordered task list.  Execution fans out across hosts through the shared
 execution engine (:mod:`repro.engine`): each task becomes a flat
 :class:`~repro.engine.TaskGraph` with one node per alive host, run by a
-:class:`~repro.engine.ThreadedScheduler` with one thread per host, at
-most 16 (like Ansible's forks and linear strategy), or serially for a
-single host.  Tasks stay in lockstep: task *i* completes on every host
-before task *i+1* starts, which is what experiment phases (install →
-configure → run → collect) require.
+:class:`~repro.engine.SerialScheduler`, host after host (the simulated
+hosts neither sleep nor do I/O, so threads only added overhead).  Tasks
+stay in lockstep, like Ansible's linear strategy: task *i* completes on
+every host before task *i+1* starts, which is what experiment phases
+(install → configure → run → collect) require.
 
 YAML shape (the subset the Popper templates use)::
 
@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.common import minyaml
 from repro.common.errors import OrchestrationError, TransientError
-from repro.engine import SerialScheduler, TaskGraph, ThreadedScheduler
+from repro.engine import SerialScheduler, TaskGraph
 from repro.monitor.tracing import current_tracer
 from repro.orchestration.inventory import Host, Inventory
 from repro.orchestration.modules import MODULES, TaskResult, run_module
@@ -42,9 +42,6 @@ from repro.orchestration.templating import evaluate, render_value
 __all__ = ["Task", "Play", "Playbook", "PlaybookRunner", "HostStats", "PlayRecap"]
 
 _TASK_KEYWORDS = {"name", "register", "when", "loop", "ignore_errors", "retries"}
-
-#: The most hosts one task fans out to at once.
-_MAX_FORKS = 16
 
 
 @dataclass
@@ -225,12 +222,7 @@ class PlaybookRunner:
                                 )
                             )(host),
                         )
-                    scheduler = (
-                        ThreadedScheduler(max_workers=min(_MAX_FORKS, len(alive)))
-                        if len(alive) > 1
-                        else SerialScheduler()
-                    )
-                    fanout = scheduler.run(graph)
+                    fanout = SerialScheduler().run(graph)
                     # _run_task_on_host reports failures as TaskResults;
                     # an exception here is a runner bug, not a host fault.
                     fanout.raise_first_error()

@@ -217,14 +217,14 @@ class ArtifactStore:
             bytes_reclaimed=reclaimed,
         )
 
-    def repack(self, min_objects: int = 2, delta: bool = True):
+    def repack(self, min_objects: int = 2):
         """Fold the pool's loose tail (and old packs) into one pack.
 
         Holds the store lock for the whole fold — a repack moves every
         object, so it excludes concurrent publishes the way gc does.
         """
         with self.lock:
-            return self.cas.repack(min_objects=min_objects, delta=delta)
+            return self.cas.repack(min_objects=min_objects)
 
     def stats(self) -> dict:
         """Pool + index accounting for ``popper cache stats``.

@@ -393,9 +393,7 @@ class ContentStore:
         }
 
     # -- repacking ------------------------------------------------------------
-    def repack(
-        self, min_objects: int = 2, delta: bool = True
-    ) -> RepackReport:
+    def repack(self, min_objects: int = 2) -> RepackReport:
         """Fold every loose object and existing pack into one fresh pack.
 
         Steps, in crash-safe order: materialize every object (verified),
@@ -429,7 +427,7 @@ class ContentStore:
             self.object_path(oid).stat().st_size for oid in loose
         ) + sum(reader.packed_bytes for reader in readers)
         pack_path, idx_path = write_pack(
-            objects, self.packs_dir, delta=delta, durable=self.durable
+            objects, self.packs_dir, durable=self.durable
         )
         self._invalidate_packs()
         new_reader = PackReader(idx_path)

@@ -180,7 +180,6 @@ def pack_name(oids: list[str]) -> str:
 def write_pack(
     objects: Mapping[str, bytes],
     pack_dir: str | Path,
-    delta: bool = True,
     durable: bool = True,
 ) -> tuple[Path, Path]:
     """Write one pack (+ index) holding *objects*; returns their paths.
@@ -206,8 +205,7 @@ def write_pack(
     depth: dict[str, int] = {}
     window: list[tuple[str, bytes, int]] = []
     for oid, data in by_size:
-        candidates = window[-_DELTA_WINDOW:] if delta else []
-        flags, base, payload = _encode_payload(data, candidates)
+        flags, base, payload = _encode_payload(data, window[-_DELTA_WINDOW:])
         chosen[oid] = (flags, base, payload)
         depth[oid] = depth.get(base, 0) + 1 if base else 0
         window.append((oid, data, depth[oid]))

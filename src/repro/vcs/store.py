@@ -29,7 +29,6 @@ from repro.vcs.objects import (
     AnyObject,
     Blob,
     Commit,
-    Tag,
     Tree,
     TreeEntry,
     deserialize,
@@ -133,12 +132,6 @@ class ObjectStore:
         obj = self.get(oid)
         if not isinstance(obj, Commit):
             raise VcsError(f"{oid[:12]} is a {obj.kind}, expected commit")
-        return obj
-
-    def get_tag(self, oid: str) -> Tag:
-        obj = self.get(oid)
-        if not isinstance(obj, Tag):
-            raise VcsError(f"{oid[:12]} is a {obj.kind}, expected tag")
         return obj
 
     # -- tree walking ------------------------------------------------------------

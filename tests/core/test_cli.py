@@ -108,6 +108,16 @@ class TestCiVerb:
         out = capsys.readouterr().out
         assert "build #1" in out and "build: passing" in out
 
+    def test_each_build_keeps_its_journal(self, repo_dir, capsys):
+        journals = repo_dir / ".pvcs" / "ci-journals"
+        assert main(["-C", str(repo_dir), "ci"]) == 0
+        assert "-- build #1 " in capsys.readouterr().out
+        first = (journals / "build-1.jsonl").read_bytes()
+        assert main(["-C", str(repo_dir), "ci"]) == 0
+        assert "-- build #2 " in capsys.readouterr().out
+        assert (journals / "build-1.jsonl").read_bytes() == first
+        assert (journals / "build-2.jsonl").is_file()
+
     def test_ci_failing(self, repo_dir, capsys):
         (repo_dir / ".travis.yml").write_text("script:\n  - false\n")
         from repro.core.repo import PopperRepository

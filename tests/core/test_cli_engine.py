@@ -1,9 +1,17 @@
-"""`popper run` through the execution engine: -j, --strict, error recovery."""
+"""`popper run` and `popper ci` through the execution engine: -j,
+--strict, error recovery, matrix jobs on worker processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.cli import main
 from repro.core.repo import PopperRepository
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -148,3 +156,92 @@ class TestParallelCi:
         repo.vcs.commit("matrix ci")
         assert main(["-C", str(repo_dir), "ci"]) == 0
         assert main(["-C", str(repo_dir), "ci", "-j", "2"]) == 0
+
+    def test_bad_jobs_value_rejected(self, repo_dir, capsys):
+        assert main(["-C", str(repo_dir), "ci", "-j", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (repo_dir / ".pvcs" / "ci-journals").exists()
+
+
+def commit_matrix(repo_dir, commands):
+    """Run one small experiment, then commit it with a one-step matrix:
+    job *i* runs ``commands[i]``."""
+    add_torpor(repo_dir, "one", "runner: torpor-variability\nruns: 2\nseed: 7\n")
+    assert main(["-C", str(repo_dir), "run", "one"]) == 0
+    envs = "".join(f'  - CMD="{command}"\n' for command in commands)
+    (repo_dir / ".travis.yml").write_text(f"env:\n{envs}script:\n  - ${{CMD}}\n")
+    repo = PopperRepository.open(repo_dir)
+    repo.vcs.add_all()
+    repo.vcs.commit("ci matrix")
+
+
+class TestCiJobsOnProcesses:
+    """`popper ci -j N` runs each matrix job in a worker process."""
+
+    def test_crash_plan_stays_in_its_job(self, repo_dir, capsys):
+        # Job 2's crash point is never reached by its own --no-cache
+        # run, which sleeps with the plan installed.  Jobs sharing one
+        # process fired it in the checkout of a job started meanwhile.
+        commit_matrix(
+            repo_dir,
+            [
+                "echo one",
+                "popper run --all --no-cache --inject-faults delay:run:0.5"
+                " --inject-crash at:cas.ingest.tmp:1",
+                "echo three",
+                "echo four",
+                "echo five",
+                "popper run --all --validate-only",
+            ],
+        )
+        capsys.readouterr()
+        printed = {}
+        for jobs in ("1", "2"):
+            assert main(["-C", str(repo_dir), "ci", "-j", jobs]) == 0
+            printed[jobs] = capsys.readouterr().out.splitlines()[1:]
+        assert printed["2"] == printed["1"]
+        assert sum(line.endswith(": ok") for line in printed["2"]) == 6
+
+    def test_step_outputs_match_serial(self, repo_dir):
+        from repro.core.ci_integration import make_ci_server
+
+        commit_matrix(
+            repo_dir, ["popper check", "popper run --all --validate-only"]
+        )
+        repo = PopperRepository.open(repo_dir)
+        serial = make_ci_server(repo, jobs=1).trigger()
+        parallel = make_ci_server(repo, jobs=2).trigger()
+        assert (serial.number, parallel.number) == (1, 2)
+        assert parallel.jobs == serial.jobs
+        assert all(job.steps and job.ok for job in parallel.jobs)
+
+    def test_worker_death_fails_only_its_job(self, repo_dir):
+        commit_matrix(
+            repo_dir,
+            [
+                "popper run --all --validate-only",
+                "popper run --all --no-cache"
+                " --inject-crash at:runstate.append.torn:1 --crash-hard",
+                "popper run --all --validate-only",
+            ],
+        )
+        # A hard crash ends the process it runs in: at -j 1, this one.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.core.cli", "-C", str(repo_dir),
+             "ci", "-j", "2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("-- build #1 ") and lines[0].endswith(": failed")
+        verdicts = [line for line in lines if line.startswith("   job [")]
+        assert [line.rsplit(": ", 1)[1] for line in verdicts] == [
+            "ok", "FAILED", "ok",
+        ]
+        reason = lines[lines.index(verdicts[1]) + 1]
+        assert "worker process" in reason and "(exit code 70)" in reason
+        assert lines[-1] == "-- build: failing"
+        assert (repo_dir / ".pvcs" / "ci-journals" / "build-1.jsonl").is_file()

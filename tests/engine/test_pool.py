@@ -7,6 +7,8 @@ Each test bounds its waits and drains its pool.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from functools import partial
 from pathlib import Path
@@ -15,6 +17,8 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine.pool import LostJob, WorkerPool
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _echo(job):
@@ -50,6 +54,20 @@ def _sleep(job):
 
 def sleeping_runner(index):
     return _sleep
+
+
+def _run_in_a_pool_of_its_own(job):
+    pool = WorkerPool(size=1, runner=echo_runner)
+    pool.start()
+    try:
+        pool.dispatch(job, "inner")
+        return {"inner": poll_one(pool)}
+    finally:
+        pool.drain(timeout_s=5.0)
+
+
+def nesting_runner(index):
+    return _run_in_a_pool_of_its_own
 
 
 class ClosingRunner:
@@ -248,3 +266,37 @@ def test_runner_close_runs_when_its_worker_exits(pools, tmp_path):
         "closed-0",
         "closed-1",
     ]
+
+
+def test_a_job_may_start_a_pool_of_its_own(pools):
+    pool = pools(1, nesting_runner)
+    pool.dispatch("ping", "outer")
+    assert poll_one(pool) == [{"inner": [{"job": "ping"}]}]
+
+
+UNDRAINED = """
+from repro.engine.pool import WorkerPool
+
+def runner(index):
+    return lambda job: job
+
+pool = WorkerPool(size=2, runner=runner)
+pool.start()
+pool.dispatch("ping", "job-1")
+while not pool.poll(timeout_s=0.1):
+    pass
+print("answered")
+"""
+
+
+def test_an_owner_that_never_drains_still_exits():
+    # Workers are not daemonic, and multiprocessing joins such children
+    # at exit: without a drain there, they would wait for jobs forever.
+    proc = subprocess.run(
+        [sys.executable, "-c", UNDRAINED],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "answered\n"), proc.stderr

@@ -2,7 +2,7 @@
 
 Payloads here are module-level classes — the process backend ships each
 task to a worker process with ``pickle``, and the tests cover exactly
-that contract: the pickle-safety audit (and its threaded fallback),
+that contract: an unpicklable payload failing its task,
 dependency values crossing the boundary, cache/checkpoint composition
 (a fully cached graph starts no worker), retries and fault plans inside
 workers, deterministic journal-shard merging, dead-worker containment,
@@ -34,7 +34,6 @@ from repro.engine import (
     RunStateStore,
     TaskGraph,
     TaskState,
-    audit_pickle_safety,
     resolve_backend,
 )
 from repro.engine.pool import WorkerPool
@@ -159,34 +158,31 @@ def test_optional_task_degrades_instead_of_failing():
     assert recap.value("after") == 4
 
 
-# -- pickle-safety audit ---------------------------------------------------------
+# -- pickle safety ---------------------------------------------------------------
 
 
-def test_audit_reports_unpicklable_payloads():
-    graph = TaskGraph()
-    graph.add("ok", Square(1))
-    graph.add("closure", lambda ctx: 1)
-    problems = audit_pickle_safety(graph)
-    assert set(problems) == {"closure"}
-    assert "closure" in problems and problems["closure"]
-
-
-def test_unpicklable_payload_falls_back_to_threaded(tmp_path):
+def test_unpicklable_payload_fails_its_task(tmp_path, recwarn):
     graph = TaskGraph()
     graph.add("closure", lambda ctx: 41 + 1)
+    graph.add("dependent", Square(3), dependencies=("closure",))
+    graph.add("indep", Square(5))
     journal = RunJournal(tmp_path / "journal.jsonl")
-    tracer = Tracer(journal=journal)
-    with pytest.warns(UserWarning, match="falling back to the threaded"):
-        recap = ProcessScheduler(max_workers=2).run(graph, tracer=tracer)
+    recap = ProcessScheduler(max_workers=2).run(
+        graph, tracer=Tracer(journal=journal)
+    )
     journal.close()
-    assert recap.value("closure") == 42
+    assert recap.outcome("closure").state is TaskState.FAILED
+    assert isinstance(recap.outcome("closure").error, UnpicklablePayloadError)
+    assert "closure" in str(recap.outcome("closure").error)
+    assert recap.outcome("dependent").state is TaskState.SKIPPED
+    assert recap.outcome("dependent").blamed_on == "closure"
+    assert recap.value("indep") == 25
+    # Nothing demotes the graph or runs the task in this process.
+    assert not recwarn.list
     events = read_journal(tmp_path / "journal.jsonl")
-    fallbacks = [e for e in events if e["event"] == "scheduler_fallback"]
-    assert fallbacks and fallbacks[0]["using"] == "threaded"
-    assert fallbacks[0]["tasks"] == ["closure"]
-    # The fallback ran the task for real, under its own span.
-    assert any(
-        e["event"] == "span_end" and e["name"] == "task/closure"
+    assert not [e for e in events if e["event"] == "scheduler_fallback"]
+    assert not any(
+        e["event"] == "span_start" and e["name"] == "task/closure"
         for e in events
     )
 

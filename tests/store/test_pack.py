@@ -74,11 +74,6 @@ class TestPackFormat:
         for oid, data in blobs.items():
             assert reader.get_bytes(oid) == data
 
-    def test_no_delta_flag_stores_whole_payloads(self, tmp_path):
-        blobs = payloads(count=8, twin=True)
-        _, idx = write_pack(blobs, tmp_path, delta=False, durable=False)
-        assert PackReader(idx).delta_count() == 0
-
     def test_rebuild_index_matches_the_original(self, tmp_path):
         blobs = payloads(count=8, twin=True)
         pack, idx = write_pack(blobs, tmp_path, durable=False)
