@@ -237,8 +237,13 @@ class WorkerCrashError(EngineError):
 
     The parent notices the dead worker (non-zero exit, no ``done``
     record) and fails the in-flight task with this error; downstream
-    tasks are skipped as for any failure.
+    tasks are skipped as for any failure.  ``exitcode`` is the worker's
+    exit status where one is known.
     """
+
+    def __init__(self, message: str, exitcode: int | None = None) -> None:
+        super().__init__(message)
+        self.exitcode = exitcode
 
 
 # --- fuzz -------------------------------------------------------------------

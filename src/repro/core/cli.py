@@ -515,7 +515,7 @@ def _cmd_run(args) -> int:
         SimulatedCrash,
         install_crash_plan,
     )
-    from repro.common.errors import ValidationFailure
+    from repro.common.errors import ValidationFailure, WorkerCrashError
     from repro.core.pipeline import ExperimentPipeline
     from repro.core.sweep import (
         SweepExperimentJob,
@@ -659,6 +659,8 @@ def _cmd_run(args) -> int:
                 )
         return graph
 
+    recaps = []  # every sweep this command ran
+
     def execute(resume: bool):
         with RunStateStore(state_path, resume=resume) as store:
             options = RunOptions(
@@ -666,7 +668,8 @@ def _cmd_run(args) -> int:
                 artifact_store=artifact_store,
                 cancel=cancel,
             )
-            return scheduler.run(build_graph(), options=options)
+            recaps.append(scheduler.run(build_graph(), options=options))
+            return recaps[-1]
 
     def report(recap) -> int:
         exit_code = 0
@@ -742,13 +745,18 @@ def _cmd_run(args) -> int:
         return max(exit_code, 1)
 
     def drive_with_crashes() -> int:
-        """One sweep under the installed crash plan; 70 when it fires."""
+        """One sweep under the installed crash plan; 70 when it fires.
+
+        A plan that never fired says so and keeps the sweep's status.
+        A hard crash in a worker process ends only that worker, with
+        status 70, and its experiment reports the death.
+        """
         plan = CrashPlan.parse(
             crash_spec, seed=seed, hard=args.crash_hard
         )
         previous = install_crash_plan(plan)
         try:
-            return drive()
+            code = drive()
         except SimulatedCrash as crash:
             print(
                 f"-- simulated crash at {crash.point} (hit {crash.hit}); "
@@ -757,6 +765,14 @@ def _cmd_run(args) -> int:
             return EXIT_CRASH
         finally:
             install_crash_plan(previous)
+        if not any(
+            isinstance(outcome.error, WorkerCrashError)
+            and outcome.error.exitcode == EXIT_CRASH
+            for recap in recaps
+            for outcome in recap.outcomes.values()
+        ):
+            print(f"-- crash plan never fired: {crash_spec}")
+        return code
 
     def crash_smoke() -> int:
         """crash -> doctor -> resume, the CI robustness job."""
@@ -764,7 +780,6 @@ def _cmd_run(args) -> int:
 
         code = drive_with_crashes()
         if code != EXIT_CRASH:
-            print("-- crash smoke: plan never fired; nothing to recover")
             return max(code, 1) if code else 1
         doctor_report = repair(diagnose(repo.root, tmp_age_s=0.0))
         print(doctor_report.describe(), end="")

@@ -63,12 +63,22 @@ class LostJob(NamedTuple):
     exitcode: int | None
 
 
-def _worker_main(runner: Runner, index: int, conn) -> None:
-    """Worker loop: answer each job on *conn* with its record, until ``None``."""
+def _worker_main(runner: Runner, index: int, conn, inherited: tuple = ()) -> None:
+    """Worker loop: answer each job on *conn* with its record, until ``None``.
+
+    *inherited* are the owner's ends of the pipes, this worker's among
+    them, that a forked worker holds copies of.  Once they are closed,
+    the owner's death (even by ``os._exit`` or ``kill -9``) reads as
+    end-of-file on *conn*, and the worker exits quietly.
+    """
+    for end in inherited:
+        end.close()
     run = runner(index)
     try:
         while (job := conn.recv()) is not None:
             conn.send(run(job))
+    except (EOFError, BrokenPipeError):
+        pass  # the owner is gone
     finally:
         close = getattr(run, "close", None)
         if close is not None:
@@ -116,9 +126,15 @@ class WorkerPool:
     def _spawn(self) -> None:
         index = len(self.workers)
         conn, child = self._ctx.Pipe()
+        # A spawned worker inherits no descriptor it is not passed.
+        inherited = (
+            tuple(c for c in self._conns if not c.closed) + (conn,)
+            if self._ctx.get_start_method() == "fork"
+            else ()
+        )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self.runner, index, child),
+            args=(self.runner, index, child, inherited),
             daemon=False,
             name=f"popper-worker-{index}",
         )

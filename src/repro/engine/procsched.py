@@ -385,11 +385,13 @@ class ProcessScheduler(Scheduler):
             self._record_state(task, outcome, options)
             dispatch(advance(tid, outcome))
 
-        def fail_inflight(tid: str, reason: str) -> None:
+        def fail_inflight(
+            tid: str, reason: str, exitcode: int | None = None
+        ) -> None:
             inflight.discard(tid)
             task = graph.task(tid)
             error = WorkerCrashError(
-                f"{reason} without reporting task {tid!r}"
+                f"{reason} without reporting task {tid!r}", exitcode
             )
             outcome = TaskOutcome(
                 task_id=tid,
@@ -408,6 +410,7 @@ class ProcessScheduler(Scheduler):
                         lost.key,
                         f"worker process {lost.worker} died "
                         f"(exit code {lost.exitcode})",
+                        lost.exitcode,
                     )
             if inflight and pool.alive_count() == 0:
                 # No worker left to ever report these (e.g. a die-off

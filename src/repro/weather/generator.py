@@ -17,6 +17,9 @@ as a data package with stable hashes.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from repro.common.errors import ReproError
@@ -24,6 +27,9 @@ from repro.common.rng import derive_rng
 from repro.weather.dataset import LabeledArray
 
 __all__ = ["generate_air_temperature", "season_of_day"]
+
+#: The field's element type; each element is summed in float64 first.
+_FIELD_DTYPE = np.float32
 
 
 def season_of_day(day_of_year: float) -> str:
@@ -39,6 +45,28 @@ def season_of_day(day_of_year: float) -> str:
     return "SON"
 
 
+def _field_shape(
+    years: int, lat_step: float, lon_step: float, samples_per_day: int
+) -> tuple[int, int, int]:
+    """The ``(time, lat, lon)`` shape of a field, computed without allocating.
+
+    The grid lengths are ``np.arange``'s own, ``ceil((stop - start) / step)``.
+    """
+    return (
+        int(365 * years * samples_per_day),
+        math.ceil((90.0 + lat_step / 2 - -90.0) / lat_step),
+        math.ceil(360.0 / lon_step),
+    )
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory on this host, or ``None`` where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def generate_air_temperature(
     seed: int = 42,
     years: int = 1,
@@ -51,16 +79,31 @@ def generate_air_temperature(
     Returns a ``LabeledArray`` named ``"air"`` with dims
     ``(time, lat, lon)``; time coordinates are fractional days since
     the start, temperatures are Kelvin.
+
+    Memory is bounded by the float32 field itself plus one time step of
+    float64 ``(lat, lon)`` rows (and the small ``(time, lat)`` seasonal
+    table): each step of the AR(1) noise is written straight into the
+    field.  A field larger than the host's physical memory raises
+    ``ReproError`` before anything is allocated.
     """
     if years < 1 or samples_per_day < 1:
         raise ReproError("years and samples_per_day must be >= 1")
     if not (0 < lat_step <= 30 and 0 < lon_step <= 30):
         raise ReproError("grid steps must be in (0, 30] degrees")
+    shape = _field_shape(years, lat_step, lon_step, samples_per_day)
+    needed = math.prod(shape) * np.dtype(_FIELD_DTYPE).itemsize
+    available = _physical_memory()
+    if available is not None and needed > available:
+        raise ReproError(
+            f"an air-temperature field of shape (time, lat, lon) = {shape} "
+            f"needs {needed} bytes, more than this host's {available} bytes "
+            "of physical memory"
+        )
     rng = derive_rng(seed, "weather", "air-temperature")
 
     lats = np.arange(-90.0, 90.0 + lat_step / 2, lat_step)
     lons = np.arange(0.0, 360.0, lon_step)
-    steps = int(365 * years * samples_per_day)
+    steps = shape[0]
     times = np.arange(steps, dtype=np.float64) / samples_per_day
 
     lat_rad = np.deg2rad(lats)
@@ -72,7 +115,7 @@ def generate_air_temperature(
     # peak ~day 197 (mid-July) in the NH.
     amplitude = 28.0 * np.sin(np.abs(lat_rad)) ** 1.2      # (lat,)
     hemisphere = np.sign(lat_rad + 1e-12)                  # (lat,)
-    phase = 2 * np.pi * (times[:, None] % 365.0 - 197.0) / 365.0  # (time, lat)
+    phase = 2 * np.pi * (times[:, None] % 365.0 - 197.0) / 365.0  # (time, 1)
     seasonal = amplitude[None, :] * hemisphere[None, :] * np.cos(phase)
 
     # Fixed longitudinal texture ("continents"): smooth harmonics.
@@ -87,21 +130,19 @@ def generate_air_temperature(
         )
 
     # Weather noise: AR(1) in time, independent per cell, stronger at
-    # mid/high latitudes (storm tracks).
-    noise_scale = 1.5 + 4.0 * np.sin(np.abs(lat_rad)) ** 2  # (lat,)
-    noise = np.empty((steps, lats.size, lons.size), dtype=np.float64)
+    # mid/high latitudes (storm tracks).  Each step is summed in float64
+    # as ((base + seasonal) + texture) + noise and rounded into the
+    # float32 field in place.
+    noise_scale = (1.5 + 4.0 * np.sin(np.abs(lat_rad)) ** 2)[:, None]  # (lat, 1)
+    data = np.empty(shape, dtype=_FIELD_DTYPE)
+    frame = np.empty((lats.size, lons.size))
     previous = rng.standard_normal((lats.size, lons.size))
     for t in range(steps):
         shock = rng.standard_normal((lats.size, lons.size))
         previous = 0.8 * previous + 0.6 * shock
-        noise[t] = previous * noise_scale[:, None]
-
-    data = (
-        base[None, :, None]
-        + seasonal[:, :, None]
-        + texture[None, :, :]
-        + noise
-    ).astype(np.float32)
+        np.add((base + seasonal[t])[:, None], texture, out=frame)
+        frame += previous * noise_scale
+        data[t] = frame
 
     return LabeledArray(
         name="air",

@@ -85,6 +85,21 @@ class TestSweepErrorRecovery:
         failing.write_text("expect speedup > 1000\n")
         assert main(["-C", str(repo_dir), "run", "--all"]) == 2
 
+    def test_impossible_field_errors_only_its_experiment(self, repo_dir, capsys):
+        # A bww field bigger than the host fails before numpy allocates.
+        assert main(["-C", str(repo_dir), "add", "jupyter-bww", "air"]) == 0
+        (repo_dir / "experiments" / "air" / "vars.yml").write_text(
+            "runner: bww-airtemp\nyears: 2147483647\nseed: 7\n"
+        )
+        add_torpor(
+            repo_dir, "healthy", "runner: torpor-variability\nruns: 2\nseed: 7\n"
+        )
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 2
+        out = capsys.readouterr().out
+        assert "-- air: ERRORED (" in out
+        assert "physical memory" in out
+        assert "-- healthy: 24 result rows, ok" in out
+
     def test_validation_failure_alone_exits_1(self, repo_dir):
         add_torpor(
             repo_dir, "healthy", "runner: torpor-variability\nruns: 2\nseed: 7\n"

@@ -4,6 +4,7 @@ Runners are module-level so they survive a spawn start method too.
 Each test bounds its waits and drains its pool.
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -300,3 +301,62 @@ def test_an_owner_that_never_drains_still_exits():
         timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (0, "answered\n"), proc.stderr
+
+
+ORPHANED = """
+import os, sys
+from repro.engine.pool import WorkerPool
+
+def runner(index):
+    return lambda job: job
+
+pool = WorkerPool(size=2, runner=runner)
+pool.start()
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(worker.pid) for worker in pool.workers))
+print("started", flush=True)
+os._exit(0)  # no exit handler runs, as under kill -9
+"""
+
+
+def _running(pid):
+    """Whether *pid* is a live process; a zombie nobody reaped is not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_workers_exit_when_their_owner_dies_hard(tmp_path):
+    # A forked worker holds no copy of its owner's pipe ends, so the
+    # owner's death reads as end-of-file in the worker.  A worker that
+    # kept one would wait forever with the captured stdout open, and
+    # run() would hit its timeout.
+    pids_file = tmp_path / "pids"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", ORPHANED, str(pids_file)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "started\n"), proc.stderr
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert len(pids) == 2
+        wait_for(
+            lambda: not any(_running(pid) for pid in pids),
+            "the orphaned workers to exit",
+            timeout_s=5.0,
+        )
+    finally:
+        if pids_file.exists():
+            for pid in pids_file.read_text().split():
+                if _running(int(pid)):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(int(pid), signal.SIGKILL)

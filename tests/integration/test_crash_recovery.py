@@ -467,6 +467,39 @@ class TestCrashSmokeCli:
         assert code == 1
         assert "plan never fired" in capsys.readouterr().out
 
+    def test_a_plan_that_never_fires_says_so(self, repo_dir, capsys):
+        # A one-experiment torpor run ingests nothing into the store.
+        spec = "at:cas.ingest.tmp:1"
+        code = main(
+            ["-C", str(repo_dir), "run", "--all", "--no-cache", "--inject-crash", spec]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("-- one: 24 result rows, ok")
+        assert out[-1] == f"-- crash plan never fired: {spec}"
+
+    def test_a_plan_that_fires_prints_only_the_crash(self, repo_dir, capsys):
+        code = main(
+            ["-C", str(repo_dir), "run", "--all", "--inject-crash",
+             "at:runstate.append.torn:1"]
+        )
+        assert code == EXIT_CRASH
+        assert capsys.readouterr().out.splitlines() == [
+            "-- simulated crash at runstate.append.torn (hit 1); "
+            "run `popper doctor`, then `popper run --resume`"
+        ]
+
+    def test_a_hard_crash_in_a_worker_counts_as_fired(self, repo_dir, capsys):
+        # The worker exits with status 70; the sweep goes on without it.
+        code = main(
+            ["-C", str(repo_dir), "run", "--all", "-j", "2", "--inject-crash",
+             "at:pipeline.results.tmp:1", "--crash-hard"]
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "-- one: ERRORED (worker process 0 died (exit code 70)" in out
+        assert "never fired" not in out
+
     def test_crash_smoke_rejects_conflicting_modes(self, repo_dir, capsys):
         code = main(
             ["-C", str(repo_dir), "run", "--all", "--crash-smoke", "--cache-check"]

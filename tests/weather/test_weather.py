@@ -1,5 +1,7 @@
 """Tests for the labeled-array algebra, the generator and the analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,28 @@ class TestGenerator:
             generate_air_temperature(years=0)
         with pytest.raises(ReproError):
             generate_air_temperature(lat_step=90)
+
+    @pytest.mark.parametrize(
+        "kwargs,shape",
+        [
+            ({"years": 2147483647}, (783831531155, 37, 72)),
+            ({"lat_step": 1e-9}, (365, 180000000001, 72)),
+        ],
+    )
+    def test_a_field_larger_than_memory_raises_before_allocating(
+        self, kwargs, shape
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReproError) as raised:
+                generate_air_temperature(**kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(raised.value)
+        assert str(shape) in message
+        assert f"needs {4 * shape[0] * shape[1] * shape[2]} bytes" in message
+        assert peak < 2**20
 
 
 class TestAnalysis:
