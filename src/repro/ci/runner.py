@@ -38,14 +38,7 @@ from repro.common.fsutil import rmtree_quiet
 from repro.container.image import Image, scratch
 from repro.container.runtime import BinaryRegistry, Container, ExecResult
 from repro.ci.config import CIConfig
-from repro.engine import (
-    RunOptions,
-    RunStateStore,
-    TaskGraph,
-    TaskOutcome,
-    resolve_backend,
-    task_fingerprint,
-)
+from repro.engine import TaskGraph, TaskOutcome, resolve_backend
 from repro.monitor.journal import RunJournal
 from repro.monitor.tracing import Tracer, current_tracer
 from repro.vcs.repository import Repository
@@ -89,9 +82,6 @@ class JobResult:
     env: dict[str, str]
     steps: list[StepResult] = field(default_factory=list)
     status: BuildStatus = BuildStatus.PASSED
-    #: True when the job was skipped because a previous build already
-    #: passed it for the same commit and env (``popper ci --resume``).
-    restored: bool = False
     #: Why the job failed without a step to blame: its payload raised,
     #: or its worker process died (the reason names the exit code).
     error: str = ""
@@ -280,21 +270,13 @@ class CIServer:
         ]
         return max(numbers, default=0) + 1
 
-    @property
-    def state_path(self) -> Path:
-        """The checkpoint file ``--resume`` builds read and write."""
-        return Path(self.journal_root) / "ci-state.jsonl"
-
     # -- build orchestration ------------------------------------------------------
-    def trigger(self, ref: str = "HEAD", resume: bool = False) -> BuildRecord:
+    def trigger(self, ref: str = "HEAD") -> BuildRecord:
         """Run a build for *ref*; appends to and returns from history.
 
         The build's span events land in :meth:`journal_path`, which
-        survives the build (the workspace does not).  With ``resume``,
-        matrix jobs that already passed for the same commit and env in a
-        previous (interrupted) build are restored from
-        :attr:`state_path` instead of re-executed; jobs that ran but
-        failed their steps are never cached.
+        survives the build (the workspace does not).  Every build runs
+        all of its matrix jobs, as a restarted hosted-CI build does.
         """
         commit = self.repo.resolve(ref)
         number = self._next_number()
@@ -326,15 +308,6 @@ class CIServer:
         # checkout; the scheduler runs them serially or on the pool.
         envs = config.expand_matrix()
         build_root = Path(self.workspace_root) / f"build-{number}"
-
-        def job_restore(env: dict[str, str]):
-            def restore(detail: dict) -> JobResult:
-                return JobResult(
-                    env=env, status=BuildStatus.PASSED, restored=True
-                )
-
-            return restore
-
         graph = TaskGraph()
         for index, env in enumerate(envs, start=1):
             graph.add(
@@ -347,28 +320,10 @@ class CIServer:
                     workspace=build_root / f"job-{index}",
                     executor=self.executor,
                 ),
-                # The fingerprint covers commit + expanded env: a new
-                # commit (or a matrix edit) invalidates every checkpoint.
-                fingerprint=task_fingerprint(
-                    f"ci/job-{index}", {"commit": commit, "env": env}
-                ),
-                # A job that ran but failed its steps returns normally
-                # (outcome OK) — vetoing the checkpoint keeps it
-                # re-running on resume instead of caching the failure.
-                checkpoint=lambda job: (
-                    {"env": job.env, "status": job.status.value}
-                    if job.ok
-                    else None
-                ),
-                restore=job_restore(env),
             )
         try:
-            with RunStateStore(self.state_path, resume=resume) as store:
-                options = RunOptions(run_state=store)
-                with tracer.span(f"ci/build/{number}", commit=commit, ref=ref):
-                    recap = self.scheduler.run(
-                        graph, tracer=tracer, options=options
-                    )
+            with tracer.span(f"ci/build/{number}", commit=commit, ref=ref):
+                recap = self.scheduler.run(graph, tracer=tracer)
         finally:
             rmtree_quiet(build_root)
         # Matrix order, not completion order, for the build record.

@@ -106,7 +106,6 @@ CRASH_LABELS: tuple[CrashLabel, ...] = (
     CrashLabel("pipeline.report", _AW, sweep=True),
     CrashLabel("cas.ingest", _AW, sweep=True),
     CrashLabel("index.record", _AW, sweep=True),
-    CrashLabel("runstate.append", _GC, sweep=True),
     CrashLabel("journal.append", _GC, sweep=True),
     CrashLabel("profiles.attach", _GC, sweep=True),
     CrashLabel("profiles.index", _GC, sweep=True),
@@ -148,7 +147,7 @@ CRASH_LABELS: tuple[CrashLabel, ...] = (
 )
 
 #: Every crash point a cold ``popper run --all`` consults: the crash ->
-#: doctor -> resume matrix.
+#: doctor -> re-run matrix.
 RUN_CRASH_POINTS: tuple[str, ...] = tuple(
     point for label in CRASH_LABELS if label.sweep for point in label.points
 )

@@ -1,7 +1,7 @@
 """Inter-process locking for the on-disk substrates under ``.pvcs/``.
 
 Everything the toolchain persists — the CAS pool, the artifact index,
-refs, run-state checkpoints — is written atomically, which protects
+refs, the JSONL ledgers — is written atomically, which protects
 readers from torn *files*; it does not serialize multi-step updates
 ("ingest these objects, then publish the record that references them")
 across two ``popper run`` processes sharing one repository.  That is

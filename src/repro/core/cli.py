@@ -21,8 +21,9 @@ and repair), ``paper list|add|build``, ``status``.
 
 Exit codes beyond the usual 0/1/2: an injected crash exits 70
 (:data:`~repro.common.crash.EXIT_CRASH`), SIGINT/SIGTERM drain the
-in-flight work and exit 130/143 (``128 + signum``) — both states are
-resumable with ``popper run --resume``.
+in-flight work and exit 130/143 (``128 + signum``).  After either, a
+plain re-run (after ``popper doctor``, for a crash) serves what
+finished from the artifact store and executes the rest.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         "CPU core (default 1: serially, in this process)",
     )
     run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already completed by an interrupted sweep",
-    )
-    run.add_argument(
         "--retries",
         type=int,
         default=0,
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-smoke",
         action="store_true",
         help="seeded crash-injection run, popper doctor repair, then "
-        "a clean --resume re-run",
+        "a clean re-run",
     )
     run.add_argument(
         "--no-cache",
@@ -309,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run matrix jobs on N worker processes, at most one per "
         "CPU core (default 1: serially, in this process)",
-    )
-    ci.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip matrix jobs already green for the same commit and env",
     )
     ci.add_argument(
         "--seed",
@@ -505,9 +496,10 @@ def _cmd_run(args) -> int:
     experiment the cache cannot serve.
 
     Resilience: ``--retries``/``--task-timeout`` set stage-level retry
-    and deadline policies, ``--inject-faults`` applies a deterministic
-    chaos plan, and ``--resume`` restores experiments a previous
-    (interrupted) sweep already completed from ``.pvcs/sweep-state.jsonl``.
+    and deadline policies and ``--inject-faults`` applies a
+    deterministic chaos plan.  A re-run after a crash or a drain serves
+    every experiment the interrupted sweep finished from the artifact
+    store.
     """
     from repro.common.crash import (
         EXIT_CRASH,
@@ -530,7 +522,6 @@ def _cmd_run(args) -> int:
         MemoizedPayload,
         RunCancelled,
         RunOptions,
-        RunStateStore,
         TaskGraph,
         TaskState,
         resolve_backend,
@@ -569,11 +560,11 @@ def _cmd_run(args) -> int:
     if args.crash_smoke:
         if args.cache_check or args.validate_only or args.crash_hard:
             raise PopperError(
-                "--crash-smoke orchestrates crash+doctor+resume in one "
+                "--crash-smoke orchestrates crash+doctor+re-run in one "
                 "process; it cannot be combined with --cache-check, "
                 "--validate-only or --crash-hard"
             )
-        crash_spec = crash_spec or "at:runstate.append.torn:1"
+        crash_spec = crash_spec or "at:profiles.attach.torn:1"
     if args.crash_hard and not crash_spec:
         raise PopperError("--crash-hard needs --inject-crash")
     if crash_spec:
@@ -584,6 +575,9 @@ def _cmd_run(args) -> int:
     artifact_store = repo.artifact_store if use_cache else None
 
     cancel = CancelToken()
+    # The command that finishes an interrupted sweep: a plain re-run
+    # serves every experiment it finished from the artifact store.
+    rerun = "popper run " + ("--all" if args.all else " ".join(names))
 
     def experiment_task(name: str):
         # Plain data rather than a closure, so the process backend can
@@ -593,7 +587,6 @@ def _cmd_run(args) -> int:
             repo_root=str(repo.root),
             name=name,
             strict=args.strict,
-            resume=args.resume,
             validate_only=args.validate_only,
             retries=args.retries,
             task_timeout=args.task_timeout,
@@ -603,14 +596,6 @@ def _cmd_run(args) -> int:
             backend=scheduler.backend,
             workers=workers,
         ).bind(repo=repo, cancel=cancel)
-
-    def sweep_restore(name: str):
-        def restore(detail: dict):
-            # Re-validates the stored results.csv without re-executing;
-            # raising (e.g. deleted results) falls back to a real run.
-            return ExperimentPipeline(repo, name).validate_existing()
-
-        return restore
 
     def sweep_payload(name: str, key: str):
         """The task payload for one experiment of the sweep.
@@ -631,10 +616,10 @@ def _cmd_run(args) -> int:
             meta=lambda result: sweep_meta(len(result.results), result.validated),
             # Re-validate the materialized results: an edited
             # validations.aver yields a fresh verdict even on a hit.
-            restore=sweep_restore(name),
+            restore=lambda meta: (
+                ExperimentPipeline(repo, name).validate_existing()
+            ),
         )
-
-    state_path = repo.root / ".pvcs" / "sweep-state.jsonl"
 
     def build_graph() -> TaskGraph:
         graph = TaskGraph()
@@ -642,34 +627,15 @@ def _cmd_run(args) -> int:
             if args.validate_only:
                 graph.add(name, experiment_task(name))
             else:
-                key = sweep_key(repo, name)
-                graph.add(
-                    name,
-                    sweep_payload(name, key),
-                    fingerprint=key,
-                    # Only validated successes are worth caching; a run
-                    # that completed with validation failures re-runs on
-                    # resume.
-                    checkpoint=lambda result: (
-                        {"validated": True, "rows": len(result.results)}
-                        if result.validated
-                        else None
-                    ),
-                    restore=sweep_restore(name),
-                )
+                graph.add(name, sweep_payload(name, sweep_key(repo, name)))
         return graph
 
     recaps = []  # every sweep this command ran
 
-    def execute(resume: bool):
-        with RunStateStore(state_path, resume=resume) as store:
-            options = RunOptions(
-                run_state=store,
-                artifact_store=artifact_store,
-                cancel=cancel,
-            )
-            recaps.append(scheduler.run(build_graph(), options=options))
-            return recaps[-1]
+    def execute():
+        options = RunOptions(artifact_store=artifact_store, cancel=cancel)
+        recaps.append(scheduler.run(build_graph(), options=options))
+        return recaps[-1]
 
     def report(recap) -> int:
         exit_code = 0
@@ -678,11 +644,7 @@ def _cmd_run(args) -> int:
             if outcome.ok:
                 result = outcome.value
                 status = "ok" if result.validated else "VALIDATION FAILED"
-                cached = (
-                    " (cached)"
-                    if outcome.restored or outcome.state is TaskState.CACHED
-                    else ""
-                )
+                cached = " (cached)" if outcome.state is TaskState.CACHED else ""
                 print(
                     f"-- {name}: {len(result.results)} result rows, "
                     f"{status}{cached}"
@@ -706,7 +668,7 @@ def _cmd_run(args) -> int:
         return exit_code
 
     def drive() -> int:
-        recap = execute(args.resume)
+        recap = execute()
         exit_code = report(recap)
         if not args.cache_check:
             return exit_code
@@ -722,7 +684,7 @@ def _cmd_run(args) -> int:
             return snapshots
 
         cold = results_bytes()
-        warm_recap = execute(resume=False)
+        warm_recap = execute()
         exit_code = max(exit_code, report(warm_recap))
         warm = results_bytes()
         hits = sum(
@@ -760,7 +722,7 @@ def _cmd_run(args) -> int:
         except SimulatedCrash as crash:
             print(
                 f"-- simulated crash at {crash.point} (hit {crash.hit}); "
-                "run `popper doctor`, then `popper run --resume`"
+                f"run `popper doctor`, then `{rerun}`"
             )
             return EXIT_CRASH
         finally:
@@ -775,7 +737,7 @@ def _cmd_run(args) -> int:
         return code
 
     def crash_smoke() -> int:
-        """crash -> doctor -> resume, the CI robustness job."""
+        """crash -> doctor -> re-run, the CI robustness job."""
         from repro.store.doctor import diagnose, repair
 
         code = drive_with_crashes()
@@ -786,14 +748,13 @@ def _cmd_run(args) -> int:
         if doctor_report.unrepaired:
             print("-- crash smoke FAILED: doctor left damage unrepaired")
             return 1
-        recap = execute(resume=True)
-        code = report(recap)
+        code = report(execute())
         verify = repo.artifact_store.verify() if use_cache else None
         if verify is not None and not verify.ok:
-            print("-- crash smoke FAILED: artifact store corrupt after resume")
+            print("-- crash smoke FAILED: artifact store corrupt after re-run")
             return max(code, 1)
         if code == 0:
-            print("-- crash smoke: crashed, repaired, resumed clean")
+            print("-- crash smoke: crashed, repaired, re-ran clean")
         return code
 
     guard = GracefulShutdown(cancel)
@@ -805,11 +766,7 @@ def _cmd_run(args) -> int:
                 return drive_with_crashes()
             return drive()
     except RunCancelled as cancelled:
-        resume_hint = "--all" if args.all else " ".join(names)
-        print(
-            f"-- {cancelled}; completed tasks are checkpointed"
-            f" (resume with: popper run {resume_hint} --resume)"
-        )
+        print(f"-- {cancelled}; finish with: {rerun}")
         return cancelled.exit_code if guard.exit_code == 0 else guard.exit_code
 
 
@@ -1063,7 +1020,7 @@ def _cmd_ci(args) -> int:
     if args.seed is not None:
         os.environ["POPPER_SEED"] = str(args.seed)
     try:
-        record = server.trigger(args.ref, resume=args.resume)
+        record = server.trigger(args.ref)
     finally:
         if args.seed is not None:
             if previous is None:
@@ -1074,8 +1031,6 @@ def _cmd_ci(args) -> int:
     for job in record.jobs:
         env = " ".join(f"{k}={v}" for k, v in job.env.items()) or "<default env>"
         verdict = "ok" if job.ok else "FAILED"
-        if job.restored:
-            verdict += " (cached)"
         print(f"   job [{env}]: {verdict}")
         if job.error:
             print(f"     {job.error}")

@@ -55,8 +55,6 @@ from repro.engine import (
     RetryPolicy,
     RunCancelled,
     RunOptions,
-    RUN_STATE_FILE,
-    RunStateStore,
     SerialScheduler,
     TaskGraph,
     TaskState,
@@ -149,11 +147,6 @@ class ExperimentPipeline:
     def journal_path(self):
         """Where this experiment's run journal lands (``journal.jsonl``)."""
         return self.directory / JOURNAL_FILE
-
-    @property
-    def run_state_path(self):
-        """Where this experiment's resume checkpoint lands."""
-        return self.directory / RUN_STATE_FILE
 
     # -- pieces ---------------------------------------------------------------------
     def load_vars(self) -> dict:
@@ -298,50 +291,40 @@ class ExperimentPipeline:
             return None
 
     # -- the whole pipeline -------------------------------------------------------------
-    def run(self, strict: bool = False, resume: bool = False) -> ExperimentResult:
+    def run(self, strict: bool = False) -> ExperimentResult:
         """Execute all stages.  With ``strict``, failed validations raise.
 
         The run's full provenance is journaled to :attr:`journal_path`
         (one JSONL event per span/metric/verdict) even when a stage
         raises — a crashed run leaves a journal up to the failure point.
-        With ``resume``, stages whose fingerprint has a successful
-        checkpoint in :attr:`run_state_path` are restored (the ``run``
-        stage re-reads ``results.csv``) instead of re-executed, and the
-        journal is appended to rather than truncated.
+        With an artifact store, a stage whose cache key hits is
+        materialized instead of executed, so a re-run after a crash or
+        a drain executes only the stages that had not finished.
         """
-        journal = RunJournal(self.journal_path, fresh=not resume)
+        journal = RunJournal(self.journal_path)
         tracer = self.tracer
         tracer.journal = journal
-        journal.event(
-            "run_start",
-            experiment=self.experiment,
-            resume=resume,
-            **self.run_meta,
-        )
+        journal.event("run_start", experiment=self.experiment, **self.run_meta)
         status = "error"
         prior_roots = len(tracer.roots())
         try:
-            with RunStateStore(self.run_state_path, resume=resume) as store:
-                options = RunOptions(
-                    retry=self.retry,
-                    timeout_s=self.timeout_s,
-                    faults=self.faults,
-                    run_state=store,
-                    artifact_store=self.artifact_store,
-                    cancel=self.cancel,
-                )
-                with activate(tracer):
-                    result = self._run_stages(
-                        tracer, strict=strict, options=options
-                    )
+            options = RunOptions(
+                retry=self.retry,
+                timeout_s=self.timeout_s,
+                faults=self.faults,
+                artifact_store=self.artifact_store,
+                cancel=self.cancel,
+            )
+            with activate(tracer):
+                result = self._run_stages(tracer, strict=strict, options=options)
             status = "ok" if result.validated else "validation-failed"
             return result
         except ValidationFailure:
             status = "validation-failed"
             raise
         except RunCancelled:
-            # The drain finished — completed stages are checkpointed —
-            # so the journal records a clean cancellation, not a crash.
+            # The drain finished — completed stages are filed — so the
+            # journal records a clean cancellation, not a crash.
             status = "cancelled"
             raise
         finally:
@@ -386,14 +369,14 @@ class ExperimentPipeline:
             )
         return stages
 
-    def _restore_results(self, detail: dict) -> MetricsTable:
-        """Rebuild the ``run`` stage's value from disk on ``--resume``."""
+    def _restore_results(self, meta: dict) -> MetricsTable:
+        """Rebuild the ``run`` stage's value from a cache hit's outputs."""
         table = MetricsTable.load_csv(self.directory / "results.csv")
-        rows = int(detail.get("rows", len(table)))
+        rows = int(meta.get("rows", len(table)))
         if len(table) != rows:
             raise PopperError(
                 f"{self.experiment}: results.csv has {len(table)} rows, "
-                f"checkpoint recorded {rows}; re-running"
+                f"its cache record {rows}; re-running"
             )
         return table
 
@@ -415,9 +398,7 @@ class ExperimentPipeline:
         ``setup → [baseline] → run`` is a chain; ``postprocess``,
         ``visualize`` (when the experiment ships a notebook) and
         ``validate`` all depend only on ``run`` and are mutually
-        independent.  The ``run`` stage carries a checkpoint fingerprint
-        over the experiment's variables, so an interrupted sweep resumes
-        without re-executing it.
+        independent.
 
         The artifact-producing stages (``baseline``, ``run``,
         ``postprocess``, ``visualize``) are declared through
@@ -480,9 +461,6 @@ class ExperimentPipeline:
                 restore=self._restore_results,
             ),
             dependencies=run_deps,
-            fingerprint=task_fingerprint(f"{self.experiment}/run", variables),
-            checkpoint=lambda table: {"rows": len(table)},
-            restore=self._restore_results,
         )
         graph.add(
             "postprocess",

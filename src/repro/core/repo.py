@@ -65,7 +65,7 @@ DEFAULT_TRAVIS = """\
 # stored results; re-execute with retries while the first two attempts
 # of every run stage fail; run twice against one artifact store and
 # require a warm, identical second pass; crash mid-write, repair with
-# popper doctor and resume clean; run on two worker processes.  The
+# popper doctor and re-run clean; run on two worker processes.  The
 # sixth job, popper selftest, checks the toolchain itself in scratch
 # repositories: the degradation detectors, the fuzz loop, the packed
 # store and the serve daemon.

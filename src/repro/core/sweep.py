@@ -17,7 +17,7 @@ on the far side:
   seeds derive per experiment name, exactly as the CLI derives them);
 * the cancel token only exists in the parent process, so under the
   process backend a signal drains at whole-experiment granularity —
-  in-flight experiments finish and checkpoint; with ``-j 1``
+  in-flight experiments finish and are filed; with ``-j 1``
   :meth:`bind` supplies the shared repo and token and cancellation
   additionally drains at stage granularity.
 
@@ -59,8 +59,8 @@ def sweep_key(repo: PopperRepository, name: str) -> str:
 
     It covers the content of ``vars.yml``, ``setup.yml``,
     ``process-result.py`` and ``visualize.nb.json`` (a missing file
-    counts as empty): editing any of them invalidates the entry and the
-    sweep checkpoint, and the experiment re-runs.
+    counts as empty): editing any of them invalidates the entry, and the
+    experiment re-runs.
     """
     exp_dir = repo.experiment_dir(name)
     digests = {}
@@ -104,7 +104,6 @@ class SweepExperimentJob:
     repo_root: str
     name: str
     strict: bool = False
-    resume: bool = False
     validate_only: bool = False
     retries: int = 0
     task_timeout: float | None = None
@@ -172,4 +171,4 @@ class SweepExperimentJob:
         )
         if self.validate_only:
             return pipeline.validate_existing()
-        return pipeline.run(strict=self.strict, resume=self.resume)
+        return pipeline.run(strict=self.strict)

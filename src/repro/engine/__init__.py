@@ -14,20 +14,21 @@ on one supervised :class:`~repro.engine.pool.WorkerPool`.
 
 The resilience layer (see ``docs/robustness.md``) rides on top:
 :class:`~repro.engine.resilience.RetryPolicy` and per-task deadlines,
-checkpoint/resume through a
-:class:`~repro.engine.runstate.RunStateStore`, and deterministic chaos
-testing through a :class:`~repro.engine.faults.FaultPlan`, all bundled
-into the scheduler's :class:`~repro.engine.scheduler.RunOptions`.
-Signal-safe shutdown (same doc) routes SIGINT/SIGTERM through a
+and deterministic chaos testing through a
+:class:`~repro.engine.faults.FaultPlan`, all bundled into the
+scheduler's :class:`~repro.engine.scheduler.RunOptions`.  Signal-safe
+shutdown (same doc) routes SIGINT/SIGTERM through a
 :class:`~repro.engine.shutdown.CancelToken` on ``RunOptions.cancel``:
-in-flight tasks drain and checkpoint, then the run raises
+in-flight tasks drain and file their outputs, then the run raises
 :class:`~repro.engine.shutdown.RunCancelled`.
 
 Cross-run memoization (see ``docs/caching.md``) rides on the same
 bundle: a :class:`~repro.engine.cache.MemoizedPayload` is consulted
 against ``RunOptions.artifact_store`` before executing; a hit
 materializes the stored outputs and completes the task as
-:attr:`~repro.engine.graph.TaskState.CACHED`.
+:attr:`~repro.engine.graph.TaskState.CACHED`.  It is the one
+checkpoint: a re-run after a crash or a drain executes only what the
+store cannot serve.
 """
 
 from repro import lazy_exports
@@ -54,8 +55,7 @@ __all__, __getattr__ = lazy_exports(
         "procsched": ("ProcessScheduler",),
         "resilience": ("RetryPolicy", "NO_RETRY", "call_with_timeout"),
         "faults": ("FaultPlan", "FaultSpec"),
-        "cache": ("MemoizedPayload",),
-        "runstate": ("RUN_STATE_FILE", "RunStateStore", "task_fingerprint"),
+        "cache": ("MemoizedPayload", "task_fingerprint"),
         "shutdown": (
             "EXIT_SIGINT",
             "EXIT_SIGTERM",

@@ -11,23 +11,41 @@ journaling a ``cache`` event with the bytes it did not have to
 recompute.  A miss executes the payload normally and then files the
 produced outputs, so the *next* run hits.
 
-This is what turns ``--resume`` from same-run checkpointing into
-cross-run memoization: the run-state file still short-circuits within
-one interrupted sweep, while the artifact index short-circuits across
-fresh runs, branches and checkouts — as long as the fingerprint (task
-identity + parameter hash) matches, the stored artifact stands in for
-the re-execution.
+The store is the only thing that skips finished work.  A re-run
+after a crash or a drain (and any warm run, on any branch or checkout)
+executes only what the index cannot serve: as long as the fingerprint
+(:func:`task_fingerprint`, task identity + parameter hash) matches, the
+stored artifact stands in for the re-execution.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.common.errors import EngineError
+from repro.common.hashing import sha256_text
 
-__all__ = ["MemoizedPayload"]
+__all__ = ["MemoizedPayload", "task_fingerprint"]
+
+
+def task_fingerprint(task_id: str, params: Any = None) -> str:
+    """A stable identity for "this task with these parameters".
+
+    Hashes the task id plus a canonical JSON rendering of *params*
+    (sorted keys; non-JSON values fall back to ``str``).  Two runs
+    agree on a fingerprint exactly when they would execute the same
+    payload with the same inputs — the condition under which a stored
+    artifact may stand in for a re-execution.
+    """
+    if not task_id:
+        raise EngineError("task_fingerprint: task id required")
+    payload = json.dumps(
+        {"task": task_id, "params": params}, sort_keys=True, default=str
+    )
+    return sha256_text(payload)[:16]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` wraps task execution with deliberate failures so
 the whole resilience layer — retry policies, timeouts, degraded states,
-checkpoint/resume — can be exercised end to end (``popper run
+cached re-runs — can be exercised end to end (``popper run
 --inject-faults SPEC``).  Determinism is the point: the same spec and
 seed produce the same faults on every run, so a chaos test is itself a
 reproducible experiment.

@@ -108,15 +108,10 @@ class Task:
       (overrides the run-level default);
     * ``timeout_s`` — per-task deadline (overrides the run-level default);
     * ``optional`` — a failure yields DEGRADED instead of FAILED:
-      dependents still run and ``GraphResult.ok`` stays true;
-    * ``fingerprint`` — checkpoint key (see :mod:`repro.engine.runstate`);
-      tasks without one are never checkpointed or restored;
-    * ``checkpoint`` — maps the task's value to the JSON detail persisted
-      in the run state (return ``None`` to mark the outcome
-      non-cacheable, e.g. a CI job that ran but failed its steps);
-    * ``restore`` — rebuilds a value from persisted detail on resume
-      (e.g. re-reading ``results.csv``); raising falls back to
-      re-executing the payload.
+      dependents still run and ``GraphResult.ok`` stays true.
+
+    A task skips itself on a later run by having a
+    :class:`~repro.engine.cache.MemoizedPayload` as its payload.
     """
 
     id: str
@@ -126,9 +121,6 @@ class Task:
     retry: RetryPolicy | None = None
     timeout_s: float | None = None
     optional: bool = False
-    fingerprint: str | None = None
-    checkpoint: Callable[[Any], dict | None] | None = None
-    restore: Callable[[dict], Any] | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -163,9 +155,8 @@ class TaskGraph:
     ) -> Task:
         """Add a :class:`Task` (or build one from id + payload).
 
-        Extra keyword arguments (``retry``, ``timeout_s``, ``optional``,
-        ``fingerprint``, ``checkpoint``, ``restore``) pass through to the
-        :class:`Task` constructor.
+        Extra keyword arguments (``retry``, ``timeout_s``, ``optional``)
+        pass through to the :class:`Task` constructor.
         """
         if isinstance(task_or_id, Task):
             if task_fields:
@@ -314,12 +305,6 @@ class TaskOutcome:
     blamed_on: str | None = None
     #: How many attempts the task took (1 unless a retry policy fired).
     attempts: int = 1
-    #: True when the outcome was restored from a run-state checkpoint
-    #: instead of executing the payload (``--resume``).
-    restored: bool = False
-    #: Persisted checkpoint detail (from the task's ``checkpoint``
-    #: callback, or the run-state record a restore came from).
-    detail: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -329,9 +314,7 @@ class TaskOutcome:
         if self.state is TaskState.CACHED:
             return f"{self.task_id}: cached ({self.seconds:.3f}s)"
         if self.state is TaskState.OK:
-            suffix = " [restored]" if self.restored else (
-                f" [{self.attempts} attempts]" if self.attempts > 1 else ""
-            )
+            suffix = f" [{self.attempts} attempts]" if self.attempts > 1 else ""
             return f"{self.task_id}: ok ({self.seconds:.3f}s){suffix}"
         if self.state is TaskState.SKIPPED:
             return f"{self.task_id}: skipped (upstream {self.blamed_on} failed)"

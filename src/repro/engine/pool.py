@@ -43,6 +43,7 @@ the pool.
 from __future__ import annotations
 
 import pickle
+import signal
 import time
 from collections import deque
 from typing import Any, Callable, NamedTuple
@@ -70,7 +71,14 @@ def _worker_main(runner: Runner, index: int, conn, inherited: tuple = ()) -> Non
     them, that a forked worker holds copies of.  Once they are closed,
     the owner's death (even by ``os._exit`` or ``kill -9``) reads as
     end-of-file on *conn*, and the worker exits quietly.
+
+    SIGTERM gets its default action back: a worker forked inside the
+    owner's :class:`~repro.engine.shutdown.GracefulShutdown` would
+    otherwise inherit a handler that only sets a token, and shrug off
+    the ``terminate()`` of :meth:`WorkerPool.drain`.  SIGINT keeps the
+    inherited disposition, so Ctrl-C still drains through the owner.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for end in inherited:
         end.close()
     run = runner(index)

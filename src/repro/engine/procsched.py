@@ -14,17 +14,16 @@ Design:
   :class:`~repro.common.errors.UnpicklablePayloadError`; its dependents
   are skipped and independent branches run on, as for any failure.
 * **A pool started on the first miss.** The worker pool starts when the
-  first task misses both the artifact store and the checkpoint, so a
-  fully cached or fully restored graph forks nothing.
+  first task misses the artifact store, so a fully cached graph forks
+  nothing.
 * **Parent-side assignment across topological levels.** The parent
   hands the oldest ready task to the next idle worker, whichever
   topological level it belongs to, so uneven stage durations never
   leave cores idle behind a level barrier.
-* **Parent-side cache and checkpoint.** The parent performs the
-  artifact-store lookup (CACHED short-circuit *before* dispatch), the
-  run-state restore, and — when a worker reports success — the cache
-  filing and checkpoint append, so stores need no cross-process
-  coordination beyond their existing inter-process locks.
+* **Parent-side cache.** The parent performs the artifact-store lookup
+  (CACHED short-circuit *before* dispatch) and, when a worker reports
+  success, the cache filing, so the store needs no cross-process
+  coordination beyond its existing inter-process locks.
 * **Worker-side resilience.** Retry policies, per-task deadlines and
   fault plans ship with each job and execute inside the worker, exactly
   as the in-process backends run them (the shared
@@ -42,7 +41,7 @@ Design:
   ``popper log`` see one tree.
 * **Cooperative shutdown and crash containment.** A set
   :class:`~repro.engine.shutdown.CancelToken` stops new dispatch;
-  in-flight experiments drain and checkpoint, then
+  in-flight experiments drain and file their outputs, then
   :class:`~repro.engine.shutdown.RunCancelled` raises as usual.  The
   workers are the supervised :class:`~repro.engine.pool.WorkerPool`
   that ``popper serve`` also runs on: a worker that dies without
@@ -165,8 +164,8 @@ class _WorkerRunner(Scheduler):
 
     Reusing :meth:`Scheduler._run_task` gives worker-side execution the
     exact span / attempt / retry / deadline / fault semantics of the
-    in-process backends.  Cache and run-state stores are absent in the
-    worker (both halves of that protocol run parent-side).  With a
+    in-process backends.  The artifact store is absent in the worker
+    (both halves of the cache protocol run parent-side).  With a
     *shard_dir*, the worker journals its spans into its own shard, which
     :meth:`close` closes when the worker exits.
     """
@@ -257,8 +256,8 @@ class ProcessScheduler(Scheduler):
             if journal is not None
             else None
         )
-        # Built on the first task that misses the cache and the
-        # checkpoint: a cached graph neither imports the pool nor forks.
+        # Built on the first task that misses the cache: a cached
+        # graph neither imports the pool nor forks.
         pool = None
         inflight: set[str] = set()
         done_records: dict[str, dict] = {}
@@ -283,17 +282,14 @@ class ProcessScheduler(Scheduler):
                 tid = pending.pop(0)
                 if draining():
                     # Drain: hand out nothing new.  Undispatched tasks
-                    # keep no run-state record, so --resume re-runs them.
+                    # have no store record, so a re-run executes them.
                     continue
                 task = graph.task(tid)
-                short = self._try_cache(task, options, journal)
-                if short is None:
-                    short = self._try_restore(task, options, journal)
-                if short is not None:
-                    # CACHED / restored: completed without dispatching.
-                    result.outcomes[tid] = short
-                    self._record_state(task, short, options)
-                    pending.extend(advance(tid, short))
+                cached = self._try_cache(task, options, journal)
+                if cached is not None:
+                    # CACHED: completed without dispatching.
+                    result.outcomes[tid] = cached
+                    pending.extend(advance(tid, cached))
                     continue
                 job = _Job(
                     task_id=tid,
@@ -346,7 +342,6 @@ class ProcessScheduler(Scheduler):
                         ),
                     )
                     result.outcomes[tid] = outcome
-                    self._record_state(task, outcome, options)
                     pending.extend(advance(tid, outcome))
                     continue
                 inflight.add(tid)
@@ -372,8 +367,7 @@ class ProcessScheduler(Scheduler):
             task = graph.task(tid)
             if outcome.state is TaskState.ABORTED:
                 # The worker journaled task_aborted into its shard; the
-                # parent checkpoints the outcome and starts draining.
-                self._record_state(task, outcome, options)
+                # parent starts draining.
                 if abort_error is None:
                     abort_error = (
                         outcome.error
@@ -382,7 +376,6 @@ class ProcessScheduler(Scheduler):
                     )
                 return
             self._record_cache(task, outcome, options, journal)
-            self._record_state(task, outcome, options)
             dispatch(advance(tid, outcome))
 
         def fail_inflight(
@@ -399,7 +392,6 @@ class ProcessScheduler(Scheduler):
                 error=error,
             )
             result.outcomes[tid] = outcome
-            self._record_state(task, outcome, options)
             dispatch(advance(tid, outcome))
 
         def reap_dead_workers() -> None:

@@ -36,16 +36,15 @@ Semantics shared by every backend:
 * **Resilience** — a :class:`RunOptions` bundle (or per-task fields on
   :class:`~repro.engine.graph.Task`) adds retries with deterministic
   backoff, per-task deadlines, graceful degradation of *optional* tasks
-  to DEGRADED (dependents still run), checkpoint/resume through a
-  :class:`~repro.engine.runstate.RunStateStore`, and deterministic fault
+  to DEGRADED (dependents still run), and deterministic fault
   injection via a :class:`~repro.engine.faults.FaultPlan`.  When a retry
   policy allows more than one attempt, each attempt runs in a
   ``task/<id>/attempt-N`` child span and journals an ``attempt`` event.
 * **Abort accounting** — a ``BaseException`` (Ctrl-C, ``SystemExit``)
   inside a payload is *not* swallowed: the task is recorded as ABORTED
-  (outcome, ``task_aborted`` journal event, run-state record) and the
-  exception re-raises to the caller, so an interrupted run's journal
-  still accounts for the in-flight task.
+  (outcome and ``task_aborted`` journal event) and the exception
+  re-raises to the caller, so an interrupted run's journal still
+  accounts for the in-flight task.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from repro.engine.graph import (
     TaskState,
 )
 from repro.engine.resilience import NO_RETRY, RetryPolicy, call_with_timeout
-from repro.engine.runstate import RunStateStore
 from repro.engine.shutdown import CancelToken, RunCancelled
 from repro.store import ArtifactStore
 from repro.monitor.tracing import Span, Tracer, activate, current_tracer
@@ -91,9 +89,6 @@ class RunOptions:
       their own (``None`` means fail-stop, :data:`NO_RETRY`);
     * ``timeout_s`` — default per-task deadline (``None`` = no deadline);
     * ``faults`` — a :class:`FaultPlan` applied before every attempt;
-    * ``run_state`` — a :class:`RunStateStore`; tasks carrying a
-      ``fingerprint`` are checkpointed into it and, on resume, restored
-      from it instead of re-executing;
     * ``artifact_store`` — an :class:`~repro.store.ArtifactStore`; tasks
       whose payload is a :class:`~repro.engine.cache.MemoizedPayload`
       consult its artifact index before executing, and a fingerprint hit
@@ -101,7 +96,7 @@ class RunOptions:
       (cross-run memoization; the task completes as ``CACHED``);
     * ``cancel`` — a :class:`~repro.engine.shutdown.CancelToken`; the
       schedulers check it between tasks, drain in-flight work (which
-      checkpoints normally) and raise
+      files its outputs normally) and raise
       :class:`~repro.engine.shutdown.RunCancelled` once quiescent —
       the cooperative half of signal-safe shutdown.
     """
@@ -109,12 +104,11 @@ class RunOptions:
     retry: RetryPolicy | None = None
     timeout_s: float | None = None
     faults: FaultPlan | None = None
-    run_state: RunStateStore | None = None
     artifact_store: ArtifactStore | None = None
     cancel: CancelToken | None = None
 
 
-#: The zero-cost default: no retries, no deadline, no faults, no state.
+#: The zero-cost default: no retries, no deadline, no faults, no store.
 DEFAULT_OPTIONS = RunOptions()
 
 
@@ -191,9 +185,6 @@ class Scheduler:
         cached = self._try_cache(task, options, journal)
         if cached is not None:
             return cached
-        restored = self._try_restore(task, options, journal)
-        if restored is not None:
-            return restored
         policy = task.retry if task.retry is not None else (
             options.retry if options.retry is not None else NO_RETRY
         )
@@ -255,10 +246,8 @@ class Scheduler:
                     attempt=max(attempt, 1),
                     error=f"{type(exc).__name__}: {exc}",
                 )
-            self._record_state(task, outcome, options)
             raise
         self._record_cache(task, outcome, options, journal)
-        self._record_state(task, outcome, options)
         return outcome
 
     def _attempt(
@@ -357,7 +346,6 @@ class Scheduler:
             state=TaskState.CACHED,
             value=value,
             seconds=time.perf_counter() - started,
-            detail=dict(record.meta),
         )
 
     @staticmethod
@@ -375,7 +363,6 @@ class Scheduler:
         if (
             store is None
             or outcome.state is not TaskState.OK
-            or outcome.restored
             or not isinstance(payload, MemoizedPayload)
         ):
             return
@@ -402,86 +389,6 @@ class Scheduler:
                 bytes_stored=stored.bytes_stored,
                 bytes_deduped=stored.bytes_deduped,
             )
-
-    @staticmethod
-    def _try_restore(
-        task: Task, options: RunOptions, journal
-    ) -> TaskOutcome | None:
-        """Restore the task from run state, if a usable checkpoint exists."""
-        store = options.run_state
-        if store is None or not task.fingerprint:
-            return None
-        record = store.lookup(task.fingerprint)
-        if record is None:
-            return None
-        detail = record.get("detail")
-        try:
-            value = (
-                task.restore(detail if isinstance(detail, dict) else {})
-                if task.restore is not None
-                else None
-            )
-        except Exception:
-            # A checkpoint that cannot be rebuilt (deleted results file,
-            # schema drift) silently falls back to re-execution.
-            return None
-        if journal is not None:
-            journal.event(
-                "task_restored",
-                task=task.id,
-                fingerprint=task.fingerprint,
-                attempts=record.get("attempts", 1),
-            )
-        return TaskOutcome(
-            task_id=task.id,
-            state=TaskState.OK,
-            value=value,
-            seconds=0.0,
-            attempts=int(record.get("attempts", 1) or 1),
-            restored=True,
-            detail=detail if isinstance(detail, dict) else None,
-        )
-
-    @staticmethod
-    def _record_state(
-        task: Task, outcome: TaskOutcome, options: RunOptions
-    ) -> None:
-        """Checkpoint one finished outcome into the run-state store."""
-        store = options.run_state
-        if (
-            store is None
-            or not task.fingerprint
-            or outcome.restored
-            or outcome.state is TaskState.CACHED
-        ):
-            return
-        detail = None
-        cacheable = True
-        if outcome.state is TaskState.OK and task.checkpoint is not None:
-            try:
-                detail = task.checkpoint(outcome.value)
-            except Exception:
-                detail, cacheable = None, False
-            else:
-                if detail is None:
-                    # The checkpoint callback vetoed caching (e.g. a CI
-                    # job that ran but failed its steps).
-                    cacheable = False
-            outcome.detail = detail
-        store.record(
-            task.id,
-            task.fingerprint,
-            outcome.state.value,
-            seconds=outcome.seconds,
-            attempts=outcome.attempts,
-            detail=detail,
-            error=(
-                f"{type(outcome.error).__name__}: {outcome.error}"
-                if outcome.error is not None
-                else ""
-            ),
-            cacheable=cacheable,
-        )
 
     @staticmethod
     def _propagate_failure(
@@ -514,7 +421,7 @@ class SerialScheduler(Scheduler):
         while queue:
             if options.cancel is not None:
                 # Between tasks is the safe stop point: everything that
-                # finished has checkpointed, nothing is mid-write.
+                # finished has filed its outputs, nothing is mid-write.
                 options.cancel.raise_if_cancelled()
             task_id = queue.pop(0)
             outcome = self._run_task(
@@ -553,9 +460,9 @@ class ThreadedScheduler(Scheduler):
 
             def submit(task_ids: list[str]) -> None:
                 if cancel is not None and cancel.cancelled:
-                    # Draining: in-flight tasks finish and checkpoint,
-                    # nothing new starts (unstarted tasks have no
-                    # run-state record, so --resume re-runs them).
+                    # Draining: in-flight tasks finish and file their
+                    # outputs, nothing new starts (unstarted tasks have
+                    # no store record, so a re-run executes them).
                     return
                 for tid in task_ids:
                     future = pool.submit(
@@ -580,8 +487,8 @@ class ThreadedScheduler(Scheduler):
             except BaseException:
                 # An aborted task re-raised through future.result() (or
                 # the caller was interrupted in wait()): stop handing out
-                # work, let in-flight tasks drain (they checkpoint their
-                # own outcomes), and propagate the interrupt.
+                # work, let in-flight tasks drain (they file their own
+                # outputs), and propagate the interrupt.
                 for future in running:
                     future.cancel()
                 raise

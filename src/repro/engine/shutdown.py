@@ -1,8 +1,9 @@
 """Signal-safe shutdown: turn SIGINT/SIGTERM into a cooperative drain.
 
-A killed sweep must not lose the work it already finished — the whole
-point of the run-state checkpoint is that an interrupted evaluation
-resumes instead of restarting.  The dangerous window is *between* the
+A killed sweep must not lose the work it already finished: every
+finished task has filed its outputs in the artifact store, so a re-run
+of an interrupted evaluation serves them instead of restarting.  The
+dangerous window is *between* the
 signal and the exit: a handler that raises ``KeyboardInterrupt`` at an
 arbitrary bytecode boundary can land mid-``os.replace`` or mid-append
 and leave exactly the torn state the crash-consistency layer exists to
@@ -12,15 +13,18 @@ So shutdown here is cooperative:
 
 * a :class:`CancelToken` is a thread-safe "stop now" flag;
 * :class:`GracefulShutdown` installs SIGINT/SIGTERM handlers (main
-  thread only — ``signal.signal`` is illegal elsewhere, and the CI
-  executor runs pipelines on worker threads) that *set the token*
-  instead of raising;
+  thread only — ``signal.signal`` is illegal elsewhere) that *set the
+  token* instead of raising;
 * the schedulers check the token between tasks: in-flight tasks drain
-  and checkpoint normally, no new work starts, and the run raises
-  :class:`RunCancelled` once quiescent;
+  and file their outputs normally, no new work starts, and the run
+  raises :class:`RunCancelled` once quiescent;
 * the CLI maps the cancellation to the conventional ``128 + signum``
   exit code (130 for SIGINT, 143 for SIGTERM), so wrappers and CI can
-  tell "interrupted, resumable" from "failed".
+  tell "interrupted, a re-run finishes it" from "failed".
+
+A worker process of the pool restores SIGTERM's default action, so the
+owner's drain can still ``terminate()`` a straggler that was forked
+while these handlers were installed.
 
 A second signal while draining restores the default handler, so a
 stuck payload can still be killed the blunt way.
@@ -115,8 +119,8 @@ class GracefulShutdown:
     Off the main thread (where ``signal.signal`` raises ``ValueError``)
     the manager degrades to a no-op pass-through: the token still works
     when cancelled programmatically, only the signal routing is absent.
-    That keeps in-process embeddings (the CI executor runs ``popper``
-    mains on worker threads) working unchanged.
+    That keeps ``popper`` mains embedded on a non-main thread working
+    unchanged.
     """
 
     SIGNALS = (signal.SIGINT, signal.SIGTERM)

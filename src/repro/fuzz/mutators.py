@@ -92,7 +92,7 @@ _FAULT_CLAUSES = (
 )
 
 #: The crash points one variant's pipeline run consults (the run crash
-#: points of the crash -> doctor -> resume matrix) plus globs over them.
+#: points of the crash -> doctor -> re-run matrix) plus globs over them.
 _CRASH_TARGETS = (
     *RUN_CRASH_POINTS,
     "cas.*", "profiles.*", "*.torn", "*.window", "index.*", "*",

@@ -54,7 +54,6 @@ EVENT_KINDS = (
     "baseline",
     "aver_verdict",
     "attempt",
-    "task_restored",
     "task_aborted",
     "cache",
     "degradation",
@@ -102,8 +101,8 @@ class RunJournal:
     """Appends events to one JSONL file through a group-commit writer.
 
     A journal is *per run*: constructing one truncates any journal a
-    previous run left at the same path (pass ``fresh=False`` to resume
-    appending instead, e.g. across CI retries).  Use as a context
+    previous run left at the same path (pass ``fresh=False`` to append
+    to it instead).  Use as a context
     manager or call :meth:`close` explicitly.
 
     Writes are lock-protected: the execution engine runs independent

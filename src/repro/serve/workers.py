@@ -51,7 +51,7 @@ class ServeJob:
             artifact_store=repo.artifact_store,
             run_meta={"backend": "serve", "job": self.job_id},
         )
-        result = pipeline.run(strict=False, resume=False)
+        result = pipeline.run(strict=False)
         return {
             "rows": len(result.results),
             "validated": bool(result.validated),

@@ -15,7 +15,7 @@ GC policy: records group by *task id* (the logical task, across
 fingerprints); ``gc(keep_last=N)`` keeps the N most recent records per
 task and then sweeps objects no surviving record references.  The most
 recent record per task is therefore never collected — which is exactly
-the artifact set the latest run-state refers to.
+the artifact set a re-run of the latest run serves.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ primitive that made it, not by the feature that owns it:
 primitive     debris                  produced by                     repair
 ============  ======================  ==============================  ==============================
 ledger        torn JSONL line         crash mid-append to a journal   drop each line readers skip as
-                                      or run-state (a resumed writer  debris (the interrupted task
-                                      seals it off, appends after it) has no record and re-runs)
+                                      or other ledger (a reopened     debris (the interrupted record
+                                      writer seals it off, appends    is lost; its work re-runs)
+                                      after it)
 temp file     orphan temp file        crash inside ``atomic_write``,  unlink (content is elsewhere
               (any dot-file in        between its temp and rename     or will be re-produced)
               ``.pvcs/``; elsewhere,
@@ -43,7 +44,7 @@ scratch tree  stale fuzz sandbox      fuzz campaign killed            remove the
 Everything else on disk is either atomic (refs, config) or disposable
 (workspace checkouts), so this table is the complete recovery story:
 ``popper doctor`` after *any* crash returns the repository to a state
-where ``popper run --resume`` completes correctly.
+where a plain re-run completes correctly.
 
 ``diagnose()`` walks the tree once, in sorted order, and classifies
 each file or directory at most once.  It never enters a child of
@@ -156,7 +157,7 @@ def _age(path: Path, now: float) -> float | None:
 
 # -- one rule per write primitive ------------------------------------------------
 def _ledger(path: Path) -> Finding | None:
-    """A journal, run-state or other JSONL ledger holding crash debris."""
+    """A journal, profile ledger or other JSONL ledger holding crash debris."""
     try:
         raw = path.read_bytes()
     except OSError:

@@ -8,7 +8,7 @@ atomically, so concurrent writers (two sweeps sharing one cache) can
 only ever race whole records — the last complete write wins and both
 candidates describe the same deterministic outputs anyway.
 
-Fingerprints come from :func:`repro.engine.runstate.task_fingerprint`:
+Fingerprints come from :func:`repro.engine.cache.task_fingerprint`:
 task identity plus a canonical hash of its parameters, which is exactly
 the condition under which a stored artifact may stand in for a re-run.
 Editing ``vars.yml`` changes the fingerprint and the entry simply never

@@ -236,7 +236,7 @@ class TestCiJobsOnProcesses:
             [
                 "popper run --all --validate-only",
                 "popper run --all --no-cache"
-                " --inject-crash at:runstate.append.torn:1 --crash-hard",
+                " --inject-crash at:profiles.attach.torn:1 --crash-hard",
                 "popper run --all --validate-only",
             ],
         )

@@ -10,6 +10,7 @@ from repro.engine import (
     TaskGraph,
     TaskState,
     ThreadedScheduler,
+    task_fingerprint,
 )
 from repro.monitor.journal import RunJournal, read_journal
 from repro.monitor.tracing import Tracer
@@ -58,6 +59,23 @@ def graph_with(payload):
         "consumer", lambda ctx: ctx.result("work").upper(), dependencies=("work",)
     )
     return graph
+
+
+class TestFingerprint:
+    def test_stable_and_parameter_sensitive(self):
+        a = task_fingerprint("run", {"x": 1})
+        assert a == task_fingerprint("run", {"x": 1})
+        assert a != task_fingerprint("run", {"x": 2})
+        assert a != task_fingerprint("other", {"x": 1})
+
+    def test_key_order_does_not_matter(self):
+        assert task_fingerprint("t", {"a": 1, "b": 2}) == task_fingerprint(
+            "t", {"b": 2, "a": 1}
+        )
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(EngineError):
+            task_fingerprint("")
 
 
 class TestMemoizedPayload:

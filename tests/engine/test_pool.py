@@ -18,6 +18,7 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine.pool import LostJob, WorkerPool
+from repro.engine.shutdown import CancelToken, GracefulShutdown
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -250,6 +251,30 @@ def test_drain_with_a_busy_worker_is_bounded(pools):
     # The deadline, then terminate() and a short join of the straggler.
     assert time.monotonic() - started < 0.5 + 1.5
     assert not worker.is_alive()
+
+
+def test_drain_terminates_a_worker_forked_under_a_shutdown_guard():
+    # `popper run -j N` starts its pool inside GracefulShutdown.  A
+    # worker that kept the inherited SIGTERM handler would only set a
+    # token on terminate() and keep sleeping.
+    with GracefulShutdown(CancelToken()):
+        pool = WorkerPool(size=1, runner=sleeping_runner)
+        pool.start()
+        worker = pool.workers[0]
+        try:
+            pool.dispatch(30.0, "slow")
+            wait_for(lambda: pool.current_jobs() == {0: "slow"}, "the job to start")
+            started = time.monotonic()
+            pool.drain(timeout_s=0.2)
+            elapsed = time.monotonic() - started
+            alive = worker.is_alive()
+        finally:
+            if worker.is_alive():
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join(5.0)
+            pool.drain(timeout_s=0.5)
+    assert not alive
+    assert elapsed < 0.2 + 0.8
 
 
 def test_runner_close_runs_when_its_worker_exits(pools, tmp_path):

@@ -31,7 +31,6 @@ from repro.engine import (
     RetryPolicy,
     RunCancelled,
     RunOptions,
-    RunStateStore,
     TaskGraph,
     TaskState,
     resolve_backend,
@@ -288,29 +287,6 @@ def test_cancel_token_drains_without_new_dispatch():
         ProcessScheduler(max_workers=2).run(
             graph, options=RunOptions(cancel=token)
         )
-
-
-def test_checkpoint_restores_on_second_run(tmp_path):
-    graph = TaskGraph()
-    graph.add(
-        "work",
-        Square(7),
-        fingerprint="fp-work",
-        checkpoint=lambda value: {"value": value},
-        restore=lambda detail: detail["value"],
-    )
-    state = tmp_path / "state.jsonl"
-    with RunStateStore(state) as store:
-        first = ProcessScheduler(max_workers=1).run(
-            graph, options=RunOptions(run_state=store)
-        )
-    assert first.value("work") == 49
-    with RunStateStore(state, resume=True) as store:
-        second = ProcessScheduler(max_workers=1).run(
-            graph, options=RunOptions(run_state=store)
-        )
-    assert second.outcome("work").restored
-    assert second.value("work") == 49
 
 
 def test_fully_cached_graph_starts_no_worker(tmp_path, monkeypatch):

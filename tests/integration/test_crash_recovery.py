@@ -1,13 +1,12 @@
 """The acceptance loop of the crash-consistency layer: for every
-registered crash point, kill → ``popper doctor`` → ``popper run
---resume`` yields byte-identical results and a clean ``cache verify``.
+registered crash point, kill → ``popper doctor`` → ``popper run --all``
+yields byte-identical results and a clean ``cache verify``.
 
 Also covers the CLI surface (``--inject-crash``, ``--crash-smoke``,
 ``doctor`` exit codes) and signal-driven cancellation of a live sweep.
 """
 
 import ast
-import json
 import os
 import re
 import signal
@@ -29,6 +28,7 @@ from repro.common.crash import (
 from repro.common.fsutil import is_atomic_temp
 from repro.core.cli import main
 from repro.core.repo import PopperRepository
+from repro.core.sweep import sweep_key
 from repro.engine import EXIT_SIGTERM
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -73,7 +73,7 @@ class TestCrashDoctorResume:
         assert "popper doctor" in out  # the recovery hint
 
         assert main([*args, "doctor", "--tmp-age", "0"]) == 0
-        assert main([*args, "run", "--all", "--resume"]) == 0
+        assert main([*args, "run", "--all"]) == 0
         results = repo_dir / "experiments" / "one" / "results.csv"
         assert results.read_bytes() == control_results
         capsys.readouterr()
@@ -88,11 +88,11 @@ class TestCrashDoctorResume:
         args = ["-C", str(repo_dir)]
         for hit, point in enumerate(RUN_CRASH_POINTS, start=1):
             code = main(
-                [*args, "run", "--all", "--resume", "--inject-crash", f"at:{point}:1"]
+                [*args, "run", "--all", "--inject-crash", f"at:{point}:1"]
             )
             assert code in (EXIT_CRASH, 0), (point, code)
             assert main([*args, "doctor", "--tmp-age", "0"]) == 0
-        assert main([*args, "run", "--all", "--resume"]) == 0
+        assert main([*args, "run", "--all"]) == 0
         results = repo_dir / "experiments" / "one" / "results.csv"
         assert results.read_bytes() == control_results
         capsys.readouterr()
@@ -128,7 +128,7 @@ class TestCrashPointCoverage:
         self, repo_dir, monkeypatch
     ):
         """A durable write added to the sweep path fails this test until
-        its crash points join the crash -> doctor -> resume matrix."""
+        its crash points join the crash -> doctor -> re-run matrix."""
         consulted = set()
         check = CrashPlan.check
 
@@ -224,24 +224,6 @@ class TestCrashPointCoverage:
         assert documented == {
             label.name: label.primitive for label in CRASH_LABELS
         }
-
-
-class TestTornLedgerWithoutDoctor:
-    def test_torn_sweep_state_resumes_three_times(self, repo_dir, control_results):
-        """Each resume seals the crash's fragment before appending, so
-        no record is glued onto it and no later resume trips over it."""
-        args = ["-C", str(repo_dir)]
-        assert main([*args, "run", "--all"]) == 0
-        # Tear the only record in half, as a crash at
-        # runstate.append.torn would: "one" has no checkpoint and re-runs.
-        state = repo_dir / ".pvcs" / "sweep-state.jsonl"
-        record = state.read_text(encoding="utf-8").rstrip("\n")
-        state.write_text(record[: len(record) // 2], encoding="utf-8")
-        results = repo_dir / "experiments" / "one" / "results.csv"
-        for _ in range(3):
-            with pytest.warns(UserWarning, match="torn trailing"):
-                assert main([*args, "run", "--all", "--resume", "--no-cache"]) == 0
-            assert results.read_bytes() == control_results
 
 
 class TestPackCrashRecovery:
@@ -424,7 +406,7 @@ class TestDoctorRewriteCrash:
 
         ledger = tmp_path / ".pvcs" / "queue" / "journal.jsonl"
         ledger.parent.mkdir(parents=True)
-        # A sealed fragment mid-file: a resumed writer appended after it.
+        # A sealed fragment mid-file: a reopened writer appended after it.
         ledger.write_bytes(b'{"a": 1}\n{"b": \n\n{"c": 3}\n')
         before = ledger.read_bytes()
         install_crash_plan(CrashPlan.parse("at:doctor.rewrite.tmp:1"))
@@ -448,9 +430,10 @@ class TestCrashSmokeCli:
     def test_crash_smoke_full_cycle(self, repo_dir, capsys):
         assert main(["-C", str(repo_dir), "run", "--all", "--crash-smoke"]) == 0
         out = capsys.readouterr().out
-        assert "simulated crash at runstate.append.torn" in out
+        assert "simulated crash at profiles.attach.torn" in out
         assert "-- doctor:" in out
-        assert "crash smoke: crashed, repaired, resumed clean" in out
+        assert "torn-jsonl" in out
+        assert "crash smoke: crashed, repaired, re-ran clean" in out
 
     def test_crash_smoke_fails_when_plan_never_fires(self, repo_dir, capsys):
         code = main(
@@ -481,12 +464,12 @@ class TestCrashSmokeCli:
     def test_a_plan_that_fires_prints_only_the_crash(self, repo_dir, capsys):
         code = main(
             ["-C", str(repo_dir), "run", "--all", "--inject-crash",
-             "at:runstate.append.torn:1"]
+             "at:profiles.attach.torn:1"]
         )
         assert code == EXIT_CRASH
         assert capsys.readouterr().out.splitlines() == [
-            "-- simulated crash at runstate.append.torn (hit 1); "
-            "run `popper doctor`, then `popper run --resume`"
+            "-- simulated crash at profiles.attach.torn (hit 1); "
+            "run `popper doctor`, then `popper run --all`"
         ]
 
     def test_a_hard_crash_in_a_worker_counts_as_fired(self, repo_dir, capsys):
@@ -539,7 +522,7 @@ class TestDoctorCli:
 
 
 #: The child slows down the *second* experiment only: the signal lands
-#: while "two" is mid-payload, after "one" completed and checkpointed.
+#: while "two" is mid-payload, after "one" completed and was filed.
 SLOW_RUN = (
     "import sys, time\n"
     "from pathlib import Path\n"
@@ -558,11 +541,24 @@ SLOW_RUN = (
 )
 
 
+def filed(repo_dir, names):
+    """The experiments whose whole run the artifact index holds."""
+    repo = PopperRepository.open(repo_dir)
+    store = repo.artifact_store
+    return [name for name in names if store.lookup(sweep_key(repo, name))]
+
+
+def snapshot(repo_dir, name):
+    """An experiment's results and run journal, byte for byte."""
+    exp_dir = repo_dir / "experiments" / name
+    return [(exp_dir / f).read_bytes() for f in ("results.csv", "journal.jsonl")]
+
+
 class TestSignalledSweep:
     def test_sigterm_drains_checkpoints_and_resumes(self, tmp_path, capsys):
-        """SIGTERM mid-sweep: the in-flight experiment drains and
-        checkpoints, the exit code is 143, and --resume serves the
-        completed work from cache instead of re-executing it."""
+        """SIGTERM mid-sweep: the in-flight experiment drains, the exit
+        code is 143, and a plain re-run serves the completed work from
+        the artifact store instead of re-executing it."""
         repo_dir = make_repo(tmp_path / "signalled-repo", names=("one", "two"))
         marker = tmp_path / "started"
         env = dict(os.environ)
@@ -583,24 +579,19 @@ class TestSignalledSweep:
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == EXIT_SIGTERM, out
-        assert "completed tasks are checkpointed" in out
-        assert "resume with: popper run --all --resume" in out
+        assert "run cancelled by SIGTERM; finish with: popper run --all" in out
 
-        # The first experiment finished before the signal and is
-        # checkpointed as such in the sweep state.
-        states = {}
-        for line in (repo_dir / ".pvcs" / "sweep-state.jsonl").read_text().splitlines():
-            record = json.loads(line)
-            states[record["task"]] = record["state"]
-        assert states.get("one") == "ok"
-        assert states.get("two") != "ok"
+        # The first experiment finished before the signal and is filed
+        # in the artifact index; the interrupted one is not.
+        assert filed(repo_dir, ("one", "two")) == ["one"]
+        before = snapshot(repo_dir, "one")
 
-        # The resume serves it from the checkpoint instead of
-        # re-executing and finishes the interrupted one.
-        assert main(["-C", str(repo_dir), "run", "--all", "--resume"]) == 0
-        resumed = capsys.readouterr().out
-        for name in ("one", "two"):
-            assert (repo_dir / "experiments" / name / "results.csv").is_file()
-        assert "-- one:" in resumed and "(cached)" in resumed.split("-- two:")[0]
-        capsys.readouterr()
+        # The re-run serves it from the store instead of re-executing
+        # and finishes the interrupted one.
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        rerun = capsys.readouterr().out
+        assert "(cached)" in rerun.split("-- two:")[0]
+        assert "(cached)" not in rerun.split("-- two:")[1]
+        assert snapshot(repo_dir, "one") == before
+        assert (repo_dir / "experiments" / "two" / "results.csv").is_file()
         assert main(["-C", str(repo_dir), "cache", "verify"]) == 0

@@ -1,9 +1,9 @@
-"""End-to-end resilience through the CLI: faults, retries, resume, chaos.
+"""End-to-end resilience through the CLI: faults, retries, re-runs, chaos.
 
 These are the acceptance scenarios for the fault-tolerance work: a
 seeded fault plan plus ``--retries`` completes a sweep that would
-otherwise fail, an interrupted sweep resumed with ``--resume`` re-runs
-only the unfinished experiments and leaves completed artifacts
+otherwise fail, a plain re-run of an interrupted sweep executes only
+the unfinished experiments and leaves completed artifacts
 byte-identical, optional stages degrade without failing the run, and a
 per-stage deadline turns a hung stage into an ERRORED experiment.
 """
@@ -94,7 +94,7 @@ class TestSweepResume:
         results_before = (one / "results.csv").read_bytes()
         journal_before = (one / "journal.jsonl").read_bytes()
 
-        assert main(["-C", str(repo_dir), "run", "--all", "--resume"]) == 0
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
         out = capsys.readouterr().out
         assert "-- one:" in out and "(cached)" in out
         assert "-- two:" in out
@@ -113,7 +113,7 @@ class TestSweepResume:
             add_torpor(root, "two")
 
         assert main(["-C", str(resumed), "run", "one"]) == 0
-        assert main(["-C", str(resumed), "run", "--all", "--resume"]) == 0
+        assert main(["-C", str(resumed), "run", "--all"]) == 0
         assert main(["-C", str(straight), "run", "--all"]) == 0
 
         for name in ("one", "two"):
@@ -128,14 +128,13 @@ class TestSweepResume:
             "runner: torpor-variability\nruns: 3\nseed: 7\n"
         )
         capsys.readouterr()
-        assert main(["-C", str(repo_dir), "run", "--all", "--resume"]) == 0
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
         out = capsys.readouterr().out
         assert "-- one:" in out and "(cached)" not in out
 
     def test_warm_rerun_served_from_cache_unless_disabled(self, repo_dir, capsys):
-        # Run-state checkpoints are discarded without --resume, but the
-        # artifact store memoizes across runs: a warm second sweep is
-        # served from cache.  --no-cache forces a true re-execution.
+        # The artifact store memoizes across runs: a warm second sweep
+        # is served from cache.  --no-cache forces a true re-execution.
         add_torpor(repo_dir, "one")
         assert main(["-C", str(repo_dir), "run", "--all"]) == 0
         capsys.readouterr()
@@ -209,14 +208,6 @@ class TestStageDeadline:
 
 
 class TestCiResume:
-    def test_second_trigger_restores_passed_jobs(self, repo_dir, capsys):
-        assert main(["-C", str(repo_dir), "ci"]) == 0
-        capsys.readouterr()
-        assert main(["-C", str(repo_dir), "ci", "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "build: passing" in out
-        assert "(cached)" in out
-
     def test_fresh_trigger_reruns_jobs(self, repo_dir, capsys):
         assert main(["-C", str(repo_dir), "ci"]) == 0
         capsys.readouterr()

@@ -12,9 +12,8 @@ from typing import Callable
 import pytest
 
 from repro.check.profiles import Profile, ProfileHistory
-from repro.common.errors import CheckError, EngineError, FuzzError, MonitorError
+from repro.common.errors import CheckError, FuzzError, MonitorError
 from repro.common.groupcommit import read_jsonl
-from repro.engine.runstate import RunStateStore
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.oracle import OracleVerdict
@@ -35,16 +34,6 @@ class Owner:
 def run_journal_append(tmp, n):
     with RunJournal(tmp / "journal.jsonl", fresh=False) as journal:
         journal.event("metric", n=n)
-
-
-def runstate_append(tmp, n):
-    with RunStateStore(tmp / "run-state.jsonl", resume=True) as store:
-        store.record(f"task-{n}", f"fp-{n}", "ok")
-
-
-def runstate_read(tmp):
-    with RunStateStore(tmp / "run-state.jsonl", resume=True) as store:
-        return [int(fp.split("-")[1]) for fp in store.states()]
 
 
 def queue_append(tmp, n):
@@ -102,13 +91,6 @@ OWNERS = [
         run_journal_append,
         lambda tmp: [e["n"] for e in load_journal(tmp / "journal.jsonl")[0]],
         MonitorError,
-    ),
-    Owner(
-        "run-state",
-        lambda tmp: tmp / "run-state.jsonl",
-        runstate_append,
-        runstate_read,
-        EngineError,
     ),
     Owner(
         "queue-journal",

@@ -8,10 +8,9 @@ shards that are merged back into one tree — none of which may leak into
 ``results.csv``, the validation verdicts, or journal well-formedness.
 Also covers the operational surface the pool adds: the run-journal
 header naming backend and worker count, worker-count clamping, the
-default CI matrix's ``-j 2`` job, and SIGTERM drain + resume.
+default CI matrix's ``-j 2`` job, and SIGTERM drain + re-run.
 """
 
-import json
 import os
 import pickle
 import signal
@@ -28,6 +27,7 @@ from repro.core.repo import DEFAULT_TRAVIS
 from repro.core.sweep import SweepExperimentJob
 from repro.engine import EXIT_SIGTERM
 from repro.monitor.journal import read_journal
+from tests.integration.test_crash_recovery import filed, snapshot
 from tests.integration.test_parallel_determinism import EXPERIMENTS, build_repo
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -171,8 +171,8 @@ class TestSignalledProcessSweep:
     def test_sigterm_drains_workers_and_resumes(self, tmp_path, capsys):
         """SIGTERM mid-sweep on the process pool: in-flight worker
         payloads drain (whole-experiment granularity — workers see no
-        cancel token), the exit code is 143, and ``--resume`` serves the
-        checkpointed experiments from cache."""
+        cancel token), the exit code is 143, and a plain re-run serves
+        the experiments the artifact index holds from cache."""
         repo_dir = _make_repo(
             tmp_path / "signalled-repo", names=("one", "two", "three")
         )
@@ -195,25 +195,23 @@ class TestSignalledProcessSweep:
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == EXIT_SIGTERM, out
-        assert "completed tasks are checkpointed" in out
-        assert "resume with: popper run --all --resume" in out
+        assert "run cancelled by SIGTERM; finish with: popper run --all" in out
 
-        # At least the first experiment completed and checkpointed
-        # before the signal landed (exact coverage depends on how many
-        # workers the host's cpu count allowed).
-        states = {}
-        state_file = repo_dir / ".pvcs" / "sweep-state.jsonl"
-        for line in state_file.read_text().splitlines():
-            record = json.loads(line)
-            states[record["task"]] = record["state"]
-        assert states.get("one") == "ok"
+        # At least the first experiment completed and was filed before
+        # the signal landed (exact coverage depends on how many workers
+        # the host's cpu count allowed; a drained one is filed too).
+        names = ("one", "two", "three")
+        finished = filed(repo_dir, names)
+        assert "one" in finished
+        before = {name: snapshot(repo_dir, name) for name in finished}
 
-        # The resume serves checkpointed work from cache and completes
-        # the rest; results land for every experiment.
-        assert main(["-C", str(repo_dir), "run", "--all", "--resume"]) == 0
-        resumed = capsys.readouterr().out
-        for name in ("one", "two", "three"):
+        # The re-run serves filed work from cache, byte for byte, and
+        # completes the rest; results land for every experiment.
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in names:
+            [line] = [text for text in lines if text.startswith(f"-- {name}: ")]
+            assert line.endswith("(cached)") == (name in finished), line
             assert (repo_dir / "experiments" / name / "results.csv").is_file()
-        assert "(cached)" in resumed.split("-- two:")[0]
-        capsys.readouterr()
+        assert {name: snapshot(repo_dir, name) for name in finished} == before
         assert main(["-C", str(repo_dir), "cache", "verify"]) == 0

@@ -121,10 +121,10 @@ class TestOrphanTemps:
 
 class TestTornJsonl:
     def test_dangling_tail_truncated_to_last_good_line(self, root):
-        path = root / "experiments" / "e" / "run-state.jsonl"
+        path = root / "experiments" / "e" / "journal.jsonl"
         path.parent.mkdir(parents=True)
-        good = '{"task": "f1"}\n'
-        path.write_text(good + '{"task": "f2", "sta')
+        good = '{"event": "run_start"}\n'
+        path.write_text(good + '{"event": "span_start", "na')
         report = diagnose(root)
         assert kinds(report) == ["torn-jsonl"]
         repair(report)
@@ -154,11 +154,12 @@ class TestTornJsonl:
         assert path.read_bytes() == b""
 
     def test_sealed_fragment_found_and_dropped(self, root):
-        """A resume without doctor seals the fragment off and appends
-        after it: doctor must find what every reader skips."""
+        """A writer reopened without doctor seals the fragment off and
+        appends after it: doctor must find what every reader skips."""
         from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
-        path = root / ".pvcs" / "sweep-state.jsonl"
+        path = root / ".pvcs" / "profiles" / "c1.jsonl"
+        path.parent.mkdir()
         path.write_text('{"a": 1}\n{"b": ')
         with GroupCommitWriter(path) as writer:
             writer.append('{"c": 3}')
