@@ -7,9 +7,9 @@ be *versioned alongside the code that produced it*.  A
 timings harvested from the run journal / :class:`MetricStore`, result
 columns) plus free-form metadata.  A :class:`ProfileHistory` is the
 degradation-checker's view of the repository: one append-only profile
-ledger per commit, plus an append-only index journal, both appended
-through a durable :class:`~repro.common.groupcommit.GroupCommitWriter`
-and read by :func:`~repro.common.groupcommit.read_jsonl`.
+ledger per commit, appended through a durable
+:class:`~repro.common.groupcommit.GroupCommitWriter` and read by
+:func:`~repro.common.groupcommit.read_jsonl`.
 
 Baselines are resolved from the actual commit graph, so "compare
 against the last five commits" means five *commits*, not five undated
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 PROFILE_FORMAT_VERSION = 1
+
+#: The stem of the attach-order index older versions kept beside the
+#: ledgers; it names no commit.
+_OLD_INDEX = "index"
 
 
 @dataclass(frozen=True)
@@ -188,8 +192,9 @@ class ProfileHistory:
     append however many runs the commit already holds.  A
     ``profiles/<commit>.json`` left by earlier versions (the whole
     merged profile as one document) is still read, before the ledger,
-    but never written.  ``profiles/index.jsonl`` records attach order.
-    A crash can tear only the last line of a ledger or the index;
+    but never written.  The files are the whole record: :meth:`commits`
+    lists them, and an ``index.jsonl`` older versions kept beside them
+    is not read.  A crash can tear only the last line of a ledger;
     readers skip it and ``popper doctor`` truncates it.  Any other
     undecodable line raises :class:`CheckError`.
 
@@ -202,7 +207,6 @@ class ProfileHistory:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.dir = self.root / "profiles"
-        self.index_path = self.dir / "index.jsonl"
 
     # -- write -------------------------------------------------------------------
     def attach(self, profile: Profile) -> Path:
@@ -218,18 +222,6 @@ class ProfileHistory:
             path, durable=True, crash_label="profiles.attach"
         ) as writer:
             writer.append(line)
-        entry = json.dumps(
-            {
-                "commit": profile.commit,
-                "series": len(profile.series),
-                "samples": sum(len(v) for v in profile.series.values()),
-            },
-            sort_keys=True,
-        )
-        with GroupCommitWriter(
-            self.index_path, durable=True, crash_label="profiles.index"
-        ) as writer:
-            writer.append(entry)
         return path
 
     # -- read --------------------------------------------------------------------
@@ -306,27 +298,19 @@ class ProfileHistory:
         return profile
 
     def commits(self) -> list[str]:
-        """Commits with attached profiles, in first-attach order.
+        """Commits with attached profiles, least recently attached first.
 
-        Read from the index journal (deduplicated; lines that are not
-        an object naming a commit are skipped); profiles whose index
-        line was lost to a crash are appended at the end, so nothing on
-        disk is invisible.
+        Listed from the profiles on disk, ordered by their last
+        modification, the name breaking ties.
         """
-        seen: list[str] = []
-        for entry in self._read(self.index_path):
-            commit = entry.get("commit") if isinstance(entry, dict) else None
-            if commit and commit not in seen:
-                seen.append(commit)
-        if self.dir.is_dir():
-            on_disk = {
-                p.stem
-                for pattern in ("*.json", "*.jsonl")
-                for p in self.dir.glob(pattern)
-                if p != self.index_path
-            }
-            seen.extend(sorted(on_disk.difference(seen)))
-        return seen
+        if not self.dir.is_dir():
+            return []
+        attached: dict[str, int] = {}
+        for path in self.dir.iterdir():
+            if path.suffix in (".json", ".jsonl") and path.stem != _OLD_INDEX:
+                mtime = path.stat().st_mtime_ns
+                attached[path.stem] = max(mtime, attached.get(path.stem, mtime))
+        return sorted(attached, key=lambda commit: (attached[commit], commit))
 
     def baseline_for(
         self,
@@ -373,7 +357,7 @@ class ProfileHistory:
             not commit
             or "/" in commit
             or commit.startswith(".")
-            or commit == self.index_path.stem
+            or commit == _OLD_INDEX
         ):
             raise CheckError(f"invalid commit id for profile path: {commit!r}")
         return self.dir / f"{commit}.json"

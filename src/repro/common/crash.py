@@ -108,7 +108,6 @@ CRASH_LABELS: tuple[CrashLabel, ...] = (
     CrashLabel("index.record", _AW, sweep=True),
     CrashLabel("journal.append", _GC, sweep=True),
     CrashLabel("profiles.attach", _GC, sweep=True),
-    CrashLabel("profiles.index", _GC, sweep=True),
     # The store off the cold path: warm hits, repacks, doctor.
     CrashLabel("cas.materialize", _AW),
     CrashLabel("pack.write", _AW),
@@ -142,7 +141,6 @@ CRASH_LABELS: tuple[CrashLabel, ...] = (
     CrashLabel("fuzz.sandbox", _AW),
     CrashLabel("fuzz.corpus.files", _AW),
     CrashLabel("fuzz.corpus.meta", _AW),
-    CrashLabel("fuzz.corpus", _GC),
     CrashLabel("fuzz.coverage", _GC),
 )
 

@@ -26,10 +26,11 @@ writer adds when it opens a file whose last byte is not a newline, so
 a reopen after a crash, with or without ``popper doctor``, never glues
 its first record onto the fragment.
 
-Bulk writers (journal shard merges, fuzz coverage harvests) can opt
-into :meth:`batched` mode, which additionally buffers the *writes*
-into one syscall per window — the loop-append fix for callers that
-used to pay a write+flush (or a whole file open) per event.
+Bulk writers (a process-parallel run's worker-event replay, fuzz
+coverage harvests) can opt into :meth:`batched` mode, which
+additionally buffers the *writes* into one syscall per window — the
+loop-append fix for callers that used to pay a write+flush (or a whole
+file open) per event.
 
 Crash injection: with a :class:`~repro.common.crash.CrashPlan`
 installed the writer degrades to one window per append, so the
@@ -64,11 +65,13 @@ DEFAULT_MAX_DELAY_S = 0.05
 class GroupCommitWriter:
     """Append-only line writer with one durability barrier per window.
 
-    Thread-safe: concurrent appenders (scheduler workers sharing one
-    run journal) serialize on an internal lock, and every line lands as
-    one contiguous write.  ``durable=False`` writers never fsync — for
-    them the window only batches write syscalls in :meth:`batched`
-    mode, and plain appends cost one write and flush per line.
+    Thread-safe: concurrent appenders (the serve daemon's HTTP and tick
+    threads on its queue journal, a ``--task-timeout`` watchdog thread
+    beside the thread it outlived) serialize on an internal lock, and
+    every line lands as one contiguous write.  ``durable=False``
+    writers never fsync — for them the window only batches write
+    syscalls in :meth:`batched` mode, and plain appends cost one write
+    and flush per line.
     """
 
     def __init__(

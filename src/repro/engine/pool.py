@@ -6,8 +6,8 @@ worker *processes* that must outlive any one job's hard death.  Both run
 on this pool.  Only what a worker does with a job differs, and that is
 the pool's *runner*: each worker calls ``runner(index)`` once and feeds
 every job it receives to the callable it gets back, which turns one job
-into one picklable record.  If that callable has a ``close()``, it runs
-when the worker exits.
+into one picklable record.  Whatever a job leaves behind rides its
+record; a worker keeps nothing to hand over when it exits.
 
 The crash-containment protocol lives here, once:
 
@@ -87,10 +87,6 @@ def _worker_main(runner: Runner, index: int, conn, inherited: tuple = ()) -> Non
             conn.send(run(job))
     except (EOFError, BrokenPipeError):
         pass  # the owner is gone
-    finally:
-        close = getattr(run, "close", None)
-        if close is not None:
-            close()
 
 
 class WorkerPool:

@@ -31,14 +31,15 @@ Design:
   the worker).  Fault-plan counters ship as per-job snapshots; every
   attempt of a task runs inside one worker, so the deterministic
   per-task fault sequences are preserved.
-* **Journal shards, merged deterministically.** Each worker journals
-  its task spans into a private JSONL shard.  At join the parent merges
-  the shards into the run's real journal *per task in graph insertion
-  order* (so the merged journal does not depend on which worker ran
-  what), remapping shard-local span ids via
+* **Worker events, replayed deterministically.**  When the caller's
+  tracer journals, a worker journals each task's spans into memory and
+  returns the lines in the task's done-record.  At join the parent
+  replays them into the run's real journal *per task in graph insertion
+  order* (so the journal does not depend on which worker ran what),
+  moving span ids into the caller's id space via
   :meth:`~repro.monitor.tracing.Tracer.reserve_span_ids` and
-  re-parenting shard roots under the calling span — ``popper trace`` /
-  ``popper log`` see one tree.
+  re-parenting each task's root span under the calling span —
+  ``popper trace`` / ``popper log`` see one tree.
 * **Cooperative shutdown and crash containment.** A set
   :class:`~repro.engine.shutdown.CancelToken` stops new dispatch;
   in-flight experiments drain and file their outputs, then
@@ -60,14 +61,13 @@ original type name and message.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
-import shutil
-import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Any
 
 from repro.common.errors import (
@@ -87,8 +87,8 @@ from repro.engine.graph import (
 )
 from repro.engine.resilience import RetryPolicy
 from repro.engine.scheduler import RunOptions, Scheduler
-from repro.monitor.journal import RunJournal, load_journal, replay_events
-from repro.monitor.tracing import SPAN_METRIC, Span, Tracer
+from repro.monitor.journal import RunJournal, replay_events
+from repro.monitor.tracing import Tracer
 
 __all__ = ["ProcessScheduler"]
 
@@ -119,9 +119,29 @@ class _Job:
     faults: FaultPlan | None
 
 
-def _shard(shard_dir: str | Path, index: int) -> Path:
-    """Worker *index*'s private journal shard."""
-    return Path(shard_dir) / f"shard-{index}.jsonl"
+class _Lines(list):
+    """The lines a :class:`_TaskJournal` writes, standing in for its
+    group-commit writer: there is nothing to flush, so it is always in
+    a batch."""
+
+    in_batch = True
+
+    def batched(self):
+        # A task that runs a process-parallel graph of its own (a CI
+        # job's ``run --all -j N``) replays its workers' events here.
+        return nullcontext()
+
+
+class _TaskJournal(RunJournal):
+    """One task's journal in a worker, kept in memory.
+
+    :meth:`RunJournal.event` stamps and encodes each event as it would
+    for a file; :attr:`lines` ride the task's done-record to the parent.
+    """
+
+    def _open(self, fresh: bool, crash_label: str) -> _Lines:
+        self.lines = _Lines()
+        return self.lines
 
 
 def _sanitize(record: dict, optional: bool) -> dict:
@@ -160,24 +180,22 @@ def _sanitize(record: dict, optional: bool) -> dict:
 
 
 class _WorkerRunner(Scheduler):
-    """One pool worker's task runner, built by ``_WorkerRunner(shard_dir, index)``.
+    """One pool worker's task runner, built by ``_WorkerRunner(journaled, index)``.
 
     Reusing :meth:`Scheduler._run_task` gives worker-side execution the
     exact span / attempt / retry / deadline / fault semantics of the
     in-process backends.  The artifact store is absent in the worker
-    (both halves of the cache protocol run parent-side).  With a
-    *shard_dir*, the worker journals its spans into its own shard, which
-    :meth:`close` closes when the worker exits.
+    (both halves of the cache protocol run parent-side).  When
+    *journaled* (the caller's tracer journals), each task runs under a
+    tracer of its own whose :class:`_TaskJournal` lines the done-record
+    carries as ``events``.
     """
 
     backend = "process"
 
-    def __init__(self, shard_dir: str | None, index: int) -> None:
+    def __init__(self, journaled: bool, index: int) -> None:
+        self.journaled = journaled
         self.index = index
-        self.journal = (
-            RunJournal(_shard(shard_dir, index)) if shard_dir else None
-        )
-        self.tracer = Tracer(journal=self.journal)
 
     def __call__(self, job: _Job) -> dict:
         """Execute one job; returns its sanitized done-record."""
@@ -194,12 +212,12 @@ class _WorkerRunner(Scheduler):
             result.outcomes[dep] = TaskOutcome(
                 task_id=dep, state=state, value=job.results.get(dep)
             )
-        journal = self.journal
-        first_seq = len(journal) if journal is not None else 0
+        journal = _TaskJournal(job.task_id) if self.journaled else None
         started = time.perf_counter()
         try:
             outcome = self._run_task(
-                task, result, self.tracer, None, RunOptions(faults=job.faults)
+                task, result, Tracer(journal=journal), None,
+                RunOptions(faults=job.faults),
             )
         except BaseException as exc:
             # _run_task already recorded + journaled the ABORTED outcome.
@@ -209,22 +227,20 @@ class _WorkerRunner(Scheduler):
                 error=exc,
                 seconds=time.perf_counter() - started,
             )
-        last_seq = len(journal) if journal is not None else 0
-        record = {
-            "task": job.task_id,
-            "state": outcome.state.value,
-            "value": outcome.value,
-            "error": outcome.error,
-            "seconds": outcome.seconds,
-            "attempts": outcome.attempts,
-            "worker": self.index,
-            "span_range": (first_seq, last_seq) if journal is not None else None,
-        }
-        return _sanitize(record, job.optional)
-
-    def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
+        record = _sanitize(
+            {
+                "task": job.task_id,
+                "state": outcome.state.value,
+                "value": outcome.value,
+                "error": outcome.error,
+                "seconds": outcome.seconds,
+                "attempts": outcome.attempts,
+                "worker": self.index,
+            },
+            job.optional,
+        )
+        record["events"] = list(journal.lines) if journal is not None else None
+        return record
 
 
 class ProcessScheduler(Scheduler):
@@ -251,11 +267,6 @@ class ProcessScheduler(Scheduler):
         cancel = options.cancel
         parent_id = parent.span_id if parent is not None else None
         ready = ReadySet(graph)
-        shards = (
-            Path(tempfile.mkdtemp(prefix="popper-shards-"))
-            if journal is not None
-            else None
-        )
         # Built on the first task that misses the cache: a cached
         # graph neither imports the pool nor forks.
         pool = None
@@ -318,9 +329,7 @@ class ProcessScheduler(Scheduler):
 
                     pool = WorkerPool(
                         size=min(self.max_workers, len(graph)),
-                        runner=partial(
-                            _WorkerRunner, str(shards) if shards else None
-                        ),
+                        runner=partial(_WorkerRunner, journal is not None),
                     )
                 if not pool.workers:
                     pool.start()
@@ -366,8 +375,8 @@ class ProcessScheduler(Scheduler):
             result.outcomes[tid] = outcome
             task = graph.task(tid)
             if outcome.state is TaskState.ABORTED:
-                # The worker journaled task_aborted into its shard; the
-                # parent starts draining.
+                # The worker journaled task_aborted into its events;
+                # the parent starts draining.
                 if abort_error is None:
                     abort_error = (
                         outcome.error
@@ -395,6 +404,10 @@ class ProcessScheduler(Scheduler):
             dispatch(advance(tid, outcome))
 
         def reap_dead_workers() -> None:
+            # Counted before reaping too: a worker that closed its pipe
+            # can still read as alive to reap() and as dead a moment
+            # later; the next round reaps it with its exit code.
+            alive_before = pool.alive_count()
             # Keep the pool at strength only for a graph still running.
             for lost in pool.reap(respawn=bool(inflight) and not draining()):
                 if lost.key in inflight:
@@ -404,70 +417,42 @@ class ProcessScheduler(Scheduler):
                         f"(exit code {lost.exitcode})",
                         lost.exitcode,
                     )
-            if inflight and pool.alive_count() == 0:
+            if inflight and alive_before == 0 and pool.alive_count() == 0:
                 # No worker left to ever report these (e.g. a die-off
                 # while draining): fail them rather than spin forever.
                 for tid in sorted(inflight):
                     fail_inflight(tid, "every worker process died")
 
-        def merge_shards() -> None:
-            """Replay every worker's journal shard into the run journal.
+        def replay_worker_events() -> None:
+            """Replay each task's worker events into the run journal.
 
-            Merged per task in graph insertion order, so the combined
-            journal is independent of which worker ran which task; span
-            ids are remapped into the parent tracer's id space and shard
-            roots are re-parented under the calling span.
+            Per task in graph insertion order, so the journal does not
+            depend on which worker ran which task; span ids move into
+            the caller's id space and each task's root span goes under
+            the calling span.
             """
-            if shards is None:
+            if journal is None:
                 return
-            shard_events: dict[int, list[dict]] = {}
-            for index in {r["worker"] for r in done_records.values()}:
-                path = _shard(shards, index)
-                if not path.is_file() or path.stat().st_size == 0:
-                    continue
-                try:
-                    shard_events[index] = load_journal(path)[0]
-                except Exception:  # a torn shard loses at most one task's spans
-                    continue
-            slices: list[tuple[int, list[dict]]] = []
-            for tid in graph.ids():
-                record = done_records.get(tid)
-                if not record or not record.get("span_range"):
-                    continue
-                lo, hi = record["span_range"]
-                events = [
-                    e
-                    for e in shard_events.get(record["worker"], [])
-                    if lo < e.get("seq", 0) <= hi
-                ]
-                if events:
-                    slices.append((record["worker"], events))
-            keys: list[tuple[int, int]] = []
-            seen: set[tuple[int, int]] = set()
-            for index, events in slices:
-                for event in events:
-                    sid = event.get("span_id")
-                    if isinstance(sid, int) and (index, sid) not in seen:
-                        seen.add((index, sid))
-                        keys.append((index, sid))
-            base = tracer.reserve_span_ids(len(keys))
-            id_map = {key: base + i for i, key in enumerate(keys)}
-            # One batched group-commit writer for the whole replay: the
-            # merge appends thousands of events and should pay one write
-            # per window, not one write+flush per replayed line.
+            # One batched group-commit writer for the whole replay: it
+            # appends thousands of events and should pay one write per
+            # window, not one write+flush per replayed line.
             with journal.batched():
-                for index, events in slices:
-                    local = {
-                        sid: gid for (w, sid), gid in id_map.items() if w == index
-                    }
+                for tid in graph.ids():
+                    record = done_records.get(tid)
+                    if not record or not record["events"]:
+                        continue
+                    events = [json.loads(line) for line in record["events"]]
+                    ids = list(
+                        dict.fromkeys(e["span_id"] for e in events if "span_id" in e)
+                    )
+                    base = tracer.reserve_span_ids(len(ids))
                     replay_events(
                         journal,
                         events,
-                        span_id_map=local,
+                        span_id_map={sid: base + i for i, sid in enumerate(ids)},
                         default_parent_id=parent_id,
-                        worker=index,
+                        worker=record["worker"],
                     )
-                    self._graft_spans(tracer, events, local, parent_id)
 
         try:
             dispatch(ready.take_ready())
@@ -480,11 +465,7 @@ class ProcessScheduler(Scheduler):
         finally:
             if pool is not None:
                 pool.drain()
-            try:
-                merge_shards()
-            finally:
-                if shards is not None:
-                    shutil.rmtree(shards, ignore_errors=True)
+            replay_worker_events()
 
         if abort_error is not None:
             raise abort_error
@@ -492,44 +473,3 @@ class ProcessScheduler(Scheduler):
             cancel.raise_if_cancelled()
         if not ready.exhausted:  # pragma: no cover - validate() prevents this
             raise EngineError(f"unrunnable tasks left over: {ready.pending()}")
-
-    @staticmethod
-    def _graft_spans(
-        tracer: Tracer,
-        events: list[dict],
-        id_map: dict[int, int],
-        parent_id: int | None,
-    ) -> None:
-        """Rebuild finished Span objects from one shard slice.
-
-        In-memory consumers (``tracer.span_tree()``, metric exports) see
-        the same tree the merged journal describes.
-        """
-        starts: dict[int, dict] = {}
-        for event in events:
-            kind = event.get("event")
-            if kind == "span_start":
-                starts[event.get("span_id")] = event
-            elif kind == "span_end":
-                start = starts.pop(event.get("span_id"), None)
-                sid = id_map.get(event.get("span_id"))
-                if start is None or sid is None:
-                    continue
-                begun = float(start.get("ts", 0.0))
-                span = Span(
-                    name=str(event.get("name", "?")),
-                    span_id=sid,
-                    parent_id=id_map.get(start.get("parent_id"), parent_id),
-                    start=begun,
-                    end=begun + float(event.get("duration_s", 0.0)),
-                    status=str(event.get("status", "ok")),
-                    error=str(event.get("error", "")),
-                    attributes=dict(event.get("attributes") or {}),
-                )
-                tracer.graft_span(span)
-                if tracer.metrics is not None:
-                    tracer.metrics.record(
-                        SPAN_METRIC,
-                        span.duration,
-                        labels={"span": span.name, "status": span.status},
-                    )

@@ -42,50 +42,33 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: ``max_attempts=3`` means at
     most two retries.  Attempt *n* (that failed retryably) sleeps
-    ``backoff_s * multiplier**(n-1)``, capped at ``max_backoff_s`` and
-    stretched by up to ``jitter`` fraction — the jitter is drawn from a
-    generator seeded by (seed, task id, attempt), so reruns are
-    bit-identical.  ``retry_on`` is the exception branch considered
-    retryable; the default is exactly the
-    :class:`~repro.common.errors.TransientError` branch.
-
-    ``max_delay_s`` is the hard ceiling on the *returned* delay.  It
-    differs from ``max_backoff_s`` in two ways: the jitter stretch is
-    applied after the ``max_backoff_s`` cap (so a jittered delay can
-    exceed it by up to the jitter fraction), and for very large attempt
-    counts the uncapped exponent itself overflows a float.  Callers
-    that loop indefinitely over one policy — the serve queue requeues a
-    job on every lease expiry — set ``max_delay_s`` to bound the sleep
-    no matter the attempt number; ``None`` (the default) preserves the
-    historical jitter-above-cap behaviour.
+    ``backoff_s * 2**(n-1)``, stretched by up to ``jitter`` fraction and
+    then capped at ``max_backoff_s``, so no sleep exceeds it whatever
+    the attempt number (the serve queue requeues a job on every lease
+    expiry).  The jitter is drawn from a generator seeded by (seed, task
+    id, attempt), so reruns are bit-identical.  Only errors in the
+    :class:`~repro.common.errors.TransientError` branch are retried.
     """
 
     max_attempts: int = 3
     backoff_s: float = 0.05
-    multiplier: float = 2.0
     max_backoff_s: float = 2.0
     jitter: float = 0.1
     seed: int = 42
-    retry_on: tuple[type[BaseException], ...] = (TransientError,)
-    max_delay_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise EngineError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_s < 0 or self.multiplier < 0 or self.max_backoff_s < 0:
+        if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise EngineError("backoff parameters must be non-negative")
         if self.jitter < 0:
             raise EngineError(f"jitter must be non-negative, got {self.jitter}")
-        if self.max_delay_s is not None and self.max_delay_s < 0:
-            raise EngineError(
-                f"max_delay_s must be non-negative, got {self.max_delay_s}"
-            )
 
     def retryable(self, error: BaseException) -> bool:
         """Whether *error* is worth another attempt under this policy."""
-        return isinstance(error, self.retry_on)
+        return isinstance(error, TransientError)
 
     def delay_s(self, task_id: str, attempt: int) -> float:
         """Seconds to sleep after failed *attempt* (1-based) of *task_id*.
@@ -94,21 +77,16 @@ class RetryPolicy:
         same delay, which is what keeps retried runs bit-identical.
         """
         try:
-            grown = self.backoff_s * self.multiplier ** (attempt - 1)
+            delay = self.backoff_s * 2.0 ** (attempt - 1)
         except OverflowError:
             # 2.0 ** ~1025 overflows a float; the cap would win anyway.
-            grown = float("inf")
-        base = min(grown, self.max_backoff_s)
-        if base <= 0:
+            delay = float("inf")
+        if delay <= 0:
             return 0.0
-        if self.jitter <= 0:
-            delay = base
-        else:
+        if self.jitter > 0:
             rng = derive_rng(self.seed, "retry", task_id, attempt)
-            delay = base * (1.0 + self.jitter * float(rng.random()))
-        if self.max_delay_s is not None:
-            delay = min(delay, self.max_delay_s)
-        return delay
+            delay *= 1.0 + self.jitter * float(rng.random())
+        return min(delay, self.max_backoff_s)
 
 
 #: The fail-stop policy: one attempt, no backoff (the engine's default).

@@ -45,9 +45,6 @@ from repro.store import ArtifactStore
 
 __all__ = ["FuzzReport", "FuzzCampaign"]
 
-#: Index file for minimized reproducers (parallel to ``corpus.jsonl``).
-REPRO_INDEX = "repro.jsonl"
-
 
 @dataclass
 class FuzzReport:
@@ -129,9 +126,7 @@ class FuzzCampaign:
         self.state_root: Path = repo.vcs.meta / FUZZ_DIR
         self.coverage = CoverageMap(self.state_root / "coverage.jsonl")
         self.corpus = Corpus(self.state_root / "corpus")
-        self.reproducers = Corpus(
-            self.state_root / "repro", index_name=REPRO_INDEX
-        )
+        self.reproducers = Corpus(self.state_root / "repro")
         self.runner = VariantRunner(
             self.state_root / "work",
             seed=self.seed,
@@ -156,18 +151,13 @@ class FuzzCampaign:
         try:
             return self._run(journal)
         finally:
-            # Commit the persistent group-commit writers: the coverage
-            # map and corpus indexes batched their fsyncs across the
-            # campaign's whole append loop.
+            # Commit the coverage map's persistent group-commit writer,
+            # which batched its fsyncs across the whole append loop.
             self.coverage.close()
-            self.corpus.close()
-            self.reproducers.close()
 
     def _run(self, journal: RunJournal | None = None) -> FuzzReport:
         report = FuzzReport(seed=self.seed, iterations=self.iterations)
-        seen: set[str] = set(
-            record.get("variant", "") for record in self.corpus.index_records()
-        )
+        seen: set[str] = {entry.variant for entry in self.corpus.entries()}
         minimized_signatures: set[tuple[str, ...]] = set()
         if journal is not None:
             journal.event(

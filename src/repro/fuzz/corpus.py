@@ -2,23 +2,21 @@
 
 Layout under the host repository's ``.pvcs/fuzz/``::
 
-    corpus.jsonl                durable append-only index (one record
-                                per admitted variant; read by read_jsonl)
     corpus/<variant16>/
         meta.json               scenario + mutation chain + verdict
         experiment/...          the variant's experiment files, ready to
                                 copy into any repo and `popper run`
     repro/<variant16>/          minimized reproducers, same layout
 
-Every file is content-derived — variant ids are scenario fingerprints
-and no record carries a timestamp — so two campaigns with the same seed
-produce byte-identical corpus trees (the determinism acceptance test
-diffs them).  ``meta.json`` lands via ``atomic_write`` and the index
-through one persistent group-commit writer, the same two durable-write
-primitives as the rest of the store; the index reader skips a torn
-line a crash left and raises :class:`FuzzError` on any other bad line.
-``popper doctor`` knows how to repair a torn index and sweep a variant
-directory whose ``meta.json`` never landed.
+The entry directories are the whole record: there is no index beside
+them, and a campaign's known variants are the ``variant`` fields of its
+complete entries' ``meta.json`` files.  Every file is content-derived —
+variant ids are scenario fingerprints and no record carries a
+timestamp — so two campaigns with the same seed produce byte-identical
+corpus trees (the determinism acceptance test diffs them).
+``meta.json`` lands last, via ``atomic_write``, so an entry is complete
+exactly when it has one; ``popper doctor`` sweeps a variant directory
+whose ``meta.json`` never landed.
 """
 
 from __future__ import annotations
@@ -29,16 +27,14 @@ from pathlib import Path
 
 from repro.common.errors import FuzzError
 from repro.common.fsutil import atomic_write, ensure_dir
-from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 from repro.fuzz.mutators import Mutation
 from repro.fuzz.oracle import OracleVerdict
 from repro.fuzz.scenario import Scenario
 
-__all__ = ["CorpusEntry", "Corpus", "FUZZ_DIR", "CORPUS_INDEX"]
+__all__ = ["CorpusEntry", "Corpus", "FUZZ_DIR"]
 
 #: Fuzz state root, relative to the repository's ``.pvcs`` directory.
 FUZZ_DIR = "fuzz"
-CORPUS_INDEX = "corpus.jsonl"
 
 META_FILE = "meta.json"
 EXPERIMENT_DIR = "experiment"
@@ -88,11 +84,9 @@ class CorpusEntry:
 class Corpus:
     """Variant storage under one directory (``corpus/`` or ``repro/``)."""
 
-    def __init__(self, root: str | Path, index_name: str = CORPUS_INDEX) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.index_path = self.root.parent / index_name
         self.directory = self.root
-        self._writer: GroupCommitWriter | None = None
 
     # -- writes --------------------------------------------------------------
     def add(self, entry: CorpusEntry) -> Path:
@@ -109,30 +103,7 @@ class Corpus:
             json.dumps(entry.to_json(), sort_keys=True, indent=1).encode("utf-8"),
             crash_label="fuzz.corpus.meta",
         )
-        record = {
-            "variant": entry.variant,
-            "severity": entry.verdict.severity,
-            "kinds": list(entry.verdict.kinds),
-            "outcome": entry.outcome,
-            "novel": list(entry.novel),
-        }
-        if self._writer is None or self._writer.closed:
-            self._writer = GroupCommitWriter(
-                self.index_path, durable=True, crash_label="fuzz.corpus"
-            )
-        self._writer.append(json.dumps(record, sort_keys=True))
         return target
-
-    def flush(self) -> None:
-        """Commit the index writer's open window."""
-        if self._writer is not None and not self._writer.closed:
-            self._writer.flush()
-
-    def close(self) -> None:
-        """Commit and release the persistent index writer."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
 
     # -- reads ---------------------------------------------------------------
     def variants(self) -> list[str]:
@@ -157,14 +128,6 @@ class Corpus:
 
     def entries(self) -> list[CorpusEntry]:
         return [self.load(v) for v in self.variants()]
-
-    def index_records(self) -> list[dict]:
-        """Parse the index, skipping a torn line and non-object records."""
-        try:
-            records, _torn = read_jsonl(self.index_path)
-        except ValueError as exc:
-            raise FuzzError(f"bad corpus index line at {exc}") from exc
-        return [record for record in records if isinstance(record, dict)]
 
     def __len__(self) -> int:
         return len(self.variants())

@@ -105,18 +105,19 @@ class RunJournal:
     to it instead).  Use as a context
     manager or call :meth:`close` explicitly.
 
-    Writes are lock-protected: the execution engine runs independent
-    tasks (pipeline stages, CI jobs) on worker threads that share one
-    run's journal, and each event must land as one intact line with a
-    unique ``seq``.
+    Writes are lock-protected: two threads can share one journal (the
+    serve daemon's HTTP and tick threads both append to its queue
+    journal, and a ``--task-timeout`` watchdog thread journals the
+    spans of the payload it runs), and each event must land as one
+    intact line with a unique ``seq``.
 
     Durability is group-committed: every event is written and flushed
     as it happens (a killed run keeps its record up to the failure
     point), but durable journals fsync once per bounded window rather
     than per event, with an explicit commit at span/run boundaries
-    (:data:`FLUSH_KINDS`) and on :meth:`close`.  Bulk replays (journal
-    shard merges) wrap themselves in :meth:`batched` to also batch the
-    write syscalls.
+    (:data:`FLUSH_KINDS`) and on :meth:`close`.  Bulk replays (a
+    process-parallel run's worker events) wrap themselves in
+    :meth:`batched` to also batch the write syscalls.
     """
 
     def __init__(
@@ -136,7 +137,11 @@ class RunJournal:
         self._seq = int(start_seq)
         self._lock = threading.Lock()
         self.durable = bool(durable)
-        self._writer: GroupCommitWriter | None = GroupCommitWriter(
+        self._writer: GroupCommitWriter | None = self._open(fresh, crash_label)
+
+    def _open(self, fresh: bool, crash_label: str) -> GroupCommitWriter:
+        """The writer the journal's lines go through: its file's."""
+        return GroupCommitWriter(
             self.path,
             durable=self.durable,
             fresh=fresh,
@@ -172,8 +177,8 @@ class RunJournal:
     def batched(self):
         """Context manager batching a bulk append loop's writes.
 
-        Used by the journal-shard merge of the process scheduler, which
-        replays thousands of worker events through :meth:`event`.
+        Used by the process scheduler, which replays thousands of worker
+        events through :meth:`event` at join.
         """
         with self._lock:
             if self._writer is None:
@@ -231,17 +236,16 @@ def replay_events(
 ) -> int:
     """Re-emit *events* (from another journal) into *journal*.
 
-    The workhorse of journal-shard merging: each worker process of the
-    process scheduler journals into its own shard file, and at join the
-    parent replays every shard's events into the run's real journal.
-    Replayed events get a fresh monotonic ``seq`` from the target journal
-    but keep their original ``ts`` (wall-clock time is meaningful across
-    processes; ``seq`` is not).  ``span_id_map`` remaps shard-local
-    ``span_id``/``parent_id`` values into the target's id space; a
-    ``parent_id`` with no mapping (a shard-root span) is re-parented to
-    ``default_parent_id``.  ``extra_fields`` (e.g. ``worker=3``) are
-    stamped onto every replayed event.  Returns the number of events
-    written.
+    The process scheduler's join: a worker process returns each task's
+    events with the task's result, and the parent replays them into the
+    run's real journal.  Replayed events get a fresh monotonic ``seq``
+    from the target journal but keep their original ``ts`` (wall-clock
+    time is meaningful across processes; ``seq`` is not).
+    ``span_id_map`` remaps the worker's ``span_id``/``parent_id`` values
+    into the target's id space; a ``parent_id`` with no mapping (the
+    task's root span) is re-parented to ``default_parent_id``.
+    ``extra_fields`` (e.g. ``worker=3``) are stamped onto every replayed
+    event.  Returns the number of events written.
     """
     span_id_map = span_id_map or {}
     written = 0

@@ -171,9 +171,9 @@ class Tracer:
     def reserve_span_ids(self, count: int) -> int:
         """Claim *count* consecutive span ids; returns the first one.
 
-        The process scheduler uses this when merging worker journal
-        shards: each worker numbered its spans from 1 in its own
-        process, and the merge remaps them into this tracer's id space
+        The process scheduler uses this when it replays a task's worker
+        events: the worker numbered its spans from 1 in its own
+        process, and the replay remaps them into this tracer's id space
         so the combined journal has globally unique, collision-free
         span ids.
         """
@@ -183,20 +183,6 @@ class Tracer:
             first = self._next_id
             self._next_id += count
         return first
-
-    def graft_span(self, span: Span) -> None:
-        """Adopt an already-finished span produced elsewhere.
-
-        The span joins :meth:`finished` / :meth:`span_tree` queries as
-        if this tracer had produced it; nothing is journaled (the
-        caller re-emits journal events itself) and nothing is recorded
-        to metrics.  Used by the shard merge so in-memory span queries
-        see one tree after a process-parallel run.
-        """
-        if not span.finished:
-            raise MonitorError(f"cannot graft open span {span.name!r}")
-        with self._lock:
-            self._spans.append(span)
 
     @contextmanager
     def adopt(self, span: Span) -> Iterator[Span]:

@@ -61,15 +61,12 @@ QUEUE_DIR = "queue"
 #: The default requeue-backoff budget: four leases per job, exponential
 #: backoff with deterministic jitter, and — because lease expiry can
 #: requeue the same job indefinitely under repeated daemon crashes — a
-#: hard ``max_delay_s`` ceiling on every sleep (the resilience layer's
-#: post-jitter cap exists precisely for this caller).
+#: one-second ``max_backoff_s`` ceiling on every sleep, jitter included.
 REQUEUE_POLICY = RetryPolicy(
     max_attempts=4,
     backoff_s=0.05,
-    multiplier=2.0,
     max_backoff_s=1.0,
     jitter=0.1,
-    max_delay_s=1.0,
 )
 
 #: Job states (journal events are transitions between them).

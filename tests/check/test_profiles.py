@@ -1,6 +1,7 @@
 """Commit-attached profiles: validation, merging, durable history."""
 
 import json
+import os
 
 import pytest
 
@@ -111,7 +112,7 @@ class TestProfileHistory:
         history.attach(Profile("c1", series={"x": [1.0]}))
         history.attach(Profile("c1", series={"x": [2.0]}))
         assert history.require("c1").series == {"x": [1.0, 2.0]}
-        # the index journal saw both attaches; commits() deduplicates
+        # one ledger holds both attaches
         assert history.commits() == ["c1"]
 
     def test_attach_appends_one_line_without_reading(self, tmp_path, monkeypatch):
@@ -156,34 +157,71 @@ class TestProfileHistory:
             handle.write('{"commit": "c1", "ser')  # crash mid-append
         assert history.require("c1").series == {"x": [1.0]}
 
-    def test_commits_in_first_attach_order(self, tmp_path):
+    def test_commits_in_latest_attach_order(self, tmp_path):
         history = ProfileHistory(tmp_path)
-        for commit in ("c-new", "c-old", "c-mid"):
-            history.attach(Profile(commit, series={"x": [1.0]}))
-        assert history.commits() == ["c-new", "c-old", "c-mid"]
+        for second, commit in enumerate(("c-new", "c-old", "c-mid", "c-new"), 1):
+            ledger = history.attach(Profile(commit, series={"x": [1.0]}))
+            os.utime(ledger, ns=(second * 10**9, second * 10**9))
+        assert history.commits() == ["c-old", "c-mid", "c-new"]
 
-    def test_torn_index_tail_is_skipped(self, tmp_path):
+    def test_commits_attached_at_once_are_listed_by_name(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        for commit in ("c2", "c3", "c1"):
+            ledger = history.attach(Profile(commit, series={"x": [1.0]}))
+            os.utime(ledger, ns=(10**9, 10**9))
+        assert history.commits() == ["c1", "c2", "c3"]
+
+    def test_attach_writes_only_the_commits_ledger(self, tmp_path):
         history = ProfileHistory(tmp_path)
         history.attach(Profile("c1", series={"x": [1.0]}))
-        with open(history.index_path, "a", encoding="utf-8") as handle:
-            handle.write('{"commit": "c-torn", "ser')  # crash mid-append
-        assert history.commits() == ["c1"]
+        history.attach(Profile("c1", series={"x": [2.0]}))
+        history.attach(Profile("c2", series={"x": [3.0]}))
+        assert sorted(p.name for p in history.dir.iterdir()) == [
+            "c1.jsonl",
+            "c2.jsonl",
+        ]
 
-    def test_index_records_of_the_wrong_shape_are_skipped(self, tmp_path):
+    def test_an_old_index_is_never_listed(self, tmp_path):
         history = ProfileHistory(tmp_path)
         history.attach(Profile("c1", series={"x": [1.0]}))
-        with open(history.index_path, "a", encoding="utf-8") as handle:
-            handle.write('["c2"]\n"c3"\n')
-        assert history.commits() == ["c1"]
-
-    def test_profile_file_without_index_line_still_listed(self, tmp_path):
-        history = ProfileHistory(tmp_path)
-        history.attach(Profile("c1", series={"x": [1.0]}))
-        orphan = Profile("c-orphan", series={"x": [2.0]})
-        history._path_for("c-orphan").write_text(
-            json.dumps(orphan.to_json()), encoding="utf-8"
+        (history.dir / "index.jsonl").write_text(
+            '{"commit": "c-gone", "samples": 1, "series": 1}\n'
         )
+        assert history.commits() == ["c1"]
+
+    def test_legacy_profile_is_listed_with_the_ledgers(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        ledger = history.attach(Profile("c1", series={"x": [1.0]}))
+        os.utime(ledger, ns=(10**9, 10**9))
+        orphan = Profile("c-orphan", series={"x": [2.0]})
+        legacy = history._path_for("c-orphan")
+        legacy.write_text(json.dumps(orphan.to_json()), encoding="utf-8")
+        os.utime(legacy, ns=(2 * 10**9, 2 * 10**9))
         assert history.commits() == ["c1", "c-orphan"]
+
+    def test_a_commit_with_a_legacy_profile_and_a_ledger_is_listed_once(
+        self, tmp_path
+    ):
+        history = ProfileHistory(tmp_path)
+        ledger = history.attach(Profile("c1", series={"x": [1.0]}))
+        os.utime(ledger, ns=(3 * 10**9, 3 * 10**9))
+        other = history.attach(Profile("c2", series={"x": [2.0]}))
+        os.utime(other, ns=(2 * 10**9, 2 * 10**9))
+        legacy = history._path_for("c1")
+        legacy.write_text(
+            json.dumps(Profile("c1", series={"x": [0.5]}).to_json()),
+            encoding="utf-8",
+        )
+        os.utime(legacy, ns=(10**9, 10**9))
+        # c1's newer file, its ledger, places it.
+        assert history.commits() == ["c2", "c1"]
+
+    def test_files_that_are_not_profiles_are_not_listed(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series={"x": [1.0]}))
+        (history.dir / "notes.txt").write_text("not a profile", encoding="utf-8")
+        (history.dir / "c2.jsonl.tmp").write_text("{}", encoding="utf-8")
+        assert history.commits() == ["c1"]
 
     def test_unreadable_profile_errors(self, tmp_path):
         history = ProfileHistory(tmp_path)

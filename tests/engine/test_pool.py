@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -70,19 +69,6 @@ def _run_in_a_pool_of_its_own(job):
 
 def nesting_runner(index):
     return _run_in_a_pool_of_its_own
-
-
-class ClosingRunner:
-    """Leaves ``closed-<index>`` behind when its worker exits."""
-
-    def __init__(self, out_dir, index):
-        self.marker = Path(out_dir) / f"closed-{index}"
-
-    def __call__(self, job):
-        return {"job": job}
-
-    def close(self):
-        self.marker.write_text("closed", encoding="utf-8")
 
 
 def wait_for(pred, what, timeout_s=30.0):
@@ -275,23 +261,6 @@ def test_drain_terminates_a_worker_forked_under_a_shutdown_guard():
             pool.drain(timeout_s=0.5)
     assert not alive
     assert elapsed < 0.2 + 0.8
-
-
-def test_runner_close_runs_when_its_worker_exits(pools, tmp_path):
-    pool = pools(2, partial(ClosingRunner, str(tmp_path)))
-    pool.dispatch("a", "job-a")
-    pool.dispatch("b", "job-b")
-    records = poll_one(pool)
-    if len(records) < 2:
-        records += poll_one(pool)
-    assert sorted(r["job"] for r in records) == ["a", "b"]
-    assert not list(tmp_path.glob("closed-*"))
-
-    pool.drain(timeout_s=10.0)
-    assert sorted(p.name for p in tmp_path.glob("closed-*")) == [
-        "closed-0",
-        "closed-1",
-    ]
 
 
 def test_a_job_may_start_a_pool_of_its_own(pools):

@@ -5,7 +5,7 @@ task to a worker process with ``pickle``, and the tests cover exactly
 that contract: an unpicklable payload failing its task,
 dependency values crossing the boundary, cache/checkpoint composition
 (a fully cached graph starts no worker), retries and fault plans inside
-workers, deterministic journal-shard merging, dead-worker containment,
+workers, deterministic replay of worker events, dead-worker containment,
 and cooperative cancellation.
 """
 
@@ -38,7 +38,7 @@ from repro.engine import (
 from repro.engine.pool import WorkerPool
 from repro.engine.scheduler import SerialScheduler
 from repro.monitor.journal import RunJournal, read_journal
-from repro.monitor.tracing import Tracer
+from repro.monitor.tracing import Tracer, current_tracer
 from repro.store import ArtifactStore
 
 
@@ -112,6 +112,19 @@ class WritePid:
         tmp.write_text(str(os.getpid()), encoding="utf-8")
         tmp.replace(self.path)
         return "fast"
+
+
+class NestedGraph:
+    """Runs a process-parallel graph of its own under the ambient tracer,
+    as a CI job's ``popper run --all -j N`` does in a ``popper ci -j N``
+    worker."""
+
+    def __call__(self, ctx):
+        graph = TaskGraph()
+        graph.add("inner-a", Square(2))
+        graph.add("inner-b", Square(3))
+        recap = ProcessScheduler(max_workers=2).run(graph, tracer=current_tracer())
+        return recap.value("inner-a") + recap.value("inner-b")
 
 
 def diamond():
@@ -236,6 +249,32 @@ def test_worker_crash_fails_only_its_task():
         assert recap.outcome(f"ok-{i}").state is TaskState.OK
 
 
+def test_a_dead_worker_still_read_as_alive_is_reaped_with_its_exit_code(
+    monkeypatch,
+):
+    """A worker whose pipe is at end-of-file can still read as alive to
+    the first ``is_alive()`` after its death.  Its task must still fail
+    with the worker's exit code, not as "every worker process died"."""
+    from multiprocessing.process import BaseProcess
+
+    real_is_alive = BaseProcess.is_alive
+    lied: set[int] = set()
+
+    def late_is_alive(process):
+        alive = real_is_alive(process)
+        if not alive and process.pid not in lied:
+            lied.add(process.pid)
+            return True
+        return alive
+
+    monkeypatch.setattr(BaseProcess, "is_alive", late_is_alive)
+    graph = TaskGraph()
+    graph.add("boom", HardCrash())
+    recap = ProcessScheduler(max_workers=1).run(graph)
+    assert recap.outcome("boom").state is TaskState.FAILED
+    assert "exit code 13" in str(recap.outcome("boom").error)
+
+
 def test_idle_worker_killed_does_not_hang_the_run(tmp_path):
     pid_file = tmp_path / "fast.pid"
     graph = TaskGraph()
@@ -322,7 +361,7 @@ def test_fully_cached_graph_starts_no_worker(tmp_path, monkeypatch):
     assert starts == [2]
 
 
-# -- journal shard merging -------------------------------------------------------
+# -- worker event replay ---------------------------------------------------------
 
 
 def test_merged_journal_is_one_tree_in_graph_order(tmp_path):
@@ -345,17 +384,74 @@ def test_merged_journal_is_one_tree_in_graph_order(tmp_path):
     ]
     assert all(e["parent_id"] == root_id for e in task_starts)
     assert all("worker" in e for e in task_starts)
-    # Remapped span ids are unique across shards.
+    # Remapped span ids are unique across workers.
     ids = [e["span_id"] for e in task_starts]
     assert len(set(ids)) == len(ids)
-    # The in-memory tracer sees the same single tree.
-    assert tracer.span_tree() == [
-        "root (ok)",
-        "  task/a (ok)",
-        "  task/b (ok)",
-        "  task/c (ok)",
-        "  task/total (ok)",
+
+
+def test_worker_events_need_no_temp_directory(tmp_path, monkeypatch):
+    """Worker events ride each task's done-record: a journaled ``-j 2``
+    run makes no temp directory, so one that cannot be made is no
+    failure."""
+    import tempfile
+
+    def no_temp_dirs(*args, **kwargs):
+        raise OSError("no temp directory")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dirs)
+    journal = RunJournal(tmp_path / "journal.jsonl")
+    tracer = Tracer(journal=journal)
+    with tracer.span("root"):
+        result = ProcessScheduler(max_workers=2).run(diamond(), tracer=tracer)
+    journal.close()
+    assert result.value("total") == 3 * 3 + 4 * 4
+    names = [
+        e["name"]
+        for e in read_journal(tmp_path / "journal.jsonl")
+        if e["event"] == "span_end"
     ]
+    assert names == ["task/a", "task/b", "task/c", "task/total", "root"]
+
+
+def test_an_aborted_tasks_events_reach_the_journal(tmp_path):
+    """The worker's events ride the done-record of a task that aborts,
+    and the parent replays them before it re-raises."""
+    graph = TaskGraph()
+    graph.add("abort", Abort())
+    journal = RunJournal(tmp_path / "journal.jsonl")
+    tracer = Tracer(journal=journal)
+    with pytest.raises(SimulatedCrash):
+        ProcessScheduler(max_workers=1).run(graph, tracer=tracer)
+    journal.close()
+    events = read_journal(tmp_path / "journal.jsonl")
+    aborted = [e for e in events if e["event"] == "task_aborted"]
+    assert [(e["task"], e["worker"]) for e in aborted] == [("abort", 0)]
+    assert "SimulatedCrash" in aborted[0]["error"]
+    ends = [e for e in events if e["event"] == "span_end"]
+    assert [(e["name"], e["status"]) for e in ends] == [("task/abort", "error")]
+
+
+def test_a_workers_own_parallel_graph_nests_in_the_journal(tmp_path):
+    """A task's journal in a worker takes the replay of the task's own
+    process-parallel graph, and the caller's journal gets one tree."""
+    journal = RunJournal(tmp_path / "journal.jsonl")
+    tracer = Tracer(journal=journal)
+    with tracer.span("root"):
+        graph = TaskGraph()
+        graph.add("outer", NestedGraph())
+        recap = ProcessScheduler(max_workers=1).run(graph, tracer=tracer)
+    journal.close()
+    assert recap.outcome("outer").state is TaskState.OK
+    assert recap.value("outer") == 2 * 2 + 3 * 3
+    starts = {
+        e["name"]: e
+        for e in read_journal(tmp_path / "journal.jsonl")
+        if e["event"] == "span_start"
+    }
+    assert list(starts) == ["root", "task/outer", "task/inner-a", "task/inner-b"]
+    assert starts["task/outer"]["parent_id"] == starts["root"]["span_id"]
+    for inner in ("task/inner-a", "task/inner-b"):
+        assert starts[inner]["parent_id"] == starts["task/outer"]["span_id"]
 
 
 # -- backend resolution ----------------------------------------------------------

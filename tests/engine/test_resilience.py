@@ -11,11 +11,20 @@ from repro.common.errors import (
     TransientInjectedFault,
     UnreachableHostError,
 )
+from repro.common.rng import derive_rng
 from repro.engine import NO_RETRY, RetryPolicy, call_with_timeout
 from repro.engine import SerialScheduler, TaskGraph, ThreadedScheduler, TaskState
 
 BACKENDS = [SerialScheduler(), ThreadedScheduler(max_workers=4)]
 BACKEND_IDS = ["serial", "threaded"]
+
+
+def capped_then_jittered(policy, task_id, attempt):
+    """A delay as it was reckoned before ``max_backoff_s`` capped it
+    after the jitter: capped first, then stretched by the jitter."""
+    base = min(policy.backoff_s * 2.0 ** (attempt - 1), policy.max_backoff_s)
+    rng = derive_rng(policy.seed, "retry", task_id, attempt)
+    return base * (1.0 + policy.jitter * float(rng.random()))
 
 
 class TestRetryPolicy:
@@ -31,9 +40,7 @@ class TestRetryPolicy:
         assert NO_RETRY.max_attempts == 1
 
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            backoff_s=0.1, multiplier=2.0, max_backoff_s=0.3, jitter=0.0
-        )
+        policy = RetryPolicy(backoff_s=0.1, max_backoff_s=0.3, jitter=0.0)
         delays = [policy.delay_s("t", n) for n in (1, 2, 3, 4)]
         assert delays == [0.1, 0.2, 0.3, 0.3]
 
@@ -210,46 +217,47 @@ class TestAbortAccounting:
 
 
 class TestMaxDelayCap:
-    """``max_delay_s``: the post-jitter ceiling the serve queue leans on."""
+    """``max_backoff_s``: the post-jitter ceiling the serve queue leans on."""
 
     def test_caps_the_jittered_delay(self):
-        uncapped = RetryPolicy(
-            backoff_s=1.0, multiplier=2.0, max_backoff_s=4.0, jitter=0.5
-        )
-        capped = RetryPolicy(
-            backoff_s=1.0,
-            multiplier=2.0,
-            max_backoff_s=4.0,
-            jitter=0.5,
-            max_delay_s=4.0,
-        )
-        # Jitter stretches *above* max_backoff_s; max_delay_s does not let it.
-        assert uncapped.delay_s("t", 5) > 4.0
-        assert capped.delay_s("t", 5) == 4.0
+        policy = RetryPolicy(backoff_s=1.0, max_backoff_s=4.0, jitter=0.5)
+        # Jitter stretches a delay below the cap, never past it.
+        assert 2.0 <= policy.delay_s("t", 2) <= 3.0
+        assert policy.delay_s("t", 3) == 4.0
+        assert policy.delay_s("t", 5) == 4.0
 
     def test_huge_attempt_numbers_do_not_overflow(self):
-        policy = RetryPolicy(
-            backoff_s=0.05, multiplier=2.0, max_backoff_s=1.0, max_delay_s=1.0
-        )
-        # 2.0 ** 2000 overflows a float; the caps must still win.
+        policy = RetryPolicy(backoff_s=0.05, max_backoff_s=1.0)
+        # 2.0 ** 2000 overflows a float; the cap must still win.
         for attempt in (1025, 2000, 10**6):
             assert policy.delay_s("t", attempt) <= 1.0
 
-    def test_none_preserves_the_historical_behaviour(self):
-        with_cap = RetryPolicy(jitter=0.5, max_delay_s=None)
-        without = RetryPolicy(jitter=0.5)
-        for attempt in (1, 3, 7):
-            assert with_cap.delay_s("t", attempt) == without.delay_s("t", attempt)
+    def test_sweep_retry_sleeps_are_unchanged_up_to_six_attempts(self):
+        # As `popper run --retries 6` builds it.
+        policy = RetryPolicy(max_attempts=7, seed=7)
+        for task in ("exp-a", "exp-b"):
+            for attempt in range(1, 7):
+                assert policy.delay_s(task, attempt) == capped_then_jittered(
+                    policy, task, attempt
+                )
+            # From the 7th attempt on, jitter no longer stretches past the cap.
+            assert capped_then_jittered(policy, task, 7) > policy.max_backoff_s
+            assert policy.delay_s(task, 7) == policy.max_backoff_s
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(EngineError, match="max_delay_s"):
-            RetryPolicy(max_delay_s=-1.0)
+    def test_requeue_sleeps_are_unchanged(self):
+        from repro.serve.queue import REQUEUE_POLICY
+
+        for attempt in range(1, 50):
+            before = min(
+                capped_then_jittered(REQUEUE_POLICY, "job-000000", attempt),
+                REQUEUE_POLICY.max_backoff_s,
+            )
+            assert REQUEUE_POLICY.delay_s("job-000000", attempt) == before
 
     def test_requeue_policy_is_bounded(self):
         from repro.serve.queue import REQUEUE_POLICY
 
-        assert REQUEUE_POLICY.max_delay_s is not None
         assert all(
-            REQUEUE_POLICY.delay_s("job-000000", n) <= REQUEUE_POLICY.max_delay_s
+            REQUEUE_POLICY.delay_s("job-000000", n) <= REQUEUE_POLICY.max_backoff_s
             for n in range(1, 50)
         )

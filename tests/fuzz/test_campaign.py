@@ -4,8 +4,9 @@ import pytest
 
 from repro.common import minyaml
 from repro.common.errors import FuzzError
+from repro.core.cli import main
 from repro.core.repo import PopperRepository
-from repro.fuzz import FuzzCampaign, Scenario, fuzz_smoke
+from repro.fuzz import Corpus, FuzzCampaign, Scenario, VariantRunner, fuzz_smoke
 from repro.fuzz.oracle import SEVERITY_FAILURE, judge
 
 
@@ -61,11 +62,38 @@ class TestCampaign:
         assert report.duplicates >= 1
         assert report.executed + report.duplicates == 4
 
+    def test_second_fuzz_knows_the_corpus_from_its_entries(
+        self, repo, monkeypatch, capsys
+    ):
+        """Every variant already in the corpus counts as a duplicate of
+        a second ``popper fuzz``: the entries' ``meta.json`` files name
+        them, with no ``corpus.jsonl`` beside them."""
+        args = ["-C", str(repo.root), "fuzz", "--seed", "5", "-n", "4"]
+        assert main([*args, "--no-minimize"]) in (0, 1)
+        state = repo.vcs.meta / "fuzz"
+        (state / "corpus.jsonl").unlink(missing_ok=True)
+        known = {entry.variant for entry in Corpus(state / "corpus").entries()}
+        assert known
+        executed = []
+        run = VariantRunner.run
+
+        def recording_run(runner, scenario):
+            executed.append(scenario.fingerprint())
+            return run(runner, scenario)
+
+        monkeypatch.setattr(VariantRunner, "run", recording_run)
+        capsys.readouterr()
+        assert main([*args, "--no-minimize"]) in (0, 1)
+        assert "duplicates=0" not in capsys.readouterr().out
+        assert known.isdisjoint(executed)
+
     def test_state_persists_under_pvcs_fuzz(self, repo):
         FuzzCampaign(repo, seed=5, iterations=2, do_minimize=False).run()
         state = repo.vcs.meta / "fuzz"
         assert (state / "coverage.jsonl").is_file()
-        assert (state / "corpus.jsonl").is_file()
+        assert any((state / "corpus").iterdir())
+        # The entry directories are the whole record: no index beside them.
+        assert not (state / "corpus.jsonl").exists()
         # sandboxes are cleaned up after each variant
         work = state / "work"
         assert not work.is_dir() or not any(work.iterdir())

@@ -1,4 +1,4 @@
-"""Corpus storage: runnable variant directories + a durable index."""
+"""Corpus storage: runnable variant directories, each complete with its meta.json."""
 
 import pytest
 
@@ -56,21 +56,21 @@ class TestRoundTrip:
         corpus.add(make_entry("b"))
         assert len(corpus.entries()) == 2
 
+    def test_entries_carry_full_variant_ids(self, corpus):
+        # Directories take a 16-character prefix; the known variants a
+        # campaign compares fingerprints with come from meta.json.
+        entry = make_entry()
+        corpus.add(entry)
+        assert len(entry.variant) > 16
+        assert corpus.variants() == [entry.variant[:16]]
+        assert [e.variant for e in corpus.entries()] == [entry.variant]
+
     def test_missing_variant_raises_cleanly(self, corpus):
         with pytest.raises(FuzzError):
             corpus.load("0" * 64)
 
 
 class TestDurability:
-    def test_index_records_survive_torn_tail(self, corpus):
-        entry = make_entry()
-        corpus.add(entry)
-        with open(corpus.index_path, "a", encoding="utf-8") as handle:
-            handle.write('{"variant": "torn')  # crashed append
-        records = corpus.index_records()
-        assert len(records) == 1
-        assert records[0]["variant"] == entry.variant
-
     def test_partial_entry_without_meta_is_invisible(self, corpus):
         entry = make_entry()
         target = corpus.add(entry)
@@ -84,7 +84,5 @@ class TestDurability:
         entry = make_entry()
         target = corpus.add(entry)
         meta = (target / "meta.json").read_text(encoding="utf-8")
-        index = corpus.index_path.read_text(encoding="utf-8")
-        for text in (meta, index):
-            assert '"ts"' not in text
-            assert "time" not in text
+        assert '"ts"' not in meta
+        assert "time" not in meta

@@ -14,10 +14,7 @@ import pytest
 from repro.check.profiles import Profile, ProfileHistory
 from repro.common.errors import CheckError, FuzzError, MonitorError
 from repro.common.groupcommit import read_jsonl
-from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
-from repro.fuzz.oracle import OracleVerdict
-from repro.fuzz.scenario import Scenario
 from repro.monitor.journal import RunJournal, load_journal
 from repro.serve.queue import JobQueue
 
@@ -57,31 +54,8 @@ def coverage_read(tmp):
     return sorted(int(key.split(":")[1]) for key in keys)
 
 
-def corpus_append(tmp, n):
-    scenario = Scenario(name="exp", files={"vars.yml": f"runs: {n}\n"})
-    corpus = Corpus(tmp / "fuzz" / "corpus")
-    corpus.add(
-        CorpusEntry(
-            variant=scenario.fingerprint(),
-            scenario=scenario,
-            chain=(),
-            verdict=OracleVerdict(kinds=(), severity="ok"),
-            outcome=f"outcome-{n}",
-        )
-    )
-    corpus.close()
-
-
-def corpus_read(tmp):
-    records = Corpus(tmp / "fuzz" / "corpus").index_records()
-    return [int(r["outcome"].split("-")[1]) for r in records]
-
-
-def profile_append(commit):
-    def append(tmp, n):
-        ProfileHistory(tmp).attach(Profile(commit(n), series={"x": [float(n)]}))
-
-    return append
+def profile_append(tmp, n):
+    ProfileHistory(tmp).attach(Profile("c1", series={"x": [float(n)]}))
 
 
 OWNERS = [
@@ -107,24 +81,10 @@ OWNERS = [
         FuzzError,
     ),
     Owner(
-        "corpus-index",
-        lambda tmp: tmp / "fuzz" / "corpus.jsonl",
-        corpus_append,
-        corpus_read,
-        FuzzError,
-    ),
-    Owner(
         "profile-ledger",
         lambda tmp: tmp / "profiles" / "c1.jsonl",
-        profile_append(lambda n: "c1"),
+        profile_append,
         lambda tmp: [int(x) for x in ProfileHistory(tmp).require("c1").series["x"]],
-        CheckError,
-    ),
-    Owner(
-        "profile-index",
-        lambda tmp: tmp / "profiles" / "index.jsonl",
-        profile_append(lambda n: f"c{n}"),
-        lambda tmp: [int(c[1:]) for c in ProfileHistory(tmp).commits()],
         CheckError,
     ),
 ]

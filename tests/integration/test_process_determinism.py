@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.ci.config import CIConfig
+from repro.common.crash import EXIT_CRASH
 from repro.core.cli import main
 from repro.core.repo import DEFAULT_TRAVIS
 from repro.core.sweep import SweepExperimentJob
@@ -215,3 +216,38 @@ class TestSignalledProcessSweep:
             assert (repo_dir / "experiments" / name / "results.csv").is_file()
         assert {name: snapshot(repo_dir, name) for name in finished} == before
         assert main(["-C", str(repo_dir), "cache", "verify"]) == 0
+
+
+class TestOwnerDiesHard:
+    def test_owner_crash_ends_a_sweep_with_a_busy_worker(self, tmp_path):
+        """The owner of a ``-j 2`` sweep dies hard in its own write while
+        a worker runs an experiment, and the command still ends at once.
+
+        The first experiment's edited ``vars.yml`` misses every stage,
+        so a worker runs it; the second is a whole-experiment hit whose
+        deleted ``results.csv`` the owner materializes, and crashes
+        there.  The busy worker holds the command's stdout, so the
+        command returning shows the worker exited too.
+        """
+        repo_dir = _make_repo(tmp_path / "owner-repo", names=("one", "two"))
+        assert main(["-C", str(repo_dir), "run", "--all"]) == 0
+        (repo_dir / "experiments" / "one" / "vars.yml").write_text(
+            "runner: torpor-variability\nruns: 2\nseed: 12\n"
+        )
+        (repo_dir / "experiments" / "two" / "results.csv").unlink()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        started = time.monotonic()
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.core.cli", "-C", str(repo_dir),
+                "run", "--all", "-j", "2",
+                "--inject-crash", "at:cas.materialize.tmp:1", "--crash-hard",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_CRASH, proc.stdout + proc.stderr
+        assert time.monotonic() - started < 10

@@ -139,7 +139,7 @@ class TestRetries:
         assert job.error == "boom"
         assert job.not_before > clock()
         assert q.claim() is None  # still inside the backoff window
-        clock.advance(REQUEUE_POLICY.max_delay_s + 0.01)
+        clock.advance(REQUEUE_POLICY.max_backoff_s + 0.01)
         assert q.claim().id == job.id
 
     def test_attempt_budget_dead_letters(self, tmp_path, clock):

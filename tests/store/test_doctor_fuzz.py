@@ -85,7 +85,7 @@ class TestProfileHistoryDamage:
     def test_torn_profile_tail_diagnosed_and_repaired(self, root):
         profiles = root / ".pvcs" / "profiles"
         profiles.mkdir(parents=True)
-        target = profiles / "index.jsonl"
+        target = profiles / f"{'c' * 40}.jsonl"
         good = (
             json.dumps({"commit": "c" * 40, "metric": "runtime", "mean": 1.2})
             + "\n"
@@ -105,7 +105,8 @@ class TestProfileHistoryDamage:
         content = (
             json.dumps({"commit": "c" * 40, "metric": "runtime"}) + "\n"
         )
-        (profiles / "index.jsonl").write_text(content)
+        ledger = profiles / f"{'c' * 40}.jsonl"
+        ledger.write_text(content)
         report = diagnose(root, tmp_age_s=0.0)
         repair(report)
-        assert (profiles / "index.jsonl").read_text() == content
+        assert ledger.read_text() == content
